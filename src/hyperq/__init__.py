@@ -34,7 +34,6 @@ from .certifiers import (
     quad_vertex_deviation,
     relative_density,
     triangle_bound_check,
-    triangle_count_tripartite,
     weak_deviation,
     xyz_deviation,
 )

@@ -4,8 +4,14 @@ regularity deviation, exact tripartite triangle counting with the counting
 bound, and relative density of a hypergraph against a tripartite graph.
 
 Exact modes enumerate subsets in Gray-code order with incremental updates
-and are refused (never silently downgraded) beyond their caps.  Heuristic
-modes report certified lower bounds on the true maximum.
+and are refused (never silently downgraded) beyond their caps.  The pair and
+bipartite certifiers share one sign-split engine: for each subset of the
+enumerated side the best set on the other side is every column whose residual
+has the winning sign.  Its exact walk tabulates the low rows' subset sums by
+doubling and steps the high rows in Gray-code order, evaluating a block of
+subsets per step; the witness is the maximizer of least Gray rank, the first
+one a single-toggle Gray walk meets.  Heuristic modes report certified lower
+bounds on the true maximum.
 """
 
 from __future__ import annotations
@@ -20,11 +26,13 @@ import numpy as np
 
 from .core import CapExceeded, Hypergraph3, Hypergraph4, iter_bits
 from .hashing import subseed
-from .multipartite import MultipartiteGraph
+from .multipartite import MultipartiteGraph, count_triangles_mp
 
 WEAK_EXACT_HARD_CAP = 24
 PAIR_EXACT_HARD_CAP = 20
 BIPARTITE_EXACT_HARD_CAP = 24
+# entries (rows x columns) in one block of the sign-split exact walk
+_BLOCK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -64,12 +72,6 @@ def _as_fraction(value, default: Fraction) -> Fraction:
     raise ValueError("cannot interpret %r as a density" % (value,))
 
 
-def _gray_toggle_order(n: int):
-    """Vertex toggled at each step of the reflected Gray walk over subsets."""
-    for i in range(1, 1 << n):
-        yield (i & -i).bit_length() - 1
-
-
 def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
                    cap: int = WEAK_EXACT_HARD_CAP, restarts: int = 32,
                    seed: int = 0, max_steps: int = 10 ** 4) -> DeviationReport:
@@ -96,22 +98,17 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
         size = 0
         mask = 0
         row = h.link_row
-        for v in _gray_toggle_order(n):
-            bit = 1 << v
-            if mask & bit:
-                mask ^= bit
-                size -= 1
-                gained = 0
-                for x in iter_bits(mask):
-                    gained += (row(v, x) & mask).bit_count()
-                e -= gained // 2
-            else:
-                gained = 0
-                for x in iter_bits(mask):
-                    gained += (row(v, x) & mask).bit_count()
-                e += gained // 2
-                mask ^= bit
-                size += 1
+        for i in range(1, 1 << n):
+            bit = i & -i  # the reflected Gray walk toggles vertex v at step i
+            v = bit.bit_length() - 1
+            rest = mask & ~bit
+            gained = 0
+            for x in iter_bits(rest):
+                gained += (row(v, x) & rest).bit_count()
+            sign = -1 if mask & bit else 1
+            e += sign * (gained // 2)
+            size += sign
+            mask ^= bit
             val = abs(e * q - target[size])
             if val > best:
                 best = val
@@ -251,6 +248,84 @@ def xyz_deviation(h: Hypergraph3, d=None, samples: int = 200, seed: int = 0,
                            {"samples": samples, "improve_steps": improved})
 
 
+def _sign_split_value(deg: np.ndarray, size, p: int, q: int):
+    """max(pos, neg) of the residuals r = q*deg - p*size along the last axis,
+    pos and neg being the sums of the positive and of the negated negative
+    entries: |r| sums to pos + neg and r to pos - neg."""
+    r = deg * q - p * size
+    return (np.abs(r).sum(axis=-1) + np.abs(r.sum(axis=-1))) // 2
+
+
+def _sign_split_deviation(rows: np.ndarray, p: int, q: int, mode: str,
+                          restarts: int, seed: int, max_steps: int):
+    """Largest, over row subsets S, of the better one-sign column sum of
+    q * deg_S - p * |S|, where deg_S sums the 0/1 rows in S.
+
+    Returns ``(best, best_mask, keep)``: the maximum, S as a bitmask over the
+    rows, and a boolean array of the columns whose residual has the winning
+    sign (the positive side on a tie).  Exact mode keeps the maximizer of
+    least Gray rank; search mode keeps the first restart reaching the best
+    value, each climb taking strict improvements and the least row on ties.
+    """
+    k, cols = rows.shape
+    best = 0
+    best_mask = 0
+    if mode == "exact":
+        low = min(k, max(0, (_BLOCK_ENTRIES // max(cols, 1)).bit_length() - 1))
+        table = np.zeros((1 << low, cols), dtype=np.int64)
+        for a in range(low):
+            table[1 << a:2 << a] = table[:1 << a] + rows[a]
+        ranks = np.arange(1 << low)
+        sizes = np.bitwise_count(ranks).astype(np.int64)[:, None]
+        gray = ranks ^ (ranks >> 1)
+        # an odd high rank flips the top low bit of every Gray code in its block
+        orders = (gray, gray ^ ((1 << low) >> 1))
+        base = np.zeros(cols, dtype=np.int64)
+        high = 0
+        for j in range(1 << (k - low)):
+            if j:
+                a = low + (j & -j).bit_length() - 1
+                base += -rows[a] if high >> a & 1 else rows[a]
+                high ^= 1 << a
+            order = orders[j & 1]
+            vals = _sign_split_value(table + base, sizes + high.bit_count(), p, q)[order]
+            i = int(vals.argmax())
+            if vals[i] > best:
+                best = int(vals[i])
+                best_mask = high | int(order[i])
+    elif mode == "search":
+        for r in range(restarts):
+            rng = random.Random(subseed(seed, r))
+            mask = rng.getrandbits(k) & ((1 << k) - 1)
+            deg = rows[list(iter_bits(mask))].sum(axis=0)
+            size = mask.bit_count()
+            cur = int(_sign_split_value(deg, size, p, q))
+            for _ in range(max_steps):
+                move = None
+                move_val = cur
+                for v in range(k):
+                    sign = -1 if mask >> v & 1 else 1
+                    val = _sign_split_value(deg + sign * rows[v], size + sign, p, q)
+                    if val > move_val:
+                        move_val = int(val)
+                        move = v
+                if move is None:
+                    break
+                sign = -1 if mask >> move & 1 else 1
+                deg += sign * rows[move]
+                size += sign
+                mask ^= 1 << move
+                cur = move_val
+            if cur > best:
+                best = cur
+                best_mask = mask
+    else:
+        raise ValueError("mode must be 'exact' or 'search'")
+    r = rows[list(iter_bits(best_mask))].sum(axis=0) * q - p * best_mask.bit_count()
+    keep = (r > 0) if r.sum() >= 0 else (r < 0)
+    return best, best_mask, keep
+
+
 def pair_deviation(h: Hypergraph3, d=None, mode: str = "exact",
                    cap: int = PAIR_EXACT_HARD_CAP, restarts: int = 32,
                    seed: int = 0, max_steps: int = 200) -> DeviationReport:
@@ -259,8 +334,7 @@ def pair_deviation(h: Hypergraph3, d=None, mode: str = "exact",
     Uses the decomposition e(U, X) - d|U||X| = sum over pairs p in X of
     (deg_U(p) - d|U|): for any fixed U the maximizing X collects all pairs
     whose residual shares one sign, so only U is enumerated.  Exact mode
-    walks subsets U in Gray-code order with a vectorised residual update and
-    is refused above the cap.
+    walks subsets U in blocked Gray-code order and is refused above the cap.
     """
     n = h.n
     d = _as_fraction(d, h.density().density_fraction)
@@ -272,93 +346,20 @@ def pair_deviation(h: Hypergraph3, d=None, mode: str = "exact",
         row = h.link_row(u, v)
         for w in iter_bits(row):
             incidence[w, idx] = 1
-
-    def optimal_value(deg: np.ndarray, size: int) -> int:
-        r = deg * q - p * size
-        pos = int(r[r > 0].sum())
-        neg = int(-r[r < 0].sum())
-        return max(pos, neg)
-
-    def winning_pairs(deg: np.ndarray, size: int) -> tuple:
-        r = deg * q - p * size
-        pos = int(r[r > 0].sum())
-        neg = int(-r[r < 0].sum())
-        keep = (r > 0) if pos >= neg else (r < 0)
-        return tuple(pairs[i] for i in np.nonzero(keep)[0])
-
     if mode == "exact":
         if cap > PAIR_EXACT_HARD_CAP:
             raise ValueError("cap above hard limit %d" % PAIR_EXACT_HARD_CAP)
         if n > cap:
             raise CapExceeded("exact pair deviation refused for n=%d > cap %d"
                               % (n, cap))
-        deg = np.zeros(len(pairs), dtype=np.int64)
-        mask = 0
-        size = 0
-        best = 0
-        best_mask = 0
-        for v in _gray_toggle_order(n):
-            bit = 1 << v
-            if mask & bit:
-                deg -= incidence[v]
-                size -= 1
-            else:
-                deg += incidence[v]
-                size += 1
-            mask ^= bit
-            val = optimal_value(deg, size)
-            if val > best:
-                best = val
-                best_mask = mask
-        deg = incidence[list(iter_bits(best_mask))].sum(axis=0) if best_mask \
-            else np.zeros(len(pairs), dtype=np.int64)
-        witness = (tuple(iter_bits(best_mask)),
-                   winning_pairs(deg, best_mask.bit_count()))
-        return DeviationReport("pair", d, Fraction(best, q), best / (q * norm),
-                               norm, witness, "exact", {"subsets": 1 << n})
-
-    if mode != "search":
-        raise ValueError("mode must be 'exact' or 'search'")
-    best = 0
-    best_mask = 0
-    for r in range(restarts):
-        rng = random.Random(subseed(seed, r))
-        mask = rng.getrandbits(n) & ((1 << n) - 1)
-        members = list(iter_bits(mask))
-        deg = incidence[members].sum(axis=0) if members else \
-            np.zeros(len(pairs), dtype=np.int64)
-        size = len(members)
-        cur = optimal_value(deg, size)
-        for _ in range(max_steps):
-            move = None
-            move_val = cur
-            for v in range(n):
-                if mask >> v & 1:
-                    val = optimal_value(deg - incidence[v], size - 1)
-                else:
-                    val = optimal_value(deg + incidence[v], size + 1)
-                if val > move_val:
-                    move_val = val
-                    move = v
-            if move is None:
-                break
-            if mask >> move & 1:
-                deg -= incidence[move]
-                size -= 1
-            else:
-                deg += incidence[move]
-                size += 1
-            mask ^= 1 << move
-            cur = move_val
-        if cur > best:
-            best = cur
-            best_mask = mask
-    members = list(iter_bits(best_mask))
-    deg = incidence[members].sum(axis=0) if members else \
-        np.zeros(len(pairs), dtype=np.int64)
-    witness = (tuple(members), winning_pairs(deg, len(members)))
+    best, mask, keep = _sign_split_deviation(incidence, p, q, mode, restarts,
+                                             seed, max_steps)
+    witness = (tuple(iter_bits(mask)),
+               tuple(pairs[i] for i in np.nonzero(keep)[0]))
+    method, trials = (("exact", {"subsets": 1 << n}) if mode == "exact"
+                      else ("local-search", {"restarts": restarts}))
     return DeviationReport("pair", d, Fraction(best, q), best / (q * norm),
-                           norm, witness, "local-search", {"restarts": restarts})
+                           norm, witness, method, trials)
 
 
 def quad_vertex_deviation(h: Hypergraph4, d=None, samples: int = 100,
@@ -423,8 +424,8 @@ def bipartite_regularity_deviation(g: MultipartiteGraph, d2=None,
 
     For a fixed X' the maximizing Y' collects the vertices whose degree
     residual shares one sign, so exact mode enumerates X' subsets only
-    (Gray-code order, vectorised degree updates) and is refused above the
-    cap.  The eta field is the deviation normalized by |X||Y|.
+    (blocked Gray-code order) and is refused above the cap.  The eta field
+    is the deviation normalized by |X||Y|.
     """
     i, j = parts
     nx, ny = g.sizes[i], g.sizes[j]
@@ -432,95 +433,23 @@ def bipartite_regularity_deviation(g: MultipartiteGraph, d2=None,
     d2 = _as_fraction(d2, Fraction(edges, nx * ny) if nx and ny else Fraction(0))
     p, q = d2.numerator, d2.denominator
     norm = nx * ny
-    cols = np.zeros((nx, ny), dtype=np.int64)
+    adjacency = np.zeros((nx, ny), dtype=np.int64)
     for a in range(nx):
         for b in iter_bits(g.rows[(i, j)][a]):
-            cols[a, b] = 1
-
-    def optimal_value(deg: np.ndarray, size: int) -> int:
-        r = deg * q - p * size
-        pos = int(r[r > 0].sum())
-        neg = int(-r[r < 0].sum())
-        return max(pos, neg)
-
-    def winning_side(deg: np.ndarray, size: int) -> tuple:
-        r = deg * q - p * size
-        pos = int(r[r > 0].sum())
-        neg = int(-r[r < 0].sum())
-        keep = (r > 0) if pos >= neg else (r < 0)
-        return tuple(int(b) for b in np.nonzero(keep)[0])
-
+            adjacency[a, b] = 1
     if mode == "exact":
         if cap > BIPARTITE_EXACT_HARD_CAP:
             raise ValueError("cap above hard limit %d" % BIPARTITE_EXACT_HARD_CAP)
         if nx > cap:
             raise CapExceeded("exact bipartite deviation refused for |X|=%d > cap %d"
                               % (nx, cap))
-        deg = np.zeros(ny, dtype=np.int64)
-        mask = 0
-        size = 0
-        best = 0
-        best_mask = 0
-        for a in _gray_toggle_order(nx):
-            bit = 1 << a
-            if mask & bit:
-                deg -= cols[a]
-                size -= 1
-            else:
-                deg += cols[a]
-                size += 1
-            mask ^= bit
-            val = optimal_value(deg, size)
-            if val > best:
-                best = val
-                best_mask = mask
-        members = list(iter_bits(best_mask))
-        deg = cols[members].sum(axis=0) if members else np.zeros(ny, dtype=np.int64)
-        witness = (tuple(members), winning_side(deg, len(members)))
-        return DeviationReport("bipartite", d2, Fraction(best, q),
-                               best / (q * norm), norm, witness, "exact",
-                               {"subsets": 1 << nx})
-
-    if mode != "search":
-        raise ValueError("mode must be 'exact' or 'search'")
-    best = 0
-    best_mask = 0
-    for r in range(restarts):
-        rng = random.Random(subseed(seed, r))
-        mask = rng.getrandbits(nx) & ((1 << nx) - 1)
-        members = list(iter_bits(mask))
-        deg = cols[members].sum(axis=0) if members else np.zeros(ny, dtype=np.int64)
-        size = len(members)
-        cur = optimal_value(deg, size)
-        for _ in range(max_steps):
-            move = None
-            move_val = cur
-            for a in range(nx):
-                if mask >> a & 1:
-                    val = optimal_value(deg - cols[a], size - 1)
-                else:
-                    val = optimal_value(deg + cols[a], size + 1)
-                if val > move_val:
-                    move_val = val
-                    move = a
-            if move is None:
-                break
-            if mask >> move & 1:
-                deg -= cols[move]
-                size -= 1
-            else:
-                deg += cols[move]
-                size += 1
-            mask ^= 1 << move
-            cur = move_val
-        if cur > best:
-            best = cur
-            best_mask = mask
-    members = list(iter_bits(best_mask))
-    deg = cols[members].sum(axis=0) if members else np.zeros(ny, dtype=np.int64)
-    witness = (tuple(members), winning_side(deg, len(members)))
+    best, mask, keep = _sign_split_deviation(adjacency, p, q, mode, restarts,
+                                             seed, max_steps)
+    witness = (tuple(iter_bits(mask)), tuple(int(b) for b in np.nonzero(keep)[0]))
+    method, trials = (("exact", {"subsets": 1 << nx}) if mode == "exact"
+                      else ("local-search", {"restarts": restarts}))
     return DeviationReport("bipartite", d2, Fraction(best, q), best / (q * norm),
-                           norm, witness, "local-search", {"restarts": restarts})
+                           norm, witness, method, trials)
 
 
 @dataclass(frozen=True)
@@ -536,31 +465,12 @@ class TriangleBoundReport:
     per_pair_delta: tuple
 
 
-def triangle_count_tripartite(g: MultipartiteGraph,
-                              parts: tuple[int, int, int] = (0, 1, 2)) -> int:
-    """Exact number of triangles with one vertex in each of the three parts."""
-    i, j, k = parts
-    rows_ij, rows_ik, rows_jk = g.rows[(i, j)], g.rows[(i, k)], g.rows[(j, k)]
-    total = 0
-    for a in range(g.sizes[i]):
-        rik = rows_ik[a]
-        if not rik:
-            continue
-        for b in iter_bits(rows_ij[a]):
-            total += (rik & rows_jk[b]).bit_count()
-    return total
-
-
 def _restricted_bipartite(g: MultipartiteGraph, i: int, j: int,
                           limit: int) -> MultipartiteGraph:
-    keep = min(g.sizes[i], limit)
-    sub = MultipartiteGraph((keep, g.sizes[j]))
-    sub.rows[(0, 1)] = [g.rows[(i, j)][a] for a in range(keep)]
-    rev = [0] * g.sizes[j]
-    for a in range(keep):
-        for b in iter_bits(sub.rows[(0, 1)][a]):
-            rev[b] |= 1 << a
-    sub.rows[(1, 0)] = rev
+    sub = MultipartiteGraph((min(g.sizes[i], limit), g.sizes[j]))
+    for a in range(sub.sizes[0]):
+        for b in iter_bits(g.rows[(i, j)][a]):
+            sub.add_edge(0, a, 1, b)
     return sub
 
 
@@ -584,7 +494,7 @@ def triangle_bound_check(g: MultipartiteGraph, d2,
             sub, d2, mode="exact", parts=(0, 1), seed=seed)
         deltas.append(Fraction(rep.max_deviation, rep.normalizer))
     delta_hat = max(deltas)
-    count = triangle_count_tripartite(g, parts)
+    count = count_triangles_mp(g, parts)
     volume = g.sizes[i] * g.sizes[j] * g.sizes[k]
     bound = (d2 ** 3) * volume + 3 * delta_hat * volume
     return TriangleBoundReport(count, d2, delta_hat, bound, count <= bound,

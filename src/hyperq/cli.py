@@ -49,7 +49,17 @@ from .multipartite import (
 
 
 def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
+def parse_density(text: str) -> Fraction:
+    d = parse_fraction(text)
+    if not 0 <= d <= 1:
+        raise ValueError("density %s is outside [0, 1]" % text)
+    return d
 
 
 def _jsonable(obj):
@@ -89,7 +99,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    d = parse_fraction(args.d) if args.d else None
+    d = parse_density(args.d) if args.d else None
     if args.kind == "bipartite":
         g = read_multipartite(Path(args.infile).read_text(encoding="utf-8"))
         rep = bipartite_regularity_deviation(g, d, mode=args.mode, seed=args.seed)
@@ -174,6 +184,11 @@ def _read_auxiliary(path: str) -> AuxiliaryHypergraph:
 
 def cmd_multipartite(args) -> int:
     op = args.op
+    if op in ("halfsplit", "explore"):
+        if args.m is None or args.s is None:
+            raise ValueError("%s needs --m and --s" % op)
+    elif not args.infile:
+        raise ValueError("%s needs --in" % op)
     if op == "halfsplit":
         g = half_split(args.m, args.s)
         text = write_multipartite(g)
@@ -273,13 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quasirandom hypergraph constructions, certification, "
                     "and forbidden-pattern detection")
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1)
-    common.add_argument("--format", choices=["csv", "json"], default="csv")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common],
+    p = sub.add_parser("generate", parents=[seeded],
                        help="emit a seeded construction")
     p.add_argument("--construction", required=True, choices=sorted(CONSTRUCTIONS))
     p.add_argument("--n", type=int, required=True)
@@ -287,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("certify", parents=[common],
+    p = sub.add_parser("certify", parents=[seeded],
                        help="quantify quasirandomness deviations")
     p.add_argument("--kind", required=True,
                    choices=["weak", "xyz", "pair", "quad", "bipartite"])
@@ -298,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("detect", parents=[common],
-                       help="find forbidden configurations")
+    p = sub.add_parser("detect", help="find forbidden configurations")
     p.add_argument("--pattern", required=True,
                    choices=["k4minus", "clique", "sk", "f4", "custom", "vanishing"])
     p.add_argument("--in", dest="infile", required=True)
@@ -309,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("multipartite", parents=[common],
+    p = sub.add_parser("multipartite", parents=[seeded],
                        help="multipartite graph operations")
     p.add_argument("--op", required=True,
                    choices=["profile", "triangle", "halfsplit", "diagnostics",
@@ -324,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_multipartite)
 
-    p = sub.add_parser("experiment", parents=[common],
-                       help="run a sweep from a JSON spec")
+    p = sub.add_parser("experiment", help="run a sweep from a JSON spec")
     p.add_argument("--spec", required=True)
+    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the acceptance suite")
+    p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--level", choices=["quick", "full"], default="quick")
     p.set_defaults(func=cmd_verify)
     return parser

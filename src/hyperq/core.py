@@ -74,9 +74,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def neighbours(self, v: int) -> int:
-        return self.rows[v]
-
     @property
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2

@@ -48,6 +48,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
+        if not isinstance(data, dict):
+            raise ValueError("experiment spec must be a JSON object")
         if data.get("schema_version", 1) != 1:
             raise ValueError("unsupported experiment schema version")
         construction = data["construction"]

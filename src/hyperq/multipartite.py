@@ -55,10 +55,6 @@ class MultipartiteGraph:
     def has_edge(self, i: int, a: int, j: int, b: int) -> bool:
         return bool(self.rows[(i, j)][a] >> b & 1)
 
-    def neighbours(self, i: int, a: int, j: int) -> int:
-        """Bitmask over part j of the neighbours of vertex (i, a)."""
-        return self.rows[(i, j)][a]
-
     def degree(self, i: int, a: int, j: int) -> int:
         return self.rows[(i, j)][a].bit_count()
 

@@ -5,9 +5,14 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hyperq import certifiers
 from hyperq.core import Graph, Hypergraph3, Hypergraph4, ParseError, write_hypergraph, read_hypergraph
-from hyperq.certifiers import weak_deviation
+from hyperq.certifiers import bipartite_regularity_deviation, pair_deviation, weak_deviation
 from hyperq.constructions import gen_random_3hg
 from hyperq.detectors import (
     check_vanishing_condition,
@@ -18,10 +23,12 @@ from hyperq.detectors import (
 )
 from hyperq.multipartite import (
     AuxiliaryHypergraph,
+    MultipartiteGraph,
     count_triangles_mp,
     find_three_triples,
     gen_random_multipartite,
 )
+from hyperq.oracles import enumerate_pair_deviation, naive_bipartite_deviation
 
 
 def random_graph(n, p, rng):
@@ -40,6 +47,181 @@ def test_weak_search_witness_recomputes():
         rep = weak_deviation(h, d, mode="search", restarts=3, seed=seed)
         e = h.count_edges_within(rep.witness)
         assert abs(Fraction(e) - d * comb(len(rep.witness), 3)) == rep.max_deviation
+
+
+# 200/201: p * |S| outgrows small integer types
+DENSITIES = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
+             Fraction(200, 201)]
+# 1 puts every row in the Gray walk, 16 and 64 give blocks of a few rows, and
+# the default keeps these sizes in one block: rows land on both sides of it
+BLOCK_BUDGETS = [1, 16, 64, certifiers._BLOCK_ENTRIES]
+
+
+def pair_witness_value(h, d, witness):
+    members, x_pairs = witness
+    mask = sum(1 << v for v in members)
+    return abs(sum((h.link_row(u, v) & mask).bit_count() - d * len(members)
+                   for u, v in x_pairs))
+
+
+def bipartite_witness_value(g, d, witness):
+    xs, ys = witness
+    e = sum(g.has_edge(0, a, 1, b) for a in xs for b in ys)
+    return abs(e - d * len(xs) * len(ys))
+
+
+@st.composite
+def small_hypergraphs(draw):
+    # the oracle enumerates pair sets directly up to 16 pairs (n <= 6), which
+    # costs seconds at n = 6; n = 7 takes its split path and stays fast
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 7]))
+    triples = list(combinations(range(n), 3))
+    keep = draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
+    return Hypergraph3.from_edges(n, [t for t, k in zip(triples, keep) if k])
+
+
+@st.composite
+def small_bipartite(draw):
+    nx, ny = draw(st.integers(1, 11)), draw(st.integers(1, 5))
+    g = MultipartiteGraph([nx, ny])
+    for a in range(nx):
+        for b in range(ny):
+            if draw(st.booleans()):
+                g.add_edge(0, a, 1, b)
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_hypergraphs(), st.sampled_from(DENSITIES), st.sampled_from(BLOCK_BUDGETS))
+def test_pair_engine_vs_oracle(h, d, budget):
+    with mock.patch.object(certifiers, "_BLOCK_ENTRIES", budget):
+        exact = pair_deviation(h, d)
+    assert exact.max_deviation == enumerate_pair_deviation(h, d)
+    assert pair_witness_value(h, d, exact.witness) == exact.max_deviation
+    found = pair_deviation(h, d, mode="search", restarts=2)
+    assert pair_witness_value(h, d, found.witness) == found.max_deviation
+    assert found.max_deviation <= exact.max_deviation
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_bipartite(), st.sampled_from(DENSITIES), st.sampled_from(BLOCK_BUDGETS))
+def test_bipartite_engine_vs_oracle(g, d, budget):
+    with mock.patch.object(certifiers, "_BLOCK_ENTRIES", budget):
+        exact = bipartite_regularity_deviation(g, d)
+    assert exact.max_deviation == naive_bipartite_deviation(g, d)
+    assert bipartite_witness_value(g, d, exact.witness) == exact.max_deviation
+    found = bipartite_regularity_deviation(g, d, mode="search", restarts=2)
+    assert bipartite_witness_value(g, d, found.witness) == found.max_deviation
+    assert found.max_deviation <= exact.max_deviation
+
+
+def matching_2x2():
+    g = MultipartiteGraph([2, 2])
+    g.add_edge(0, 0, 1, 0)
+    g.add_edge(0, 1, 1, 1)
+    return g
+
+
+ALL_PAIRS_6 = tuple(combinations(range(6), 2))
+ALL_PAIRS_7 = tuple(combinations(range(7), 2))
+RANDOM9_PAIRS = (
+    (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (1, 5),
+    (1, 6), (1, 7), (1, 8), (2, 4), (2, 6), (2, 7), (2, 8), (3, 4), (3, 5),
+    (3, 6), (3, 8), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7), (6, 8), (7, 8))
+RANDOM8_OWN_PAIRS = (
+    (0, 1), (0, 2), (0, 4), (0, 6), (0, 7), (1, 2), (1, 4), (1, 6), (1, 7),
+    (2, 3), (2, 4), (2, 6), (2, 7), (3, 4), (3, 5), (3, 6), (3, 7), (4, 6),
+    (4, 7), (5, 7), (6, 7))
+RANDOM10X40_Y = (2, 3, 4, 5, 7, 8, 9, 10, 13, 14, 16, 18, 20, 21, 22, 23, 24,
+                 29, 30, 31, 32, 33, 35, 36, 37, 38, 39)
+
+PAIR_INSTANCES = {
+    "empty6-d0": (lambda: Hypergraph3.empty(6), Fraction(0)),
+    "empty7-d1": (lambda: Hypergraph3.empty(7), Fraction(1)),
+    "complete6-d0": (lambda: Hypergraph3.complete(6), Fraction(0)),
+    "complete6-d1": (lambda: Hypergraph3.complete(6), Fraction(1)),
+    "random6-s1": (lambda: gen_random_3hg(6, 1, 2, 1), Fraction(1, 2)),
+    "random6-s2": (lambda: gen_random_3hg(6, 1, 3, 2), Fraction(1, 3)),
+    "random9-s4": (lambda: gen_random_3hg(9, 1, 2, 4), Fraction(1, 2)),
+    "random8-s7-own": (lambda: gen_random_3hg(8, 1, 2, 7), None),  # d = 29/56
+}
+BIPARTITE_INSTANCES = {
+    "empty5x6-d0": (lambda: MultipartiteGraph([5, 6]), Fraction(0)),
+    "empty5x6-d1": (lambda: MultipartiteGraph([5, 6]), Fraction(1)),
+    "complete6x5-d0": (lambda: gen_random_multipartite([6, 5], 1, 1, 0), Fraction(0)),
+    "complete6x5-d1": (lambda: gen_random_multipartite([6, 5], 1, 1, 0), Fraction(1)),
+    "random8x3-s4": (lambda: gen_random_multipartite([8, 3], 1, 2, 4), Fraction(1, 2)),
+    "random7x4-s1": (lambda: gen_random_multipartite([7, 4], 1, 3, 1), Fraction(1, 3)),
+    "random10x40-s3": (lambda: gen_random_multipartite([10, 40], 1, 2, 3), Fraction(1, 2)),
+    # every best X' leaves residuals +1 and -1: the positive side must win
+    "matching2x2-half": (lambda: matching_2x2(), Fraction(1, 2)),
+    "random11x7-s6-own": (lambda: gen_random_multipartite([11, 7], 1, 2, 6), None),  # 37/77
+}
+# (kind, mode, instance) -> (max_deviation, witness), recorded from the
+# separate per-certifier Gray walks and hill climbs the engine replaced; the
+# random instances have 2-16 tied maximizers, so the witness pins the tie-break
+GOLDEN = {
+    ("pair", "exact", "empty6-d0"): ("0", ((), ())),
+    ("pair", "exact", "empty7-d1"): ("147", (tuple(range(7)), ALL_PAIRS_7)),
+    ("pair", "exact", "complete6-d0"): ("60", (tuple(range(6)), ALL_PAIRS_6)),
+    ("pair", "exact", "complete6-d1"): ("30", (tuple(range(6)), ALL_PAIRS_6)),
+    ("pair", "exact", "random6-s1"): ("15/2", ((1, 2, 3), (
+        (0, 1), (0, 3), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4)))),
+    ("pair", "exact", "random6-s2"): ("29/3", ((0, 1, 3, 4, 5), (
+        (0, 1), (0, 3), (0, 5), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4),
+        (3, 5)))),
+    ("pair", "exact", "random9-s4"): ("83/2", (tuple(range(9)), RANDOM9_PAIRS)),
+    ("pair", "exact", "random8-s7-own"): ("313/8", ((0, 1, 2, 3, 4, 6, 7), RANDOM8_OWN_PAIRS)),
+    ("bipartite", "exact", "empty5x6-d0"): ("0", ((), ())),
+    ("bipartite", "exact", "empty5x6-d1"): ("30", ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5))),
+    ("bipartite", "exact", "complete6x5-d0"): ("30", ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4))),
+    ("bipartite", "exact", "complete6x5-d1"): ("0", ((), ())),
+    ("bipartite", "exact", "random8x3-s4"): ("3", ((1, 2, 3, 4), (0, 2))),
+    ("bipartite", "exact", "random7x4-s1"): ("4", ((0, 1, 2, 5, 6), (0, 1, 2))),
+    ("bipartite", "exact", "random10x40-s3"): ("65/2", ((0, 3, 4, 5, 6, 7, 8), RANDOM10X40_Y)),
+    ("bipartite", "exact", "matching2x2-half"): ("1/2", ((0,), (0,))),
+    ("bipartite", "exact", "random11x7-s6-own"): ("670/77", ((0, 1, 2, 7, 8, 9), (0, 1, 3, 4, 5, 6))),
+    ("pair", "search", "empty6-d0"): ("0", ((), ())),
+    ("pair", "search", "empty7-d1"): ("147", (tuple(range(7)), ALL_PAIRS_7)),
+    ("pair", "search", "complete6-d0"): ("60", (tuple(range(6)), ALL_PAIRS_6)),
+    ("pair", "search", "complete6-d1"): ("30", (tuple(range(6)), ALL_PAIRS_6)),
+    ("pair", "search", "random6-s1"): ("15/2", ((1, 2, 3, 4, 5), (
+        (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)))),
+    ("pair", "search", "random6-s2"): ("29/3", ((0, 1, 3, 4, 5), (
+        (0, 1), (0, 3), (0, 5), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4),
+        (3, 5)))),
+    ("pair", "search", "random9-s4"): ("83/2", (tuple(range(9)), RANDOM9_PAIRS)),
+    ("pair", "search", "random8-s7-own"): ("313/8", ((0, 1, 2, 3, 4, 6, 7), RANDOM8_OWN_PAIRS)),
+    ("bipartite", "search", "empty5x6-d0"): ("0", ((), ())),
+    ("bipartite", "search", "empty5x6-d1"): ("30", ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5))),
+    ("bipartite", "search", "complete6x5-d0"): ("30", ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4))),
+    ("bipartite", "search", "complete6x5-d1"): ("0", ((), ())),
+    ("bipartite", "search", "random8x3-s4"): ("3", ((0, 1, 5, 7), (0, 1))),
+    ("bipartite", "search", "random7x4-s1"): ("4", ((0, 2, 4, 5, 6), (0, 1, 2))),
+    ("bipartite", "search", "random10x40-s3"): ("32", ((0, 3, 5, 6, 7, 8, 9), (
+        2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14, 18, 20, 21, 22, 23, 24, 29, 30, 31,
+        32, 33, 35, 36, 37, 38))),
+    ("bipartite", "search", "matching2x2-half"): ("1/2", ((1,), (1,))),
+    ("bipartite", "search", "random11x7-s6-own"): ("86/11", ((3, 4, 5, 6, 10), tuple(range(7)))),
+}
+
+
+@pytest.mark.parametrize("key,budget", [
+    (key, budget) for key in sorted(GOLDEN)
+    for budget in ([1, 16, certifiers._BLOCK_ENTRIES] if key[1] == "exact"
+                   else [certifiers._BLOCK_ENTRIES])])
+def test_sign_split_golden(key, budget):
+    kind, mode, name = key
+    if kind == "pair":
+        make, d = PAIR_INSTANCES[name]
+        run = pair_deviation
+    else:
+        make, d = BIPARTITE_INSTANCES[name]
+        run = bipartite_regularity_deviation
+    kwargs = {} if mode == "exact" else {"restarts": 2, "seed": 5}
+    with mock.patch.object(certifiers, "_BLOCK_ENTRIES", budget):
+        rep = run(make(), d, mode=mode, **kwargs)
+    assert (str(rep.max_deviation), rep.witness) == GOLDEN[key]
 
 
 def test_clique_graph_vs_brute():

@@ -11,7 +11,6 @@ from hyperq.certifiers import (
     relative_density,
     sample_set_triple,
     triangle_bound_check,
-    triangle_count_tripartite,
     weak_deviation,
     xyz_deviation,
 )
@@ -216,13 +215,9 @@ class TestBipartiteDeviation:
 class TestTriangleBound:
     def test_complete_tripartite_equality(self):
         g = gen_random_multipartite([3, 4, 5], 1, 1, 0)
-        assert triangle_count_tripartite(g) == 3 * 4 * 5
         rep = triangle_bound_check(g, Fraction(1), enum_side=3)
+        assert rep.count == 3 * 4 * 5
         assert rep.holds and rep.delta2_hat == 0 and rep.bound == 60
-
-    def test_empty_part(self):
-        g = MultipartiteGraph([4, 4, 0])
-        assert triangle_count_tripartite(g) == 0
 
     def test_random_instances_respect_bound(self):
         for seed in range(5):

@@ -126,6 +126,39 @@ class TestCli:
             main(["generate", "--construction", "not-a-thing", "--n", "5"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--pattern", "k4minus", "--in", "h.hg", "--seed", "1"],
+        ["verify", "--level", "quick", "--threads", "2"],
+        ["certify", "--kind", "weak", "--in", "h.hg", "--format", "json"],
+        ["multipartite", "--op", "halfsplit", "--m", "3", "--s", "4",
+         "--threads", "2"],
+    ], ids=["detect-seed", "verify-threads", "certify-format", "multipartite-threads"])
+    def test_flag_outside_its_subcommand_exit_code(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--kind", "weak", "--in", "{hg}", "--d", "1/0"],
+        ["certify", "--kind", "weak", "--in", "{hg}", "--d", "7/2"],
+        ["certify", "--kind", "pair", "--in", "{hg}", "--d=-1/3"],
+        ["multipartite", "--op", "explore", "--s", "12"],
+        ["multipartite", "--op", "halfsplit", "--m", "3"],
+        ["multipartite", "--op", "profile"],
+        ["experiment", "--spec", "{list_spec}"],
+    ], ids=["zero-denominator", "density-above-one", "negative-density",
+            "explore-without-m", "halfsplit-without-s", "profile-without-in",
+            "spec-is-a-list"])
+    def test_malformed_input_exit_code(self, tmp_path, capsys, argv):
+        hg = tmp_path / "h.hg"
+        hg.write_text("3 4 1\n0 1 2\n")
+        list_spec = tmp_path / "spec.json"
+        list_spec.write_text(json.dumps([spec_dict(tmp_path)]))
+        argv = [a.format(hg=hg, list_spec=list_spec) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_experiment_cli(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec_dict(tmp_path, ns=[20], seeds=[0])))

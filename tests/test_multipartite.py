@@ -74,6 +74,16 @@ class TestTriangleSearch:
         assert clique is not None and len(clique) == 4
 
 
+class TestTriangleCount:
+    def test_complete_tripartite(self):
+        g = gen_random_multipartite([3, 4, 5], 1, 1, 0)
+        assert count_triangles_mp(g, (0, 1, 2)) == 3 * 4 * 5
+        assert count_triangles_mp(g, (2, 0, 1)) == 3 * 4 * 5
+
+    def test_empty_part(self):
+        assert count_triangles_mp(MultipartiteGraph([4, 4, 0]), (0, 1, 2)) == 0
+
+
 class TestDiagnostics:
     def test_complete_reaches_cap(self):
         g = gen_random_multipartite([8, 8], 1, 1, 0)
