@@ -97,14 +97,15 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
         e = 0
         size = 0
         mask = 0
-        row = h.link_row
+        links = [h.link_rows(v) for v in range(n)]
         for i in range(1, 1 << n):
             bit = i & -i  # the reflected Gray walk toggles vertex v at step i
             v = bit.bit_length() - 1
             rest = mask & ~bit
+            row = links[v]
             gained = 0
             for x in iter_bits(rest):
-                gained += (row(v, x) & rest).bit_count()
+                gained += (row[x] & rest).bit_count()
             sign = -1 if mask & bit else 1
             e += sign * (gained // 2)
             size += sign
@@ -217,35 +218,83 @@ def xyz_deviation(h: Hypergraph3, d=None, samples: int = 200, seed: int = 0,
         if val > best:
             best = val
             best_masks = masks
-    improved = 0
-    masks = list(best_masks)
-    for _ in range(improve_steps):
-        step_best = best
-        step_move = None
-        for which in range(3):
-            for v in range(n):
-                trial = list(masks)
-                if disjoint:
-                    # reassign v to set `which` (or drop it), keeping the sets disjoint
-                    for i in range(3):
-                        trial[i] &= ~(1 << v)
-                    if not masks[which] >> v & 1:
-                        trial[which] |= 1 << v
-                else:
-                    trial[which] ^= 1 << v
-                val = value(*trial)
-                if val > step_best:
-                    step_best = val
-                    step_move = tuple(trial)
-        if step_move is None:
-            break
-        masks = list(step_move)
-        best = step_best
-        improved += 1
+    masks, best, improved = _xyz_improve(h, list(best_masks), best, p, q,
+                                         improve_steps, disjoint)
     witness = tuple(tuple(iter_bits(m)) for m in masks)
     return DeviationReport("xyz", d, Fraction(best, q), best / (q * norm), norm,
                            witness, "sampled",
                            {"samples": samples, "improve_steps": improved})
+
+
+# the two sets other than set i, for each i
+_OTHER_SETS = ((1, 2), (0, 2), (0, 1))
+
+
+def _xyz_improve(h: Hypergraph3, masks: list, best: int, p: int, q: int,
+                 steps: int, disjoint: bool) -> tuple[list, int, int]:
+    """Steepest-toggle ascent of |e(X,Y,Z) * q - p|X||Y||Z|| from ``masks``
+    worth ``best``; returns the final masks, their value and the steps taken.
+
+    A candidate toggles v in set ``which`` (candidates in order of ``which``,
+    then v); in disjoint mode it moves v into ``which``, or out of it if v is
+    there already.  ``c[i][v]`` counts the ordered pairs from the two sets
+    other than i that complete an edge with v.  No link row holds its own
+    pair's vertices, so ``c[i][v]`` does not depend on v's own place and a
+    candidate scores in O(1); an accepted move updates ``c`` in O(n).
+    """
+    if not steps:
+        return masks, best, 0
+    n = h.n
+    c = [[0] * n for _ in range(3)]
+    for v in range(n):
+        links = h.link_rows(v)
+        for i, (j, k) in enumerate(_OTHER_SETS):
+            mk = masks[k]
+            c[i][v] = sum((links[w] & mk).bit_count() for w in iter_bits(masks[j]))
+    cnt = sum(c[0][x] for x in iter_bits(masks[0]))
+    sizes = [m.bit_count() for m in masks]
+
+    def moves(which, v):
+        """(set, +1 to enter / -1 to leave) for the candidate (which, v)."""
+        if not disjoint:
+            return ((which, -1 if masks[which] >> v & 1 else 1),)
+        out = [(i, -1) for i in range(3) if masks[i] >> v & 1]
+        if not masks[which] >> v & 1:
+            out.append((which, 1))
+        return out
+
+    improved = 0
+    for _ in range(steps):
+        step_best = best
+        step_move = None
+        for which in range(3):
+            for v in range(n):
+                trial_cnt = cnt
+                trial_sizes = list(sizes)
+                for i, sign in moves(which, v):
+                    trial_cnt += sign * c[i][v]
+                    trial_sizes[i] += sign
+                x, y, z = trial_sizes
+                val = abs(trial_cnt * q - p * x * y * z)
+                if val > step_best:
+                    step_best = val
+                    step_move = (which, v)
+        if step_move is None:
+            break
+        which, v = step_move
+        links = h.link_rows(v)
+        for i, sign in moves(which, v):
+            masks[i] ^= 1 << v
+            sizes[i] += sign
+            cnt += sign * c[i][v]
+            for j, k in (_OTHER_SETS[i], _OTHER_SETS[i][::-1]):
+                cj, mk = c[j], masks[k]
+                for w, row in enumerate(links):
+                    if row:
+                        cj[w] += sign * (row & mk).bit_count()
+        best = step_best
+        improved += 1
+    return masks, best, improved
 
 
 def _sign_split_value(deg: np.ndarray, size, p: int, q: int):
@@ -253,7 +302,7 @@ def _sign_split_value(deg: np.ndarray, size, p: int, q: int):
     pos and neg being the sums of the positive and of the negated negative
     entries: |r| sums to pos + neg and r to pos - neg."""
     r = deg * q - p * size
-    return (np.abs(r).sum(axis=-1) + np.abs(r.sum(axis=-1))) // 2
+    return (abs(r).sum(axis=-1) + abs(r.sum(axis=-1))) // 2
 
 
 def _sign_split_deviation(rows: np.ndarray, p: int, q: int, mode: str,
@@ -268,19 +317,23 @@ def _sign_split_deviation(rows: np.ndarray, p: int, q: int, mode: str,
     value, each climb taking strict improvements and the least row on ties.
     """
     k, cols = rows.shape
+    # every residual sum is below 2 * cols * k * max(p, q): past int64, use
+    # exact Python ints
+    dtype = object if 2 * cols * k * max(p, q) >= 2 ** 63 else np.int64
+    rows = rows.astype(dtype)
     best = 0
     best_mask = 0
     if mode == "exact":
         low = min(k, max(0, (_BLOCK_ENTRIES // max(cols, 1)).bit_length() - 1))
-        table = np.zeros((1 << low, cols), dtype=np.int64)
+        table = np.zeros((1 << low, cols), dtype=dtype)
         for a in range(low):
             table[1 << a:2 << a] = table[:1 << a] + rows[a]
         ranks = np.arange(1 << low)
-        sizes = np.bitwise_count(ranks).astype(np.int64)[:, None]
+        sizes = np.bitwise_count(ranks).astype(dtype)[:, None]
         gray = ranks ^ (ranks >> 1)
         # an odd high rank flips the top low bit of every Gray code in its block
         orders = (gray, gray ^ ((1 << low) >> 1))
-        base = np.zeros(cols, dtype=np.int64)
+        base = np.zeros(cols, dtype=dtype)
         high = 0
         for j in range(1 << (k - low)):
             if j:
@@ -448,8 +501,9 @@ def bipartite_regularity_deviation(g: MultipartiteGraph, d2=None,
     witness = (tuple(iter_bits(mask)), tuple(int(b) for b in np.nonzero(keep)[0]))
     method, trials = (("exact", {"subsets": 1 << nx}) if mode == "exact"
                       else ("local-search", {"restarts": restarts}))
-    return DeviationReport("bipartite", d2, Fraction(best, q), best / (q * norm),
-                           norm, witness, method, trials)
+    eta = best / (q * norm) if norm else 0.0
+    return DeviationReport("bipartite", d2, Fraction(best, q), eta, norm,
+                           witness, method, trials)
 
 
 @dataclass(frozen=True)
@@ -484,7 +538,8 @@ def triangle_bound_check(g: MultipartiteGraph, d2,
     i, j, k = parts
     if d2 is None:
         edges = sum(r.bit_count() for r in g.rows[(i, j)])
-        d2 = Fraction(edges, g.sizes[i] * g.sizes[j])
+        slots = g.sizes[i] * g.sizes[j]
+        d2 = Fraction(edges, slots) if slots else Fraction(0)
     else:
         d2 = _as_fraction(d2, Fraction(0))
     deltas = []
@@ -492,7 +547,9 @@ def triangle_bound_check(g: MultipartiteGraph, d2,
         sub = _restricted_bipartite(g, a, b, enum_side)
         rep = bipartite_regularity_deviation(
             sub, d2, mode="exact", parts=(0, 1), seed=seed)
-        deltas.append(Fraction(rep.max_deviation, rep.normalizer))
+        # a pair with an empty side has no edges and deviates by 0
+        deltas.append(Fraction(rep.max_deviation, rep.normalizer)
+                      if rep.normalizer else Fraction(0))
     delta_hat = max(deltas)
     count = count_triangles_mp(g, parts)
     volume = g.sizes[i] * g.sizes[j] * g.sizes[k]

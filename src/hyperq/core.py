@@ -167,6 +167,14 @@ class Hypergraph3:
             u, v = v, u
         return self._rows[self._base[u] + v - u - 1]
 
+    def link_rows(self, v: int) -> list[int]:
+        """``link_row(v, w)`` for every w, indexed by w, with 0 at w = v."""
+        if not 0 <= v < self.n:
+            raise ValueError("vertex %r out of range" % v)
+        rows, base = self._rows, self._base
+        return ([rows[base[w] + v - w - 1] for w in range(v)] + [0]
+                + rows[base[v]:base[v] + self.n - v - 1])
+
     def has_edge(self, x: int, y: int, z: int) -> bool:
         return bool(self.link_row(x, y) >> z & 1)
 
@@ -203,23 +211,21 @@ class Hypergraph3:
         xmask = vertex_mask(xs, self.n)
         ymask = vertex_mask(ys, self.n)
         zmask = vertex_mask(zs, self.n)
+        rows, base = self._rows, self._base
+        y_members = list(iter_bits(ymask))
         total = 0
         for x in iter_bits(xmask):
-            for y in iter_bits(ymask):
-                if y == x:
-                    continue
-                total += (self.link_row(x, y) & zmask).bit_count()
+            above = base[x] - x - 1  # rows[above + y] is link(x, y) for y > x
+            for y in y_members:
+                if y > x:
+                    total += (rows[above + y] & zmask).bit_count()
+                elif y < x:
+                    total += (rows[base[y] + x - y - 1] & zmask).bit_count()
         return total
 
     def link_graph(self, a: int) -> Graph:
         """Graph on the other vertices whose edges complete hyperedges with a."""
-        if not 0 <= a < self.n:
-            raise ValueError("vertex %r out of range" % a)
-        rows = [0] * self.n
-        for v in range(self.n):
-            if v != a:
-                rows[v] = self.link_row(a, v)
-        return Graph(self.n, rows)
+        return Graph(self.n, self.link_rows(a))
 
     def induced(self, vertices: Iterable[int] | int) -> "Hypergraph3":
         """Sub-hypergraph on the given vertices, relabelled 0..|U|-1 in order."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -188,6 +189,18 @@ def _worker(args):
     return run_cell(*args)
 
 
+def worker_count(threads: int, jobs: int, cpus: int) -> int:
+    """Pool size for ``jobs`` cells: at most ``threads``, one per cell and
+    one per usable CPU, and at least 1."""
+    return max(1, min(threads, jobs, cpus))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     """Run every cell (optionally in a process pool) and sort the rows by
     (construction, n, k, seed) for order-independent output."""
@@ -199,8 +212,9 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
                    "hypergraph_dir": spec.hypergraph_dir},
     }
     jobs = [(spec_data, n, seed) for n, seed in spec.cells]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = worker_count(threads, len(jobs), _usable_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_worker, jobs))
     else:
         rows = [run_cell(*job) for job in jobs]

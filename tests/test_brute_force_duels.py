@@ -12,8 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from hyperq import certifiers
 from hyperq.core import Graph, Hypergraph3, Hypergraph4, ParseError, write_hypergraph, read_hypergraph
-from hyperq.certifiers import bipartite_regularity_deviation, pair_deviation, weak_deviation
-from hyperq.constructions import gen_random_3hg
+from hyperq.certifiers import (
+    DeviationReport,
+    bipartite_regularity_deviation,
+    pair_deviation,
+    sample_set_triple,
+    weak_deviation,
+    xyz_deviation,
+)
+from hyperq.constructions import gen_random_3hg, gen_tournament_3hg
 from hyperq.detectors import (
     check_vanishing_condition,
     embed_small,
@@ -28,6 +35,7 @@ from hyperq.multipartite import (
     find_three_triples,
     gen_random_multipartite,
 )
+from hyperq.hashing import subseed
 from hyperq.oracles import enumerate_pair_deviation, naive_bipartite_deviation
 
 
@@ -222,6 +230,131 @@ def test_sign_split_golden(key, budget):
     with mock.patch.object(certifiers, "_BLOCK_ENTRIES", budget):
         rep = run(make(), d, mode=mode, **kwargs)
     assert (str(rep.max_deviation), rep.witness) == GOLDEN[key]
+
+
+# densities whose denominator outgrows int64 residual sums; the last one
+# does not fit in an int64 at all
+HUGE_DENOMINATORS = [Fraction(1, 10 ** 17), Fraction(10 ** 17 - 1, 10 ** 17),
+                     Fraction(1, 10 ** 20)]
+
+
+@pytest.mark.parametrize("d", HUGE_DENOMINATORS, ids=str)
+@pytest.mark.parametrize("mode", ["exact", "search"])
+def test_sign_split_huge_denominator(d, mode):
+    h = gen_random_3hg(7, 1, 2, 3)
+    rep = pair_deviation(h, d, mode=mode)
+    assert rep.max_deviation == enumerate_pair_deviation(h, d)
+    assert pair_witness_value(h, d, rep.witness) == rep.max_deviation
+    g = gen_random_multipartite([6, 9], 1, 2, 1)
+    rep = bipartite_regularity_deviation(g, d, mode=mode)
+    assert rep.max_deviation == naive_bipartite_deviation(g, d)
+    assert bipartite_witness_value(g, d, rep.witness) == rep.max_deviation
+
+
+def reference_xyz(h, d, samples, seed, improve_steps, disjoint):
+    """xyz_deviation with every candidate of the improve pass recounted by
+    count_ordered_triples, as the certifier did before it kept per-vertex
+    counts."""
+    n = h.n
+    d = h.density().density_fraction if d is None else d
+    p, q = d.numerator, d.denominator
+    rng = random.Random(subseed(seed, 0x585954))
+
+    def value(xm, ym, zm):
+        cnt = h.count_ordered_triples(xm, ym, zm)
+        return abs(cnt * q - p * xm.bit_count() * ym.bit_count() * zm.bit_count())
+
+    best = -1
+    best_masks = (0, 0, 0)
+    for _ in range(samples):
+        masks = sample_set_triple(rng, n, disjoint)
+        val = value(*masks)
+        if val > best:
+            best = val
+            best_masks = masks
+    improved = 0
+    masks = list(best_masks)
+    for _ in range(improve_steps):
+        step_best = best
+        step_move = None
+        for which in range(3):
+            for v in range(n):
+                trial = list(masks)
+                if disjoint:
+                    for i in range(3):
+                        trial[i] &= ~(1 << v)
+                    if not masks[which] >> v & 1:
+                        trial[which] |= 1 << v
+                else:
+                    trial[which] ^= 1 << v
+                val = value(*trial)
+                if val > step_best:
+                    step_best = val
+                    step_move = tuple(trial)
+        if step_move is None:
+            break
+        masks = list(step_move)
+        best = step_best
+        improved += 1
+    norm = n ** 3
+    witness = tuple(tuple(v for v in range(n) if m >> v & 1) for m in masks)
+    return DeviationReport("xyz", d, Fraction(best, q), best / (q * norm), norm,
+                           witness, "sampled",
+                           {"samples": samples, "improve_steps": improved})
+
+
+@st.composite
+def xyz_hypergraphs(draw):
+    n = draw(st.integers(1, 14))
+    seed = draw(st.integers(0, 10 ** 6))
+    if n >= 4 and draw(st.booleans()):
+        return gen_tournament_3hg(n, seed)
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]))
+    rng = random.Random(seed)
+    return Hypergraph3.from_edges(
+        n, [t for t in combinations(range(n), 3) if rng.random() < density])
+
+
+@settings(max_examples=150, deadline=None)
+@given(xyz_hypergraphs(), st.sampled_from([Fraction(0), Fraction(1), None, Fraction(1, 4)]),
+       st.booleans(), st.sampled_from([0, 1, 32]), st.integers(1, 6),
+       st.integers(0, 1000))
+def test_xyz_improve_vs_recount(h, d, disjoint, steps, samples, seed):
+    rep = xyz_deviation(h, d, samples=samples, seed=seed, improve_steps=steps,
+                        disjoint=disjoint)
+    assert rep == reference_xyz(h, d, samples, seed, steps, disjoint)
+    xs, ys, zs = rep.witness
+    d = rep.reference_density
+    e = h.count_ordered_triples(xs, ys, zs)
+    assert abs(e - d * len(xs) * len(ys) * len(zs)) == rep.max_deviation
+    if disjoint:
+        assert not (set(xs) & set(ys) or set(xs) & set(zs) or set(ys) & set(zs))
+
+
+# (seed, disjoint) -> (max_deviation, witness, improve_steps) for
+# tournament3 n=30 at d = 1/4, 100 samples, certify seed 0, recorded from
+# the certifier that recounted every candidate of the improve pass
+XYZ_GOLDEN = {
+    (0, False): ("2713/4", ((0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17,
+                             18, 19, 20, 21, 22, 23, 24, 25, 26),) * 3, 30),
+    (0, True): ("185/2", ((2, 4, 6, 14, 16, 20, 22, 27, 28, 29),
+                          (0, 3, 8, 9, 11, 12, 19, 23, 24, 25, 26),
+                          (1, 5, 7, 10, 13, 15, 17, 18, 21)), 10),
+    (1, False): ("2665/4", ((0, 1, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 17, 18,
+                             20, 21, 22, 23, 24, 25, 26, 27, 28, 29),) * 3, 32),
+    (1, True): ("123", ((1, 4, 6, 7, 10, 14, 19, 26, 28, 29),
+                        (0, 11, 15, 17, 18, 20, 21, 22, 23, 24),
+                        (2, 3, 5, 8, 9, 12, 13, 16, 25, 27)), 29),
+}
+
+
+@pytest.mark.parametrize("key", sorted(XYZ_GOLDEN))
+def test_xyz_golden(key):
+    seed, disjoint = key
+    rep = xyz_deviation(gen_tournament_3hg(30, seed), Fraction(1, 4), samples=100,
+                        seed=0, disjoint=disjoint)
+    assert (str(rep.max_deviation), rep.witness,
+            rep.trials["improve_steps"]) == XYZ_GOLDEN[key]
 
 
 def test_clique_graph_vs_brute():

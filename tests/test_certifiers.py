@@ -225,6 +225,13 @@ class TestTriangleBound:
             rep = triangle_bound_check(g, Fraction(1, 4), enum_side=12)
             assert rep.holds
 
+    @pytest.mark.parametrize("d2", [Fraction(1, 2), None])
+    def test_empty_part(self, d2):
+        g = gen_random_multipartite([4, 4, 0], 1, 2, 0)
+        rep = triangle_bound_check(g, d2)
+        assert rep.count == 0 and rep.bound == 0 and rep.holds
+        assert rep.per_pair_delta[1:] == (0, 0)
+
 
 class TestRelativeDensity:
     def test_complete_everything(self):

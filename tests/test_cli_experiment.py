@@ -6,7 +6,7 @@ import pytest
 
 from hyperq.cli import main
 from hyperq.core import read_hypergraph
-from hyperq.experiment import ExperimentSpec, run_experiment
+from hyperq.experiment import ExperimentSpec, run_experiment, worker_count
 
 
 def spec_dict(tmp_path, **overrides):
@@ -66,6 +66,13 @@ class TestExperiment:
         assert len(result.rows) == 4
         assert all("requires k" in row["error"] for row in result.rows)
 
+    @pytest.mark.parametrize("threads,jobs,cpus,expected", [
+        (1, 4, 2, 1), (2, 4, 2, 2), (5000, 4, 2, 2), (5000, 3, 64, 3),
+        (8, 1, 8, 1), (4, 0, 2, 1), (0, 4, 2, 1),
+    ])
+    def test_worker_count(self, threads, jobs, cpus, expected):
+        assert worker_count(threads, jobs, cpus) == expected
+
     def test_unknown_construction(self):
         with pytest.raises(ValueError):
             ExperimentSpec.from_dict({"construction": "nope", "ns": [5], "seeds": [0]})
@@ -115,6 +122,18 @@ class TestCli:
               "--seed", "0", "--out", str(hg)])
         assert main(["certify", "--kind", "weak", "--in", str(hg),
                      "--mode", "exact"]) == 3
+
+    @pytest.mark.parametrize("kind,text", [
+        ("bipartite", "mp 2 6 9\n0 0 1 0\n0 1 1 3\n0 5 1 8\n"),
+        ("pair", "3 7 3\n0 1 2\n1 3 5\n2 4 6\n"),
+    ])
+    def test_certify_huge_denominator(self, tmp_path, kind, text):
+        path = tmp_path / "in.txt"
+        path.write_text(text)
+        rep = tmp_path / "rep.json"
+        assert main(["certify", "--kind", kind, "--in", str(path),
+                     "--d", "1/100000000000000000000", "--report", str(rep)]) == 0
+        assert json.loads(rep.read_text())["report"]["method"] == "exact"
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.hg"
