@@ -482,8 +482,7 @@ def bipartite_regularity_deviation(g: MultipartiteGraph, d2=None,
     """
     i, j = parts
     nx, ny = g.sizes[i], g.sizes[j]
-    edges = sum(r.bit_count() for r in g.rows[(i, j)])
-    d2 = _as_fraction(d2, Fraction(edges, nx * ny) if nx and ny else Fraction(0))
+    d2 = _as_fraction(d2, g.pair_density(i, j))
     p, q = d2.numerator, d2.denominator
     norm = nx * ny
     adjacency = np.zeros((nx, ny), dtype=np.int64)
@@ -536,12 +535,7 @@ def triangle_bound_check(g: MultipartiteGraph, d2,
     regularity deviations measured exactly on an enumeration side capped at
     ``enum_side`` vertices (full opposite side)."""
     i, j, k = parts
-    if d2 is None:
-        edges = sum(r.bit_count() for r in g.rows[(i, j)])
-        slots = g.sizes[i] * g.sizes[j]
-        d2 = Fraction(edges, slots) if slots else Fraction(0)
-    else:
-        d2 = _as_fraction(d2, Fraction(0))
+    d2 = _as_fraction(d2, g.pair_density(i, j))
     deltas = []
     for (a, b) in ((i, j), (i, k), (j, k)):
         sub = _restricted_bipartite(g, a, b, enum_side)

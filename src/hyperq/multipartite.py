@@ -65,6 +65,12 @@ class MultipartiteGraph:
                 total += sum(r.bit_count() for r in self.rows[(i, j)])
         return total
 
+    def pair_density(self, i: int, j: int) -> Fraction:
+        """Edges between parts i and j over |V_i||V_j|; 0 if either is empty."""
+        slots = self.sizes[i] * self.sizes[j]
+        edges = sum(r.bit_count() for r in self.rows[(i, j)])
+        return Fraction(edges, slots) if slots else Fraction(0)
+
     def iter_edges(self) -> Iterator[tuple[int, int, int, int]]:
         """Edges as (i, a, j, b) with i < j, in lexicographic order."""
         for i in range(self.m):

@@ -225,12 +225,17 @@ class TestTriangleBound:
             rep = triangle_bound_check(g, Fraction(1, 4), enum_side=12)
             assert rep.holds
 
+    # (sizes, indices into per_pair_delta of the pairs with an empty side);
+    # with [4, 0, 4] the default d2 comes from the empty pair (0, 1)
+    @pytest.mark.parametrize("sizes,empty", [([4, 4, 0], (1, 2)), ([4, 0, 4], (0, 2))])
     @pytest.mark.parametrize("d2", [Fraction(1, 2), None])
-    def test_empty_part(self, d2):
-        g = gen_random_multipartite([4, 4, 0], 1, 2, 0)
+    def test_empty_part(self, sizes, empty, d2):
+        g = gen_random_multipartite(sizes, 1, 2, 0)
         rep = triangle_bound_check(g, d2)
         assert rep.count == 0 and rep.bound == 0 and rep.holds
-        assert rep.per_pair_delta[1:] == (0, 0)
+        assert all(rep.per_pair_delta[e] == 0 for e in empty)
+        if d2 is None:
+            assert rep.d2 == g.pair_density(0, 1)
 
 
 class TestRelativeDensity:

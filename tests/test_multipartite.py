@@ -24,6 +24,14 @@ from hyperq.multipartite import (
 )
 
 
+def test_pair_density():
+    g = MultipartiteGraph([2, 3, 0])
+    g.add_edge(0, 0, 1, 2)
+    g.add_edge(1, 1, 0, 1)
+    assert g.pair_density(0, 1) == g.pair_density(1, 0) == Fraction(2, 6)
+    assert g.pair_density(0, 2) == g.pair_density(2, 1) == 0
+
+
 class TestProfile:
     def test_complete(self):
         g = gen_random_multipartite([5, 6, 7], 1, 1, 0)
