@@ -416,9 +416,8 @@ def pair_deviation(h: Hypergraph3, d=None, mode: str = "exact",
 
 
 def quad_vertex_deviation(h: Hypergraph4, d=None, samples: int = 100,
-                          seed: int = 0, improve_steps: int = 0) -> DeviationReport:
-    """Largest |e(U1..U4) - d prod |Ui|| over sampled vertex-set quadruples,
-    optionally followed by a steepest-toggle improvement pass."""
+                          seed: int = 0) -> DeviationReport:
+    """Largest |e(U1..U4) - d prod |Ui|| over sampled vertex-set quadruples."""
     if samples < 1:
         raise ValueError("need at least one sample")
     n = h.n
@@ -427,44 +426,21 @@ def quad_vertex_deviation(h: Hypergraph4, d=None, samples: int = 100,
     norm = n ** 4
     rng = random.Random(subseed(seed, 0x51554144))
     full = (1 << n) - 1
-
-    def value(ms):
-        cnt = h.count_ordered_quadruples(*ms)
-        prod = 1
-        for m in ms:
-            prod *= m.bit_count()
-        return abs(cnt * q - p * prod)
-
     best = -1
     best_masks = (0, 0, 0, 0)
     for _ in range(samples):
         ms = tuple(rng.getrandbits(n) & full for _ in range(4))
-        val = value(ms)
+        prod = 1
+        for m in ms:
+            prod *= m.bit_count()
+        val = abs(h.count_ordered_quadruples(*ms) * q - p * prod)
         if val > best:
             best = val
             best_masks = ms
-    masks = list(best_masks)
-    improved = 0
-    for _ in range(improve_steps):
-        step_best = best
-        step_move = None
-        for which in range(4):
-            for v in range(n):
-                trial = list(masks)
-                trial[which] ^= 1 << v
-                val = value(trial)
-                if val > step_best:
-                    step_best = val
-                    step_move = (which, v)
-        if step_move is None:
-            break
-        masks[step_move[0]] ^= 1 << step_move[1]
-        best = step_best
-        improved += 1
-    witness = tuple(tuple(iter_bits(m)) for m in masks)
+    witness = tuple(tuple(iter_bits(m)) for m in best_masks)
     return DeviationReport("quad", d, Fraction(best, q), best / (q * norm), norm,
                            witness, "sampled",
-                           {"samples": samples, "improve_steps": improved})
+                           {"samples": samples, "improve_steps": 0})
 
 
 def bipartite_regularity_deviation(g: MultipartiteGraph, d2=None,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Hypergraph3, Hypergraph4, N3_CAP, N4_CAP
+from .core import Hypergraph3, Hypergraph4, N3_CAP, N4_CAP, _pair_base
 from .hashing import (
     TAG_PAIR_COLOUR,
     TAG_RANDOM_TRIPLE,
@@ -316,9 +316,7 @@ class _OrientationTables:
         n = orient.n
         dir_pair = [0] * (n * (n - 1) // 2)
         trans = [[0] * n for _ in range(n)]
-        base = [0] * n
-        for u in range(1, n):
-            base[u] = base[u - 1] + n - u
+        base = _pair_base(n)
         cls_fn = orient._cls
         for x in range(n):
             bx = base[x] - x - 1

@@ -144,16 +144,14 @@ class Hypergraph3:
             raise ValueError("n=%d outside supported range [0, %d]" % (n, N3_CAP))
         base = _pair_base(n)
         rows = [0] * (n * (n - 1) // 2)
-        seen = set()
         for edge in edges:
             x, y, z = triple = tuple(sorted(edge))
             if x == y or y == z:
                 raise ValueError("edge %r has repeated vertices" % (triple,))
             if x < 0 or z >= n:
                 raise ValueError("edge %r out of range [0, %d)" % (triple, n))
-            if triple in seen:
+            if rows[base[x] + y - x - 1] >> z & 1:
                 raise ValueError("duplicate edge %r" % (triple,))
-            seen.add(triple)
             rows[base[x] + y - x - 1] |= 1 << z
             rows[base[x] + z - x - 1] |= 1 << y
             rows[base[y] + z - y - 1] |= 1 << x
@@ -284,17 +282,15 @@ class Hypergraph4:
             raise ValueError("n=%d outside supported range [0, %d]" % (n, N4_CAP))
         base = _pair_base(n)
         rows = [[0] * n for _ in range(n * (n - 1) // 2)]
-        seen = set()
         for edge in edges:
             quad = tuple(sorted(edge))
             if len(set(quad)) != 4:
                 raise ValueError("edge %r must have 4 distinct vertices" % (tuple(edge),))
             if quad[0] < 0 or quad[3] >= n:
                 raise ValueError("edge %r out of range [0, %d)" % (quad, n))
-            if quad in seen:
-                raise ValueError("duplicate edge %r" % (quad,))
-            seen.add(quad)
             a, b, c, d = quad
+            if rows[base[a] + b - a - 1][c] >> d & 1:
+                raise ValueError("duplicate edge %r" % (quad,))
             for (u, v), (x, y) in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)),
                                    ((b, c), (a, d)), ((b, d), (a, c)), ((c, d), (a, b))):
                 pair = rows[base[u] + v - u - 1]

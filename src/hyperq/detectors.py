@@ -71,15 +71,11 @@ def count_triangles_graph(g: Graph, within: int | None = None) -> int:
     return total
 
 
-def find_clique_graph(g: Graph, k: int, within: int | None = None):
-    """Lexicographically least k-clique of a graph, or None."""
-    if k > CLIQUE_MAX_K:
-        raise CapExceeded("clique search supports k <= %d" % CLIQUE_MAX_K)
-    if k < 1:
-        raise ValueError("k must be positive")
-    full = (1 << g.n) - 1
-    cand0 = full if within is None else within
-    rows = g.rows
+def _least_clique(cand: int, k: int, narrow) -> tuple[int, ...] | None:
+    """Lexicographically least k-set grown from the candidate mask by
+    depth-first search.  ``narrow(chosen, v, above)`` gets the chosen prefix,
+    the next vertex v and the candidates above v, and returns those that can
+    still join once v does."""
     chosen: list[int] = []
 
     def extend(cand: int) -> bool:
@@ -88,15 +84,25 @@ def find_clique_graph(g: Graph, k: int, within: int | None = None):
         if len(chosen) + cand.bit_count() < k:
             return False
         for v in iter_bits(cand):
+            above = narrow(chosen, v, cand >> (v + 1) << (v + 1))
             chosen.append(v)
-            if extend(cand & rows[v] & (full >> (v + 1) << (v + 1))):
+            if extend(above):
                 return True
             chosen.pop()
         return False
 
-    if extend(cand0):
-        return tuple(chosen)
-    return None
+    return tuple(chosen) if extend(cand) else None
+
+
+def find_clique_graph(g: Graph, k: int, within: int | None = None):
+    """Lexicographically least k-clique of a graph, or None."""
+    if k > CLIQUE_MAX_K:
+        raise CapExceeded("clique search supports k <= %d" % CLIQUE_MAX_K)
+    if k < 1:
+        raise ValueError("k must be positive")
+    rows = g.rows
+    cand = (1 << g.n) - 1 if within is None else within
+    return _least_clique(cand, k, lambda chosen, v, above: above & rows[v])
 
 
 def find_k4_minus(h: Hypergraph3, ordered: bool = False) -> Witness | None:
@@ -138,30 +144,16 @@ def find_clique3(h: Hypergraph3, k: int) -> Witness | None:
         raise ValueError("k must be at least 4")
     if k > CLIQUE_MAX_K:
         raise CapExceeded("clique search supports k <= %d" % CLIQUE_MAX_K)
-    n = h.n
-    full = (1 << n) - 1
-    chosen: list[int] = []
 
-    def extend(cand: int) -> bool:
-        if len(chosen) == k:
-            return True
-        if len(chosen) + cand.bit_count() < k:
-            return False
-        for v in iter_bits(cand):
-            new = cand & (full >> (v + 1) << (v + 1))
-            for u in chosen:
-                new &= h.link_row(u, v)
-                if not new and len(chosen) + 1 < k:
-                    break
-            chosen.append(v)
-            if extend(new):
-                return True
-            chosen.pop()
-        return False
+    def narrow(chosen: list[int], v: int, above: int) -> int:
+        for u in chosen:
+            above &= h.link_row(u, v)
+            if not above:
+                break
+        return above
 
-    if extend(full):
-        return Witness("clique3", tuple(chosen))
-    return None
+    clique = _least_clique((1 << h.n) - 1, k, narrow)
+    return None if clique is None else Witness("clique3", clique)
 
 
 def find_sk(h: Hypergraph3, k: int) -> Witness | None:

@@ -9,10 +9,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator, Sequence
 
-from .core import CapExceeded, ParseError, iter_bits
+from .core import N3_CAP, CapExceeded, Graph, ParseError, iter_bits
+from .detectors import count_triangles_graph, find_clique_graph, find_triangle_graph
 from .hashing import TAG_AUX_TRIPLE, TAG_MP_EDGE, bernoulli, subseed
+
+# a complete graph on 64 parts of 64 vertices holds 63 * 4096 row ints, about
+# 21 MB traced, and its ``flatten`` view 2.4 MB more
+MP_MAX_PARTS = 64
+MP_MAX_VERTICES = N3_CAP
 
 
 class MultipartiteGraph:
@@ -29,6 +36,11 @@ class MultipartiteGraph:
         if any(s < 0 for s in self.sizes):
             raise ValueError("part sizes must be nonnegative")
         m = len(self.sizes)
+        if m > MP_MAX_PARTS:
+            raise CapExceeded("multipartite graphs support m <= %d parts" % MP_MAX_PARTS)
+        if sum(self.sizes) > MP_MAX_VERTICES:
+            raise CapExceeded("multipartite graphs support at most %d vertices"
+                              % MP_MAX_VERTICES)
         self.rows = {(i, j): [0] * self.sizes[i]
                      for i in range(m) for j in range(m) if i != j}
 
@@ -79,6 +91,20 @@ class MultipartiteGraph:
                 for a in range(self.sizes[i]):
                     for b in iter_bits(part[a]):
                         yield (i, a, j, b)
+
+    def flatten(self) -> tuple[Graph, list[int]]:
+        """This graph as one ``Graph`` in which vertex a of part i is
+        ``offsets[i] + a``; ``offsets`` has m + 1 entries, the last one the
+        vertex count.  No part has inner edges, so a clique of the flat graph
+        meets each part at most once."""
+        offsets = [0]
+        for s in self.sizes:
+            offsets.append(offsets[-1] + s)
+        rows = [0] * offsets[-1]
+        for (i, j), part_rows in self.rows.items():
+            for a, row in enumerate(part_rows):
+                rows[offsets[i] + a] |= row << offsets[j]
+        return Graph(offsets[-1], rows), offsets
 
     def copy(self) -> "MultipartiteGraph":
         g = MultipartiteGraph(self.sizes)
@@ -159,36 +185,24 @@ def mean_square_profile(g: MultipartiteGraph,
     return MeanSquareProfile(g.sizes, ratios, threshold, epsilon, satisfied, margins)
 
 
+def _parts_mask(offsets: list[int], parts) -> int:
+    return sum((1 << offsets[p + 1]) - (1 << offsets[p]) for p in parts)
+
+
 def find_triangle_mp(g: MultipartiteGraph):
     """First triangle in part-and-index scan order, or None."""
-    for i in range(g.m):
-        for j in range(i + 1, g.m):
-            rows_ij = g.rows[(i, j)]
-            for k in range(j + 1, g.m):
-                rows_ik = g.rows[(i, k)]
-                rows_jk = g.rows[(j, k)]
-                for a in range(g.sizes[i]):
-                    for b in iter_bits(rows_ij[a]):
-                        common = rows_ik[a] & rows_jk[b]
-                        if common:
-                            c = (common & -common).bit_length() - 1
-                            return ((i, a), (j, b), (k, c))
+    flat, offsets = g.flatten()
+    for parts in combinations(range(g.m), 3):
+        tri = find_triangle_graph(flat, _parts_mask(offsets, parts))
+        if tri is not None:
+            return tuple((p, x - offsets[p]) for p, x in zip(parts, tri))
     return None
 
 
 def count_triangles_mp(g: MultipartiteGraph, parts: tuple[int, int, int] | None = None) -> int:
     """Exact triangle count, optionally restricted to one part triple."""
-    triples = ([tuple(sorted(parts))] if parts is not None else
-               [(i, j, k) for i in range(g.m) for j in range(i + 1, g.m)
-                for k in range(j + 1, g.m)])
-    total = 0
-    for i, j, k in triples:
-        rows_ij, rows_ik, rows_jk = g.rows[(i, j)], g.rows[(i, k)], g.rows[(j, k)]
-        for a in range(g.sizes[i]):
-            rik = rows_ik[a]
-            for b in iter_bits(rows_ij[a]):
-                total += (rik & rows_jk[b]).bit_count()
-    return total
+    flat, offsets = g.flatten()
+    return count_triangles_graph(flat, None if parts is None else _parts_mask(offsets, parts))
 
 
 def find_clique_mp(g: MultipartiteGraph, k: int):
@@ -197,34 +211,11 @@ def find_clique_mp(g: MultipartiteGraph, k: int):
         raise ValueError("k must be at least 2")
     if k > g.m:
         return None
-    from itertools import combinations
-
-    for part_tuple in combinations(range(g.m), k):
-        chosen: list[tuple[int, int]] = []
-
-        def extend(depth: int, cands: list[int]) -> bool:
-            if depth == k:
-                return True
-            pi = part_tuple[depth]
-            mask = cands[depth]
-            for v in iter_bits(mask):
-                new = list(cands)
-                ok = True
-                for later in range(depth + 1, k):
-                    new[later] &= g.rows[(pi, part_tuple[later])][v]
-                    if not new[later]:
-                        ok = False
-                        break
-                if ok:
-                    chosen.append((pi, v))
-                    if extend(depth + 1, new):
-                        return True
-                    chosen.pop()
-            return False
-
-        init = [(1 << g.sizes[p]) - 1 for p in part_tuple]
-        if extend(0, init):
-            return chosen
+    flat, offsets = g.flatten()
+    for parts in combinations(range(g.m), k):
+        clique = find_clique_graph(flat, k, _parts_mask(offsets, parts))
+        if clique is not None:
+            return [(p, x - offsets[p]) for p, x in zip(parts, clique)]
     return None
 
 
@@ -463,7 +454,6 @@ def find_three_triples(aux: AuxiliaryHypergraph):
         raise CapExceeded("auxiliary search supports m <= %d" % MAX_AUX_M)
     if any(s > MAX_AUX_CLASS for s in aux.class_sizes.values()):
         raise CapExceeded("auxiliary search supports class sizes <= %d" % MAX_AUX_CLASS)
-    from itertools import combinations
 
     # per block, the pairs of (position, position) vertices with a completing third
     joint: dict[tuple, dict[tuple[int, int], set]] = {}

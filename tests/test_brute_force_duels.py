@@ -24,6 +24,7 @@ from hyperq.constructions import gen_random_3hg, gen_tournament_3hg
 from hyperq.detectors import (
     check_vanishing_condition,
     embed_small,
+    find_clique3,
     find_clique_graph,
     find_f4,
     find_triangle_graph,
@@ -32,7 +33,9 @@ from hyperq.multipartite import (
     AuxiliaryHypergraph,
     MultipartiteGraph,
     count_triangles_mp,
+    find_clique_mp,
     find_three_triples,
+    find_triangle_mp,
     gen_random_multipartite,
 )
 from hyperq.hashing import subseed
@@ -371,6 +374,63 @@ def test_clique_graph_vs_brute():
             assert (found is None) == (brute is None)
             if found is not None:
                 assert found == brute  # both scans are lexicographic
+
+
+@st.composite
+def dense_hypergraphs(draw):
+    n = draw(st.integers(4, 9))
+    density = draw(st.sampled_from([0.6, 0.8, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    return Hypergraph3.from_edges(
+        n, [t for t in combinations(range(n), 3) if rng.random() < density])
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_hypergraphs(), st.integers(4, 6))
+def test_clique3_vs_brute(h, k):
+    brute = next((c for c in combinations(range(h.n), k)
+                  if all(h.has_edge(*t) for t in combinations(c, 3))), None)
+    found = find_clique3(h, k)
+    assert (None if found is None else found.vertices) == brute
+
+
+@st.composite
+def small_multipartite(draw):
+    sizes = draw(st.lists(st.integers(0, 4), max_size=5))
+    p = draw(st.integers(1, 4))
+    return gen_random_multipartite(sizes, p, 4, draw(st.integers(0, 10 ** 6)))
+
+
+def brute_clique_mp(g, k):
+    """First clique with one vertex in each of k parts: part tuples in
+    combinations order, then vertices lexicographically."""
+    for parts in combinations(range(g.m), k):
+        for picks in product(*(range(g.sizes[p]) for p in parts)):
+            chosen = list(zip(parts, picks))
+            if all(g.has_edge(i, a, j, b) for (i, a), (j, b) in combinations(chosen, 2)):
+                return chosen
+    return None
+
+
+def brute_triangles_mp(g, parts):
+    i, j, k = parts
+    return sum(g.has_edge(i, a, j, b) and g.has_edge(i, a, k, c) and g.has_edge(j, b, k, c)
+               for a in range(g.sizes[i]) for b in range(g.sizes[j])
+               for c in range(g.sizes[k]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_multipartite(), st.data())
+def test_multipartite_views_vs_brute(g, data):
+    tri = brute_clique_mp(g, 3)
+    assert find_triangle_mp(g) == (None if tri is None else tuple(tri))
+    for k in range(2, g.m + 2):
+        assert find_clique_mp(g, k) == brute_clique_mp(g, k)
+    assert count_triangles_mp(g) == sum(brute_triangles_mp(g, parts)
+                                        for parts in combinations(range(g.m), 3))
+    if g.m >= 3:
+        parts = tuple(data.draw(st.permutations(range(g.m)))[:3])
+        assert count_triangles_mp(g, parts) == brute_triangles_mp(g, parts)
 
 
 def test_triangle_graph_vs_brute():

@@ -123,6 +123,17 @@ class TestCli:
         assert main(["certify", "--kind", "weak", "--in", str(hg),
                      "--mode", "exact"]) == 3
 
+    @pytest.mark.parametrize("header", [
+        "mp 65" + " 0" * 65,
+        "mp 2 4096 1",
+    ], ids=["parts", "vertices"])
+    def test_oversize_multipartite_refused(self, tmp_path, capsys, header):
+        path = tmp_path / "big.mp"
+        path.write_text(header + "\n")
+        assert main(["multipartite", "--op", "profile", "--in", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("refused: ")
+
     @pytest.mark.parametrize("kind,text", [
         ("bipartite", "mp 2 6 9\n0 0 1 0\n0 1 1 3\n0 5 1 8\n"),
         ("pair", "3 7 3\n0 1 2\n1 3 5\n2 4 6\n"),

@@ -146,6 +146,17 @@ class TestSerialization:
         assert "line 3" in str(err.value)
 
 
+class TestFromEdges:
+    @pytest.mark.parametrize("cls,first,again", [
+        (Hypergraph3, (0, 1, 2), (2, 0, 1)),
+        (Hypergraph4, (0, 1, 2, 3), (3, 1, 0, 2)),
+    ])
+    def test_unsorted_duplicate(self, cls, first, again):
+        with pytest.raises(ValueError) as err:
+            cls.from_edges(5, [first, tuple(range(1, len(first) + 1)), again])
+        assert str(err.value) == "duplicate edge %r" % (first,)
+
+
 class TestHypergraph4:
     def test_pair_link_matches_edges(self):
         edges = [(0, 1, 2, 3), (0, 1, 2, 4), (1, 2, 3, 4)]

@@ -4,6 +4,8 @@ import pytest
 
 from hyperq.core import CapExceeded, ParseError
 from hyperq.multipartite import (
+    MP_MAX_PARTS,
+    MP_MAX_VERTICES,
     AuxiliaryHypergraph,
     MultipartiteGraph,
     TripartiteTriples,
@@ -194,6 +196,20 @@ class TestExplorer:
     def test_budget(self):
         with pytest.raises(CapExceeded):
             explore_extremal(9, 8)
+
+
+class TestCaps:
+    def test_at_the_caps(self):
+        assert MultipartiteGraph([0] * MP_MAX_PARTS).m == MP_MAX_PARTS
+        assert MultipartiteGraph([MP_MAX_VERTICES - 1, 1]).sizes[0] == MP_MAX_VERTICES - 1
+
+    @pytest.mark.parametrize("sizes", [
+        [0] * (MP_MAX_PARTS + 1),
+        [MP_MAX_VERTICES, 1],
+    ], ids=["parts", "vertices"])
+    def test_one_past_a_cap_refused(self, sizes):
+        with pytest.raises(CapExceeded):
+            MultipartiteGraph(sizes)
 
 
 class TestSerialization:
