@@ -31,6 +31,9 @@ from .multipartite import MultipartiteGraph, count_triangles_mp
 WEAK_EXACT_HARD_CAP = 24
 PAIR_EXACT_HARD_CAP = 20
 BIPARTITE_EXACT_HARD_CAP = 24
+# steepest-toggle steps per restart of the weak and of the sign-split searches
+WEAK_SEARCH_STEPS = 10 ** 4
+SIGN_SPLIT_SEARCH_STEPS = 200
 # entries (rows x columns) in one block of the sign-split exact walk
 _BLOCK_ENTRIES = 1 << 13
 
@@ -73,31 +76,31 @@ def _as_fraction(value, default: Fraction) -> Fraction:
 
 
 def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
-                   cap: int = WEAK_EXACT_HARD_CAP, restarts: int = 32,
-                   seed: int = 0, max_steps: int = 10 ** 4) -> DeviationReport:
+                   restarts: int = 32, seed: int = 0) -> DeviationReport:
     """Maximum of |e(U) - d*C(|U|,3)| over vertex subsets U.
 
     Exact mode walks all 2^n subsets in Gray-code order, maintaining e(U)
-    incrementally through single-vertex toggles; it is refused above the cap.
+    incrementally through single-vertex toggles; it is refused above
+    ``WEAK_EXACT_HARD_CAP``.
     Search mode runs seeded steepest-toggle hill climbs from random subsets.
     """
     n = h.n
     d = _as_fraction(d, h.density().density_fraction)
     p, q = d.numerator, d.denominator
     norm = n ** 3
+    if mode == "exact" and n > WEAK_EXACT_HARD_CAP:
+        raise CapExceeded("exact subset enumeration refused for n=%d > cap %d"
+                          % (n, WEAK_EXACT_HARD_CAP))
+    if mode not in ("exact", "search"):
+        raise ValueError("mode must be 'exact' or 'search'")
+    links = [h.link_rows(v) for v in range(n)]
     if mode == "exact":
-        if cap > WEAK_EXACT_HARD_CAP:
-            raise ValueError("cap above hard limit %d" % WEAK_EXACT_HARD_CAP)
-        if n > cap:
-            raise CapExceeded("exact subset enumeration refused for n=%d > cap %d"
-                              % (n, cap))
         target = [math.comb(s, 3) * p for s in range(n + 1)]
         best = 0
         best_mask = 0
         e = 0
         size = 0
         mask = 0
-        links = [h.link_rows(v) for v in range(n)]
         for i in range(1, 1 << n):
             bit = i & -i  # the reflected Gray walk toggles vertex v at step i
             v = bit.bit_length() - 1
@@ -115,27 +118,21 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
                 best = val
                 best_mask = mask
         witness = tuple(iter_bits(best_mask))
-        return DeviationReport("weak", d, Fraction(best, q), best / (q * norm),
+        eta = best / (q * norm) if norm else 0.0
+        return DeviationReport("weak", d, Fraction(best, q), eta,
                                norm, witness, "exact", {"subsets": 1 << n})
 
-    if mode != "search":
-        raise ValueError("mode must be 'exact' or 'search'")
     best = Fraction(0)
     best_witness: tuple = ()
-    row = h.link_row
     for r in range(restarts):
         rng = random.Random(subseed(seed, r))
         mask = rng.getrandbits(n) & ((1 << n) - 1)
         # cnt[v]: edges through v with both other vertices in the current set
-        cnt = [0] * n
-        for v in range(n):
-            acc = 0
-            for x in iter_bits(mask & ~(1 << v)):
-                acc += (row(v, x) & mask & ~(1 << v)).bit_count()
-            cnt[v] = acc // 2
+        cnt = [sum((links[v][x] & mask).bit_count() for x in iter_bits(mask)) // 2
+               for v in range(n)]
         e = sum(cnt[v] for v in iter_bits(mask)) // 3
         size = mask.bit_count()
-        for _ in range(max_steps):
+        for _ in range(WEAK_SEARCH_STEPS):
             cur = abs(e * q - math.comb(size, 3) * p)
             move_v = -1
             move_val = cur
@@ -154,23 +151,21 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
                 e -= cnt[move_v]
                 mask ^= bit
                 size -= 1
-                for v in range(n):
-                    if v != move_v:
-                        cnt[v] -= (row(v, move_v) & mask & ~(1 << v)).bit_count()
+                for w, row in enumerate(links[move_v]):
+                    cnt[w] -= (row & mask).bit_count()
             else:
                 e += cnt[move_v]
-                for v in range(n):
-                    if v != move_v:
-                        cnt[v] += (row(v, move_v) & mask & ~(1 << v)).bit_count()
+                for w, row in enumerate(links[move_v]):
+                    cnt[w] += (row & mask).bit_count()
                 mask ^= bit
                 size += 1
         final = Fraction(abs(e * q - math.comb(size, 3) * p), q)
         if final > best:
             best = final
             best_witness = tuple(iter_bits(mask))
-    return DeviationReport("weak", d, best, float(best) / norm, norm,
-                           best_witness, "local-search",
-                           {"restarts": restarts, "max_steps": max_steps})
+    eta = float(best) / norm if norm else 0.0
+    return DeviationReport("weak", d, best, eta, norm, best_witness, "local-search",
+                           {"restarts": restarts, "max_steps": WEAK_SEARCH_STEPS})
 
 
 def sample_set_triple(rng: random.Random, n: int,
@@ -221,8 +216,8 @@ def xyz_deviation(h: Hypergraph3, d=None, samples: int = 200, seed: int = 0,
     masks, best, improved = _xyz_improve(h, list(best_masks), best, p, q,
                                          improve_steps, disjoint)
     witness = tuple(tuple(iter_bits(m)) for m in masks)
-    return DeviationReport("xyz", d, Fraction(best, q), best / (q * norm), norm,
-                           witness, "sampled",
+    eta = best / (q * norm) if norm else 0.0
+    return DeviationReport("xyz", d, Fraction(best, q), eta, norm, witness, "sampled",
                            {"samples": samples, "improve_steps": improved})
 
 
@@ -306,7 +301,7 @@ def _sign_split_value(deg: np.ndarray, size, p: int, q: int):
 
 
 def _sign_split_deviation(rows: np.ndarray, p: int, q: int, mode: str,
-                          restarts: int, seed: int, max_steps: int):
+                          restarts: int, seed: int):
     """Largest, over row subsets S, of the better one-sign column sum of
     q * deg_S - p * |S|, where deg_S sums the 0/1 rows in S.
 
@@ -353,7 +348,7 @@ def _sign_split_deviation(rows: np.ndarray, p: int, q: int, mode: str,
             deg = rows[list(iter_bits(mask))].sum(axis=0)
             size = mask.bit_count()
             cur = int(_sign_split_value(deg, size, p, q))
-            for _ in range(max_steps):
+            for _ in range(SIGN_SPLIT_SEARCH_STEPS):
                 move = None
                 move_val = cur
                 for v in range(k):
@@ -380,14 +375,14 @@ def _sign_split_deviation(rows: np.ndarray, p: int, q: int, mode: str,
 
 
 def pair_deviation(h: Hypergraph3, d=None, mode: str = "exact",
-                   cap: int = PAIR_EXACT_HARD_CAP, restarts: int = 32,
-                   seed: int = 0, max_steps: int = 200) -> DeviationReport:
+                   restarts: int = 32, seed: int = 0) -> DeviationReport:
     """Maximum of |e(U, X) - d|U||X|| over vertex sets U and pair sets X.
 
     Uses the decomposition e(U, X) - d|U||X| = sum over pairs p in X of
     (deg_U(p) - d|U|): for any fixed U the maximizing X collects all pairs
     whose residual shares one sign, so only U is enumerated.  Exact mode
-    walks subsets U in blocked Gray-code order and is refused above the cap.
+    walks subsets U in blocked Gray-code order and is refused above
+    ``PAIR_EXACT_HARD_CAP``.
     """
     n = h.n
     d = _as_fraction(d, h.density().density_fraction)
@@ -399,20 +394,17 @@ def pair_deviation(h: Hypergraph3, d=None, mode: str = "exact",
         row = h.link_row(u, v)
         for w in iter_bits(row):
             incidence[w, idx] = 1
-    if mode == "exact":
-        if cap > PAIR_EXACT_HARD_CAP:
-            raise ValueError("cap above hard limit %d" % PAIR_EXACT_HARD_CAP)
-        if n > cap:
-            raise CapExceeded("exact pair deviation refused for n=%d > cap %d"
-                              % (n, cap))
-    best, mask, keep = _sign_split_deviation(incidence, p, q, mode, restarts,
-                                             seed, max_steps)
+    if mode == "exact" and n > PAIR_EXACT_HARD_CAP:
+        raise CapExceeded("exact pair deviation refused for n=%d > cap %d"
+                          % (n, PAIR_EXACT_HARD_CAP))
+    best, mask, keep = _sign_split_deviation(incidence, p, q, mode, restarts, seed)
     witness = (tuple(iter_bits(mask)),
                tuple(pairs[i] for i in np.nonzero(keep)[0]))
     method, trials = (("exact", {"subsets": 1 << n}) if mode == "exact"
                       else ("local-search", {"restarts": restarts}))
-    return DeviationReport("pair", d, Fraction(best, q), best / (q * norm),
-                           norm, witness, method, trials)
+    eta = best / (q * norm) if norm else 0.0
+    return DeviationReport("pair", d, Fraction(best, q), eta, norm, witness,
+                           method, trials)
 
 
 def quad_vertex_deviation(h: Hypergraph4, d=None, samples: int = 100,
@@ -438,23 +430,21 @@ def quad_vertex_deviation(h: Hypergraph4, d=None, samples: int = 100,
             best = val
             best_masks = ms
     witness = tuple(tuple(iter_bits(m)) for m in best_masks)
-    return DeviationReport("quad", d, Fraction(best, q), best / (q * norm), norm,
-                           witness, "sampled",
+    eta = best / (q * norm) if norm else 0.0
+    return DeviationReport("quad", d, Fraction(best, q), eta, norm, witness, "sampled",
                            {"samples": samples, "improve_steps": 0})
 
 
 def bipartite_regularity_deviation(g: MultipartiteGraph, d2=None,
                                    mode: str = "exact",
                                    parts: tuple[int, int] = (0, 1),
-                                   cap: int = BIPARTITE_EXACT_HARD_CAP,
-                                   restarts: int = 32, seed: int = 0,
-                                   max_steps: int = 200) -> DeviationReport:
+                                   restarts: int = 32, seed: int = 0) -> DeviationReport:
     """Maximum of |e(X', Y') - d2 |X'||Y'|| over subsets of the two sides.
 
     For a fixed X' the maximizing Y' collects the vertices whose degree
     residual shares one sign, so exact mode enumerates X' subsets only
-    (blocked Gray-code order) and is refused above the cap.  The eta field
-    is the deviation normalized by |X||Y|.
+    (blocked Gray-code order) and is refused above ``BIPARTITE_EXACT_HARD_CAP``.
+    The eta field is the deviation normalized by |X||Y|.
     """
     i, j = parts
     nx, ny = g.sizes[i], g.sizes[j]
@@ -465,14 +455,10 @@ def bipartite_regularity_deviation(g: MultipartiteGraph, d2=None,
     for a in range(nx):
         for b in iter_bits(g.rows[(i, j)][a]):
             adjacency[a, b] = 1
-    if mode == "exact":
-        if cap > BIPARTITE_EXACT_HARD_CAP:
-            raise ValueError("cap above hard limit %d" % BIPARTITE_EXACT_HARD_CAP)
-        if nx > cap:
-            raise CapExceeded("exact bipartite deviation refused for |X|=%d > cap %d"
-                              % (nx, cap))
-    best, mask, keep = _sign_split_deviation(adjacency, p, q, mode, restarts,
-                                             seed, max_steps)
+    if mode == "exact" and nx > BIPARTITE_EXACT_HARD_CAP:
+        raise CapExceeded("exact bipartite deviation refused for |X|=%d > cap %d"
+                          % (nx, BIPARTITE_EXACT_HARD_CAP))
+    best, mask, keep = _sign_split_deviation(adjacency, p, q, mode, restarts, seed)
     witness = (tuple(iter_bits(mask)), tuple(int(b) for b in np.nonzero(keep)[0]))
     method, trials = (("exact", {"subsets": 1 << nx}) if mode == "exact"
                       else ("local-search", {"restarts": restarts}))
@@ -505,7 +491,7 @@ def _restricted_bipartite(g: MultipartiteGraph, i: int, j: int,
 
 def triangle_bound_check(g: MultipartiteGraph, d2,
                          parts: tuple[int, int, int] = (0, 1, 2),
-                         enum_side: int = 16, seed: int = 0) -> TriangleBoundReport:
+                         enum_side: int = 16) -> TriangleBoundReport:
     """Compare the exact triangle count with d2^3 + 3*delta2_hat (scaled by
     |X||Y||Z|), where delta2_hat is the largest of the three pairwise
     regularity deviations measured exactly on an enumeration side capped at
@@ -515,8 +501,7 @@ def triangle_bound_check(g: MultipartiteGraph, d2,
     deltas = []
     for (a, b) in ((i, j), (i, k), (j, k)):
         sub = _restricted_bipartite(g, a, b, enum_side)
-        rep = bipartite_regularity_deviation(
-            sub, d2, mode="exact", parts=(0, 1), seed=seed)
+        rep = bipartite_regularity_deviation(sub, d2, mode="exact", parts=(0, 1))
         # a pair with an empty side has no edges and deviates by 0
         deltas.append(Fraction(rep.max_deviation, rep.normalizer)
                       if rep.normalizer else Fraction(0))

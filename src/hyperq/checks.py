@@ -342,8 +342,8 @@ CRITERIA: list[tuple[str, str, Callable[[str], tuple[bool, str]]]] = [
 ]
 
 
-def run_suite(level: str = "quick", emit=print) -> list[CheckResult]:
-    """Run every criterion at the given level, emitting one line per result."""
+def run_suite(level: str = "quick") -> list[CheckResult]:
+    """Run every criterion at the given level, printing one line per result."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     results = []
@@ -355,6 +355,6 @@ def run_suite(level: str = "quick", emit=print) -> list[CheckResult]:
             passed, detail = False, "crashed: %s: %s" % (type(exc).__name__, exc)
         seconds = time.perf_counter() - t0
         results.append(CheckResult(check_id, name, passed, detail, seconds))
-        emit("%-4s %-38s %s  (%.1fs)  %s"
-             % (check_id, name, "PASS" if passed else "FAIL", seconds, detail))
+        print("%-4s %-38s %s  (%.1fs)  %s"
+              % (check_id, name, "PASS" if passed else "FAIL", seconds, detail))
     return results

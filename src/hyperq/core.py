@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator
 
 N3_CAP = 4096
@@ -385,26 +386,29 @@ def read_hypergraph(text: str) -> Hypergraph3 | Hypergraph4:
     if len(lines) != m + 1:
         raise ParseError("line %d: expected %d edge lines, found %d"
                          % (len(lines) + 1, m, len(lines) - 1))
-    edges: list[tuple[int, ...]] = []
-    prev: tuple[int, ...] | None = None
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != arity:
-            raise ParseError("line %d: expected %d vertices" % (i, arity))
-        try:
-            edge = tuple(int(p) for p in parts)
-        except ValueError:
-            raise ParseError("line %d: vertices must be integers" % i) from None
-        if any(not 0 <= v < n for v in edge):
-            raise ParseError("line %d: vertex out of range [0, %d)" % (i, n))
-        if any(edge[j] >= edge[j + 1] for j in range(arity - 1)):
-            raise ParseError("line %d: vertices must be strictly increasing" % i)
-        if prev is not None and edge <= prev:
-            if edge == prev:
-                raise ParseError("line %d: duplicate edge" % i)
-            raise ParseError("line %d: edges not sorted lexicographically" % i)
-        prev = edge
-        edges.append(edge)
+
+    def edges() -> Iterator[tuple[int, ...]]:
+        prev: tuple[int, ...] | None = None
+        for i, line in enumerate(islice(lines, 1, None), start=2):
+            parts = line.split()
+            if len(parts) != arity:
+                raise ParseError("line %d: expected %d vertices" % (i, arity))
+            try:
+                edge = tuple(int(p) for p in parts)
+            except ValueError:
+                raise ParseError("line %d: vertices must be integers" % i) from None
+            if any(not 0 <= v < n for v in edge):
+                raise ParseError("line %d: vertex out of range [0, %d)" % (i, n))
+            if any(edge[j] >= edge[j + 1] for j in range(arity - 1)):
+                raise ParseError("line %d: vertices must be strictly increasing" % i)
+            if prev is not None and edge <= prev:
+                if edge == prev:
+                    raise ParseError("line %d: duplicate edge" % i)
+                raise ParseError("line %d: edges not sorted lexicographically" % i)
+            prev = edge
+            yield edge
+
+    # a generator, so no list of edge tuples is alive beside the rows
     if arity == 3:
-        return Hypergraph3.from_edges(n, edges)
-    return Hypergraph4.from_edges(n, edges)
+        return Hypergraph3.from_edges(n, edges())
+    return Hypergraph4.from_edges(n, edges())

@@ -36,11 +36,6 @@ def tuple_hash(seed: int, tag: int, *parts: int) -> int:
     return h
 
 
-def coin(seed: int, tag: int, *parts: int) -> int:
-    """A single deterministic bit for the given tuple."""
-    return tuple_hash(seed, tag, *parts) & 1
-
-
 def bernoulli(num: int, den: int, seed: int, tag: int, *parts: int) -> bool:
     """Deterministic Bernoulli(num/den) trial; pure integer comparison."""
     return tuple_hash(seed, tag, *parts) * den < num << 64

@@ -7,6 +7,7 @@ explorer.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -192,6 +193,10 @@ def _parts_mask(offsets: list[int], parts) -> int:
 def find_triangle_mp(g: MultipartiteGraph):
     """First triangle in part-and-index scan order, or None."""
     flat, offsets = g.flatten()
+    # no part has inner edges, so every flat triangle spans three parts: one
+    # scan of the whole graph settles whether any part triple holds one
+    if find_triangle_graph(flat) is None:
+        return None
     for parts in combinations(range(g.m), 3):
         tri = find_triangle_graph(flat, _parts_mask(offsets, parts))
         if tri is not None:
@@ -254,36 +259,18 @@ def proof_diagnostics(g: MultipartiteGraph, delta: Fraction,
             if i == j:
                 continue
             degs = sorted(r.bit_count() for r in g.rows[(i, j)])
-            sizes = []
-            for r in range(1, r_max + 1):
-                need = (Fraction(1, 2) + r * delta) * g.sizes[j]
-                # count degrees >= need by binary search on the sorted list
-                lo, hi = 0, len(degs)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if degs[mid] >= need:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                sizes.append(len(degs) - lo)
+            needs = [(Fraction(1, 2) + r * delta) * g.sizes[j] for r in range(1, r_max + 1)]
+            sizes = [len(degs) - bisect_left(degs, need) for need in needs]
             q_sizes[(i, j)] = tuple(sizes)
-            rv = 0
-            for r in range(r_max, 0, -1):
-                if sizes[r - 1] >= delta * g.sizes[i]:
-                    rv = r
-                    break
-            r_value[(i, j)] = rv
+            r_value[(i, j)] = max((r for r, size in enumerate(sizes, 1)
+                                   if size >= delta * g.sizes[i]), default=0)
     hypothesis = {}
     violations = []
     if epsilon is not None:
-        profile = mean_square_profile(g, Fraction(1, 4), epsilon)
-        for i in range(g.m):
-            for j in range(i + 1, g.m):
-                holds = profile.ratios[(i, j)] >= Fraction(1, 4) + epsilon
-                hypothesis[(i, j)] = holds
-                if holds and epsilon >= 2 * delta + delta * delta:
-                    if q_sizes[(i, j)][0] < delta * g.sizes[i]:
-                        violations.append((i, j))
+        hypothesis = mean_square_profile(g, Fraction(1, 4), epsilon).satisfied
+        if epsilon >= 2 * delta + delta * delta:
+            violations = [(i, j) for (i, j), holds in hypothesis.items()
+                          if holds and q_sizes[(i, j)][0] < delta * g.sizes[i]]
     return ProofDiagnostics(delta, epsilon, r_max, q_sizes, r_value,
                             hypothesis, violations)
 
@@ -342,19 +329,14 @@ def project_auxiliary(block: TripartiteTriples, epsilon: Fraction) -> Projection
     l1, l2, l3 = block.sizes
     if not (l1 and l2 and l3):
         raise ValueError("projection needs nonempty classes")
-    left = [0] * l2   # degree of each middle vertex towards class 1
-    right = [0] * l2  # towards class 3
-    left_adj = [0] * l2
-    right_adj = [0] * l2
+    left_adj = [0] * l2   # neighbours of each middle vertex in class 1
+    right_adj = [0] * l2  # in class 3
     for a, b, c in block.triples:
         left_adj[b] |= 1 << a
         right_adj[b] |= 1 << c
-    for b in range(l2):
-        left[b] = left_adj[b].bit_count()
-        right[b] = right_adj[b].bit_count()
     thr = Fraction(1, 4) + epsilon
-    sum_left = sum(d * d for d in left)
-    sum_right = sum(d * d for d in right)
+    sum_left = sum(r.bit_count() ** 2 for r in left_adj)
+    sum_right = sum(r.bit_count() ** 2 for r in right_adj)
     left_holds = sum_left >= thr * (l1 * l1 * l2)
     right_holds = sum_right >= thr * (l3 * l3 * l2)
     premise = block.count() >= thr * (l1 * l2 * l3)
@@ -389,28 +371,18 @@ class AuxiliaryHypergraph:
                      self.class_sizes[(j, k)])
             self.blocks[(i, j, k)] = TripartiteTriples(sizes, triples)
 
-    def block(self, i: int, j: int, k: int) -> TripartiteTriples:
-        key = tuple(sorted((i, j, k)))
-        blk = self.blocks.get(key)
-        if blk is None:
-            sizes = (self.class_sizes[(key[0], key[1])],
-                     self.class_sizes[(key[0], key[2])],
-                     self.class_sizes[(key[1], key[2])])
-            blk = TripartiteTriples(sizes, ())
-            self.blocks[key] = blk
-        return blk
-
     def has_triple(self, vertices: dict) -> bool:
         """vertices maps three sorted index pairs covering a sorted index
         triple to class vertices; True when that triple is present."""
         pairs = sorted(vertices)
         idx = tuple(sorted({i for p in pairs for i in p}))
-        if len(idx) != 3:
-            raise ValueError("vertex keys must cover exactly three indices")
-        blk = self.block(*idx)
+        if len(idx) != 3 or idx[0] < 0 or idx[2] >= self.m:
+            raise ValueError("vertex keys must cover exactly three indices in [0, %d)"
+                             % self.m)
+        blk = self.blocks.get(idx)
         want = (vertices[(idx[0], idx[1])], vertices[(idx[0], idx[2])],
                 vertices[(idx[1], idx[2])])
-        return want in blk.triples
+        return blk is not None and want in blk.triples
 
 
 def gen_random_auxiliary(m: int, class_size: int, p_num: int, p_den: int,
@@ -448,84 +420,52 @@ def find_three_triples(aux: AuxiliaryHypergraph):
     All hub choices that are extreme (largest or smallest of the four
     indices) are searched before any interior hub, so the reported
     ``apex_extreme`` flag is False only when no extreme-hub configuration
-    exists at all.
+    exists at all.  The witness is the least hub triple (p14, p24, p34) of
+    the first quadruple and hub in that plan; each rim vertex comes from the
+    first triple of its block, in iteration order, through those hub vertices.
     """
     if aux.m > MAX_AUX_M:
         raise CapExceeded("auxiliary search supports m <= %d" % MAX_AUX_M)
     if any(s > MAX_AUX_CLASS for s in aux.class_sizes.values()):
         raise CapExceeded("auxiliary search supports class sizes <= %d" % MAX_AUX_CLASS)
 
-    # per block, the pairs of (position, position) vertices with a completing third
-    joint: dict[tuple, dict[tuple[int, int], set]] = {}
+    # (block, position pair) -> {(t[pa], t[pb]): t[3 - pa - pb]}, keeping the
+    # first triple in iteration order that completes each pair
+    tables: dict[tuple, dict[tuple[int, int], int]] = {}
 
-    def joint_pairs(idx: tuple[int, int, int], pos1: int, pos2: int) -> set:
-        blk = aux.blocks.get(idx)
-        if blk is None:
-            return set()
-        key = (pos1, pos2)
-        cached = joint.setdefault(idx, {})
-        if key not in cached:
-            cached[key] = {(t[pos1], t[pos2]) for t in blk.triples}
-        return cached[key]
-
-    def pair_pos(idx: tuple[int, int, int], pair: tuple[int, int]) -> int:
+    def completions(x: int, y: int, hub: int) -> dict:
+        """Rim vertices of the block on x, y and hub, keyed by the vertices of
+        the (x, hub) and (y, hub) classes."""
+        idx = tuple(sorted((x, y, hub)))
         order = ((idx[0], idx[1]), (idx[0], idx[2]), (idx[1], idx[2]))
-        return order.index(pair)
+        pa = order.index(tuple(sorted((x, hub))))
+        pb = order.index(tuple(sorted((y, hub))))
+        table = tables.get((idx, pa, pb))
+        if table is None:
+            table = tables[(idx, pa, pb)] = {}
+            blk = aux.blocks.get(idx)
+            for t in blk.triples if blk else ():
+                table.setdefault((t[pa], t[pb]), t[3 - pa - pb])
+        return table
 
     quads = list(combinations(range(aux.m), 4))
     plan = [(quad, hub) for quad in quads for hub in (quad[3], quad[0])]
     plan += [(quad, hub) for quad in quads for hub in (quad[1], quad[2])]
     for quad, hub in plan:
-        rest = tuple(sorted(set(quad) - {hub}))
-        i1, i2, i3 = rest
-        extreme = hub == quad[0] or hub == quad[3]
-        spokes = [tuple(sorted((r, hub))) for r in rest]
-        blocks_idx = [tuple(sorted((i1, i2, hub))),
-                      tuple(sorted((i1, i3, hub))),
-                      tuple(sorted((i2, i3, hub)))]
-        j12 = joint_pairs(blocks_idx[0],
-                          pair_pos(blocks_idx[0], spokes[0]),
-                          pair_pos(blocks_idx[0], spokes[1]))
-        if not j12:
-            continue
-        j13 = joint_pairs(blocks_idx[1],
-                          pair_pos(blocks_idx[1], spokes[0]),
-                          pair_pos(blocks_idx[1], spokes[2]))
-        if not j13:
-            continue
-        j23 = joint_pairs(blocks_idx[2],
-                          pair_pos(blocks_idx[2], spokes[1]),
-                          pair_pos(blocks_idx[2], spokes[2]))
-        if not j23:
-            continue
-        s1 = aux.class_sizes[spokes[0]]
-        s2 = aux.class_sizes[spokes[1]]
-        s3 = aux.class_sizes[spokes[2]]
-        for p14 in range(s1):
-            for p24 in range(s2):
-                if (p14, p24) not in j12:
-                    continue
-                for p34 in range(s3):
-                    if (p14, p34) in j13 and (p24, p34) in j23:
-                        hub_vertices = {spokes[0]: p14, spokes[1]: p24,
-                                        spokes[2]: p34}
-                        vertices = dict(hub_vertices)
-                        # recover one witness vertex in each rim class
-                        for (x, y), blk_idx in (((i1, i2), blocks_idx[0]),
-                                                ((i1, i3), blocks_idx[1]),
-                                                ((i2, i3), blocks_idx[2])):
-                            blk = aux.blocks[blk_idx]
-                            rim_pos = pair_pos(blk_idx, (x, y))
-                            pa = pair_pos(blk_idx, tuple(sorted((x, hub))))
-                            pb = pair_pos(blk_idx, tuple(sorted((y, hub))))
-                            va = vertices[tuple(sorted((x, hub)))]
-                            vb = vertices[tuple(sorted((y, hub)))]
-                            for t in blk.triples:
-                                if t[pa] == va and t[pb] == vb:
-                                    vertices[(x, y)] = t[rim_pos]
-                                    break
-                        return ThreeTriplesConfig((i1, i2, i3, hub),
-                                                  vertices, extreme)
+        i1, i2, i3 = rest = tuple(sorted(set(quad) - {hub}))
+        s14, s24, s34 = (tuple(sorted((r, hub))) for r in rest)
+        t12 = completions(i1, i2, hub)
+        t13 = completions(i1, i3, hub)
+        t23 = completions(i2, i3, hub)
+        for p14, p24 in sorted(t12):
+            for p34 in range(aux.class_sizes[s34]):
+                if (p14, p34) in t13 and (p24, p34) in t23:
+                    vertices = {s14: p14, s24: p24, s34: p34,
+                                (i1, i2): t12[(p14, p24)],
+                                (i1, i3): t13[(p14, p34)],
+                                (i2, i3): t23[(p24, p34)]}
+                    return ThreeTriplesConfig((i1, i2, i3, hub), vertices,
+                                              hub in (quad[0], quad[3]))
     return None
 
 

@@ -36,6 +36,7 @@ from hyperq.multipartite import (
     find_clique_mp,
     find_three_triples,
     find_triangle_mp,
+    gen_random_auxiliary,
     gen_random_multipartite,
 )
 from hyperq.hashing import subseed
@@ -506,36 +507,75 @@ def test_vanishing_vs_full_brute():
 
 
 def brute_three_triples(aux):
-    for quad in combinations(range(aux.m), 4):
-        for hub in quad:
-            rest = tuple(sorted(set(quad) - {hub}))
-            spokes = [tuple(sorted((r, hub))) for r in rest]
-            rims = [tuple(sorted((rest[0], rest[1]))),
-                    tuple(sorted((rest[0], rest[2]))),
-                    tuple(sorted((rest[1], rest[2])))]
-            spoke_sizes = [aux.class_sizes[s] for s in spokes]
-            rim_sizes = [aux.class_sizes[r] for r in rims]
-            for p14, p24, p34 in product(*(range(s) for s in spoke_sizes)):
-                for q12, q13, q23 in product(*(range(s) for s in rim_sizes)):
-                    cfg = {spokes[0]: p14, spokes[1]: p24, spokes[2]: p34,
-                           rims[0]: q12, rims[1]: q13, rims[2]: q23}
-                    if (aux.has_triple({k: cfg[k] for k in (rims[0], spokes[0], spokes[1])})
-                            and aux.has_triple({k: cfg[k] for k in (rims[1], spokes[0], spokes[2])})
-                            and aux.has_triple({k: cfg[k] for k in (rims[2], spokes[1], spokes[2])})):
-                        return True
-    return False
+    """First configuration in the search plan: every quadruple with its
+    extreme hubs (largest, then smallest), then every quadruple with its
+    interior hubs, and within one the least hub vertices (p14, p24, p34)
+    that some rim vertex in each rim class completes.  Returns
+    ``(indices, hub vertices, apex_extreme)`` or None."""
+    quads = list(combinations(range(aux.m), 4))
+    plan = [(quad, quad[h]) for hubs in ((3, 0), (1, 2)) for quad in quads for h in hubs]
+    for quad, hub in plan:
+        rest = tuple(sorted(set(quad) - {hub}))
+        spokes = [tuple(sorted((r, hub))) for r in rest]
+        rims = [(rest[0], rest[1]), (rest[0], rest[2]), (rest[1], rest[2])]
+        sides = [(0, 1), (0, 2), (1, 2)]  # the two spokes of each rim's triple
+        for hub_vertices in product(*(range(aux.class_sizes[s]) for s in spokes)):
+            if all(any(aux.has_triple({rim: q, spokes[a]: hub_vertices[a],
+                                       spokes[b]: hub_vertices[b]})
+                       for q in range(aux.class_sizes[rim]))
+                   for rim, (a, b) in zip(rims, sides)):
+                return (rest + (hub,), dict(zip(spokes, hub_vertices)),
+                        hub in (quad[0], quad[3]))
+    return None
 
 
-def test_three_triples_vs_brute():
-    for seed in range(12):
-        sizes = {(i, j): 2 for i in range(4) for j in range(i + 1, 4)}
-        rng = random.Random(seed)
-        blocks = {}
-        for key in combinations(range(4), 3):
-            blocks[key] = [(a, b, c) for a in range(2) for b in range(2)
-                           for c in range(2) if rng.random() < 0.4]
-        aux = AuxiliaryHypergraph(4, sizes, blocks)
-        assert (find_three_triples(aux) is not None) == brute_three_triples(aux)
+@st.composite
+def auxiliary_systems(draw):
+    m = draw(st.integers(3, 6))
+    sizes = {pair: draw(st.integers(1, 4)) for pair in combinations(range(m), 2)}
+    blocks = {}
+    for i, j, k in combinations(range(m), 3):
+        if draw(st.booleans()) or draw(st.booleans()):  # a quarter stay missing
+            shape = (sizes[(i, j)], sizes[(i, k)], sizes[(j, k)])
+            slots = list(product(*(range(s) for s in shape)))
+            blocks[(i, j, k)] = draw(st.lists(st.sampled_from(slots), max_size=24))
+    return AuxiliaryHypergraph(m, sizes, blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(auxiliary_systems())
+def test_three_triples_vs_brute(aux):
+    cfg = find_three_triples(aux)
+    want = brute_three_triples(aux)
+    if want is None:
+        assert cfg is None
+        return
+    indices, hub_vertices, extreme = want
+    assert cfg.indices == indices and cfg.apex_extreme == extreme
+    assert {k: cfg.vertices[k] for k in hub_vertices} == hub_vertices
+    i1, i2, i3, hub = indices
+    for x, y in ((i1, i2), (i1, i3), (i2, i3)):
+        keys = [(x, y), tuple(sorted((x, hub))), tuple(sorted((y, hub)))]
+        assert aux.has_triple({k: cfg.vertices[k] for k in keys})
+
+
+# recorded before the rim vertices were read from completion tables; each
+# rim vertex is the one of the first triple in frozenset iteration order
+THREE_TRIPLES_GOLDEN = {
+    (4, 5, 1, 2, 2): ((0, 1, 2, 3), {(0, 3): 0, (1, 3): 0, (2, 3): 0,
+                                     (0, 1): 3, (0, 2): 1, (1, 2): 3}),
+    (5, 3, 1, 8, 5): ((1, 2, 3, 0), {(0, 1): 0, (0, 2): 2, (0, 3): 0,
+                                     (1, 2): 0, (1, 3): 2, (2, 3): 0}),
+    (6, 3, 1, 20, 0): ((2, 3, 4, 0), {(0, 2): 2, (0, 3): 2, (0, 4): 0,
+                                      (2, 3): 0, (2, 4): 1, (3, 4): 2}),
+}
+
+
+@pytest.mark.parametrize("args", sorted(THREE_TRIPLES_GOLDEN))
+def test_three_triples_golden(args):
+    cfg = find_three_triples(gen_random_auxiliary(*args))
+    assert (cfg.indices, cfg.vertices, cfg.apex_extreme) == \
+        THREE_TRIPLES_GOLDEN[args] + (True,)
 
 
 def test_triangle_count_mp_vs_brute():

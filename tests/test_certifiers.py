@@ -74,8 +74,6 @@ class TestWeakDeviation:
     def test_cap_refusal(self):
         with pytest.raises(CapExceeded):
             weak_deviation(Hypergraph3.empty(30), Fraction(0), mode="exact")
-        with pytest.raises(ValueError):
-            weak_deviation(Hypergraph3.empty(10), Fraction(0), cap=50)
 
 
 class TestXyzDeviation:
@@ -131,7 +129,7 @@ class TestPairDeviation:
 
     def test_witness_value_recomputes(self):
         h = gen_colouring_kk_free(16, 4, 3)
-        rep = pair_deviation(h, Fraction(1, 2), mode="exact", cap=16)
+        rep = pair_deviation(h, Fraction(1, 2), mode="exact")
         members, x_pairs = rep.witness
         size = len(members)
         umask = sum(1 << v for v in members)

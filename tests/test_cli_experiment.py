@@ -146,6 +146,19 @@ class TestCli:
                      "--d", "1/100000000000000000000", "--report", str(rep)]) == 0
         assert json.loads(rep.read_text())["report"]["method"] == "exact"
 
+    @pytest.mark.parametrize("kind,mode", [
+        ("weak", "exact"), ("weak", "search"), ("pair", "exact"),
+        ("pair", "search"), ("xyz", "exact"), ("quad", "exact"),
+    ])
+    def test_certify_zero_vertices(self, tmp_path, kind, mode):
+        path = tmp_path / "empty.hg"
+        path.write_text("%d 0 0\n" % (4 if kind == "quad" else 3))
+        rep = tmp_path / "rep.json"
+        assert main(["certify", "--kind", kind, "--mode", mode, "--in", str(path),
+                     "--report", str(rep)]) == 0
+        report = json.loads(rep.read_text())["report"]
+        assert report["max_deviation"]["num"] == 0 and report["eta"] == 0.0
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.hg"
         bad.write_text("3 4 1\n9 9 9\n")

@@ -165,6 +165,15 @@ class TestThreeTriples:
         sizes = {(i, j): 3 for i in range(4) for j in range(i + 1, 4)}
         assert find_three_triples(AuxiliaryHypergraph(4, sizes, {})) is None
 
+    def test_has_triple_leaves_blocks_alone(self):
+        sizes = {(i, j): 2 for i in range(4) for j in range(i + 1, 4)}
+        aux = AuxiliaryHypergraph(4, sizes, {(0, 1, 2): [(0, 1, 1)]})
+        assert aux.has_triple({(0, 1): 0, (0, 2): 1, (1, 2): 1})
+        assert not aux.has_triple({(0, 1): 0, (0, 3): 0, (1, 3): 0})
+        assert list(aux.blocks) == [(0, 1, 2)]
+        with pytest.raises(ValueError):
+            aux.has_triple({(0, 1): 0, (0, 4): 0, (1, 4): 0})
+
     def test_extreme_hub_preferred_globally(self):
         # one interior-hub configuration inside {0,1,2,3} (hub 1) and one
         # extreme-hub configuration inside {0,1,2,4} (hub 4)
