@@ -54,7 +54,6 @@ from .multipartite import (
     MultipartiteGraph,
     TripartiteTriples,
     explore_extremal,
-    find_clique_mp,
     find_three_triples,
     find_triangle_mp,
     half_split,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -55,10 +55,6 @@ class DeviationReport:
     witness: tuple
     method: str
     trials: dict = field(default_factory=dict)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.method == "exact"
 
 
 def _as_fraction(value, default: Fraction) -> Fraction:
@@ -300,22 +296,29 @@ def _sign_split_value(deg: np.ndarray, size, p: int, q: int):
     return (abs(r).sum(axis=-1) + abs(r.sum(axis=-1))) // 2
 
 
-def _sign_split_deviation(rows: np.ndarray, p: int, q: int, mode: str,
-                          restarts: int, seed: int):
-    """Largest, over row subsets S, of the better one-sign column sum of
-    q * deg_S - p * |S|, where deg_S sums the 0/1 rows in S.
+def _sign_split_deviation(kind: str, d: Fraction, columns: Sequence[int], k: int,
+                          norm: int, mode: str, restarts: int,
+                          seed: int) -> DeviationReport:
+    """Report of the largest, over row subsets S, of the better one-sign
+    column sum of q * deg_S - p * |S| (d = p/q), where deg_S sums the 0/1 rows
+    in S; ``norm`` normalizes eta.
 
-    Returns ``(best, best_mask, keep)``: the maximum, S as a bitmask over the
-    rows, and a boolean array of the columns whose residual has the winning
-    sign (the positive side on a tie).  Exact mode keeps the maximizer of
-    least Gray rank; search mode keeps the first restart reaching the best
-    value, each climb taking strict improvements and the least row on ties.
+    ``columns[c]`` is the bitmask over the k rows of the entries of column c
+    that are 1.  The witness is S and the columns whose residual has the
+    winning sign (the positive side on a tie).  Exact mode keeps the
+    maximizer of least Gray rank; search mode keeps the first restart
+    reaching the best value, each climb taking strict improvements and the
+    least row on ties.
     """
-    k, cols = rows.shape
-    # every residual sum is below 2 * cols * k * max(p, q): past int64, use
-    # exact Python ints
-    dtype = object if 2 * cols * k * max(p, q) >= 2 ** 63 else np.int64
-    rows = rows.astype(dtype)
+    p, q = d.numerator, d.denominator
+    cols = len(columns)
+    # every residual sum is below 2 * cols * k * max(p, q), and q and p * k
+    # must fit even with no rows or columns: past int64, use exact Python ints
+    dtype = object if 2 * max(cols, 1) * max(k, 1) * max(p, q) >= 2 ** 63 else np.int64
+    width = (k + 7) // 8
+    packed = np.frombuffer(b"".join(c.to_bytes(width, "little") for c in columns),
+                           dtype=np.uint8).reshape(cols, width)
+    rows = np.unpackbits(packed, axis=1, count=k, bitorder="little").T.astype(dtype, order="C")
     best = 0
     best_mask = 0
     if mode == "exact":
@@ -371,7 +374,11 @@ def _sign_split_deviation(rows: np.ndarray, p: int, q: int, mode: str,
         raise ValueError("mode must be 'exact' or 'search'")
     r = rows[list(iter_bits(best_mask))].sum(axis=0) * q - p * best_mask.bit_count()
     keep = (r > 0) if r.sum() >= 0 else (r < 0)
-    return best, best_mask, keep
+    witness = (tuple(iter_bits(best_mask)), tuple(int(c) for c in np.nonzero(keep)[0]))
+    method, trials = (("exact", {"subsets": 1 << k}) if mode == "exact"
+                      else ("local-search", {"restarts": restarts}))
+    eta = best / (q * norm) if norm else 0.0
+    return DeviationReport(kind, d, Fraction(best, q), eta, norm, witness, method, trials)
 
 
 def pair_deviation(h: Hypergraph3, d=None, mode: str = "exact",
@@ -386,25 +393,14 @@ def pair_deviation(h: Hypergraph3, d=None, mode: str = "exact",
     """
     n = h.n
     d = _as_fraction(d, h.density().density_fraction)
-    p, q = d.numerator, d.denominator
-    norm = n ** 3
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    incidence = np.zeros((n, len(pairs)), dtype=np.int64)
-    for idx, (u, v) in enumerate(pairs):
-        row = h.link_row(u, v)
-        for w in iter_bits(row):
-            incidence[w, idx] = 1
     if mode == "exact" and n > PAIR_EXACT_HARD_CAP:
         raise CapExceeded("exact pair deviation refused for n=%d > cap %d"
                           % (n, PAIR_EXACT_HARD_CAP))
-    best, mask, keep = _sign_split_deviation(incidence, p, q, mode, restarts, seed)
-    witness = (tuple(iter_bits(mask)),
-               tuple(pairs[i] for i in np.nonzero(keep)[0]))
-    method, trials = (("exact", {"subsets": 1 << n}) if mode == "exact"
-                      else ("local-search", {"restarts": restarts}))
-    eta = best / (q * norm) if norm else 0.0
-    return DeviationReport("pair", d, Fraction(best, q), eta, norm, witness,
-                           method, trials)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    columns = [h.link_row(u, v) for u, v in pairs]
+    rep = _sign_split_deviation("pair", d, columns, n, n ** 3, mode, restarts, seed)
+    members, kept = rep.witness
+    return replace(rep, witness=(members, tuple(pairs[c] for c in kept)))
 
 
 def quad_vertex_deviation(h: Hypergraph4, d=None, samples: int = 100,
@@ -447,24 +443,21 @@ def bipartite_regularity_deviation(g: MultipartiteGraph, d2=None,
     The eta field is the deviation normalized by |X||Y|.
     """
     i, j = parts
-    nx, ny = g.sizes[i], g.sizes[j]
+    if i == j or not (0 <= i < g.m and 0 <= j < g.m):
+        raise ValueError("bipartite deviation needs two parts, the graph has %d" % g.m)
     d2 = _as_fraction(d2, g.pair_density(i, j))
-    p, q = d2.numerator, d2.denominator
-    norm = nx * ny
-    adjacency = np.zeros((nx, ny), dtype=np.int64)
-    for a in range(nx):
-        for b in iter_bits(g.rows[(i, j)][a]):
-            adjacency[a, b] = 1
+    return _bipartite_deviation(g.rows[(j, i)], g.sizes[i], d2, mode, restarts, seed)
+
+
+def _bipartite_deviation(columns: Sequence[int], nx: int, d2: Fraction, mode: str,
+                         restarts: int, seed: int) -> DeviationReport:
+    """``_sign_split_deviation`` on the nx rows of one side, refused above
+    the exact cap before anything is built."""
     if mode == "exact" and nx > BIPARTITE_EXACT_HARD_CAP:
         raise CapExceeded("exact bipartite deviation refused for |X|=%d > cap %d"
                           % (nx, BIPARTITE_EXACT_HARD_CAP))
-    best, mask, keep = _sign_split_deviation(adjacency, p, q, mode, restarts, seed)
-    witness = (tuple(iter_bits(mask)), tuple(int(b) for b in np.nonzero(keep)[0]))
-    method, trials = (("exact", {"subsets": 1 << nx}) if mode == "exact"
-                      else ("local-search", {"restarts": restarts}))
-    eta = best / (q * norm) if norm else 0.0
-    return DeviationReport("bipartite", d2, Fraction(best, q), eta, norm,
-                           witness, method, trials)
+    return _sign_split_deviation("bipartite", d2, columns, nx, nx * len(columns),
+                                 mode, restarts, seed)
 
 
 @dataclass(frozen=True)
@@ -480,15 +473,6 @@ class TriangleBoundReport:
     per_pair_delta: tuple
 
 
-def _restricted_bipartite(g: MultipartiteGraph, i: int, j: int,
-                          limit: int) -> MultipartiteGraph:
-    sub = MultipartiteGraph((min(g.sizes[i], limit), g.sizes[j]))
-    for a in range(sub.sizes[0]):
-        for b in iter_bits(g.rows[(i, j)][a]):
-            sub.add_edge(0, a, 1, b)
-    return sub
-
-
 def triangle_bound_check(g: MultipartiteGraph, d2,
                          parts: tuple[int, int, int] = (0, 1, 2),
                          enum_side: int = 16) -> TriangleBoundReport:
@@ -499,9 +483,11 @@ def triangle_bound_check(g: MultipartiteGraph, d2,
     i, j, k = parts
     d2 = _as_fraction(d2, g.pair_density(i, j))
     deltas = []
+    low = (1 << enum_side) - 1
     for (a, b) in ((i, j), (i, k), (j, k)):
-        sub = _restricted_bipartite(g, a, b, enum_side)
-        rep = bipartite_regularity_deviation(sub, d2, mode="exact", parts=(0, 1))
+        columns = [col & low for col in g.rows[(b, a)]]
+        rep = _bipartite_deviation(columns, min(g.sizes[a], enum_side), d2,
+                                   "exact", 0, 0)
         # a pair with an empty side has no edges and deviates by 0
         deltas.append(Fraction(rep.max_deviation, rep.normalizer)
                       if rep.normalizer else Fraction(0))

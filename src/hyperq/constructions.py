@@ -60,41 +60,20 @@ class PairColouring:
 
 
 class Tournament:
-    """Orientation of all pairs: exactly one of u->v, v->u per pair."""
+    """Seeded orientation of all pairs: bit v of ``out[u]`` is set when u->v."""
 
-    __slots__ = ("n", "seed", "out")
+    __slots__ = ("n", "out")
 
-    def __init__(self, n: int, seed: int, out_masks: list[int] | None = None):
+    def __init__(self, n: int, seed: int):
         self.n = n
-        self.seed = seed
-        if out_masks is not None:
-            self.out = out_masks
-        else:
-            out = [0] * n
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if tuple_hash(seed, TAG_TOURNAMENT, u, v) & 1:
-                        out[u] |= 1 << v
-                    else:
-                        out[v] |= 1 << u
-            self.out = out
-
-    @classmethod
-    def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Tournament":
         out = [0] * n
-        for u, v in arcs:
-            out[u] |= 1 << v
         for u in range(n):
             for v in range(u + 1, n):
-                if (out[u] >> v & 1) == (out[v] >> u & 1):
-                    raise ValueError("pair {%d, %d} needs exactly one direction" % (u, v))
-        return cls(n, -1, out)
-
-    def beats(self, u: int, v: int) -> bool:
-        return bool(self.out[u] >> v & 1)
-
-    def out_degree(self, v: int) -> int:
-        return self.out[v].bit_count()
+                if tuple_hash(seed, TAG_TOURNAMENT, u, v) & 1:
+                    out[u] |= 1 << v
+                else:
+                    out[v] |= 1 << u
+        self.out = out
 
 
 class TripleOrientation:
@@ -103,7 +82,8 @@ class TripleOrientation:
     For a sorted triple x < y < z the class is 0 for the rotation with arcs
     x->y, y->z, z->x and 1 for the reverse rotation with arcs x->z, z->y,
     y->x.  Instances either draw each class from the seed stream, derive it
-    from a tournament, or take an explicit assignment.
+    from a tournament, or take any class function ``cls_fn(x, y, z)`` of a
+    sorted triple.
 
     The tournament rule picks the rotation whose arcs agree with an odd
     number (one or three) of the three tournament arcs.  By arc pattern
@@ -131,31 +111,6 @@ class TripleOrientation:
             agree = (out[x] >> y & 1) + (out[y] >> z & 1) + (out[z] >> x & 1)
             return 1 - (agree & 1)
         return cls(t.n, cls_fn)
-
-    @classmethod
-    def from_classes(cls, n: int, classes: dict[tuple[int, int, int], int]) -> "TripleOrientation":
-        table = dict(classes)
-
-        def cls_fn(x, y, z):
-            return table[(x, y, z)]
-        return cls(n, cls_fn)
-
-    def cyclic_class(self, x: int, y: int, z: int) -> int:
-        """Class of the triple; arguments must be given sorted."""
-        if not x < y < z:
-            raise ValueError("triple must be sorted")
-        return self._cls(x, y, z)
-
-    def arcs(self, x: int, y: int, z: int) -> set[tuple[int, int]]:
-        """The three directed arcs of the chosen rotation of a sorted triple."""
-        if self._cls(x, y, z) == 0:
-            return {(x, y), (y, z), (z, x)}
-        return {(x, z), (z, y), (y, x)}
-
-    def pair_direction(self, u: int, v: int, w: int) -> int:
-        """1 if the rotation chosen for {u, v, w} contains the arc u->v."""
-        x, y, z = sorted((u, v, w))
-        return 1 if (u, v) in self.arcs(x, y, z) else 0
 
 
 def hypergraph_from_pair_pattern(colouring: PairColouring,

@@ -79,12 +79,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            row = self.rows[u] >> (u + 1) << (u + 1)
-            for v in iter_bits(row):
-                yield (u, v)
-
 
 @dataclass(frozen=True)
 class DensityReport:
@@ -192,19 +186,6 @@ class Hypergraph3:
     def density(self) -> DensityReport:
         return DensityReport.of(self.edge_count, self.n, 3)
 
-    def count_edges_within(self, vertices: Iterable[int] | int) -> int:
-        """Number of edges with all three vertices inside the given set."""
-        umask = vertex_mask(vertices, self.n)
-        base = self._base
-        total = 0
-        members = list(iter_bits(umask))
-        for i, u in enumerate(members):
-            row_base = base[u] - u - 1
-            for v in members[i + 1:]:
-                above_v = umask >> (v + 1) << (v + 1)
-                total += (self._rows[row_base + v] & above_v).bit_count()
-        return total
-
     def count_ordered_triples(self, xs, ys, zs) -> int:
         """Ordered (x, y, z) in X x Y x Z with {x, y, z} an edge."""
         xmask = vertex_mask(xs, self.n)
@@ -225,18 +206,6 @@ class Hypergraph3:
     def link_graph(self, a: int) -> Graph:
         """Graph on the other vertices whose edges complete hyperedges with a."""
         return Graph(self.n, self.link_rows(a))
-
-    def induced(self, vertices: Iterable[int] | int) -> "Hypergraph3":
-        """Sub-hypergraph on the given vertices, relabelled 0..|U|-1 in order."""
-        umask = vertex_mask(vertices, self.n)
-        members = list(iter_bits(umask))
-        relabel = {v: i for i, v in enumerate(members)}
-        edges = []
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                row = self.link_row(u, v) & (umask >> (v + 1) << (v + 1))
-                edges.extend((relabel[u], relabel[v], relabel[w]) for w in iter_bits(row))
-        return Hypergraph3.from_edges(len(members), edges)
 
 
 class Hypergraph4:
@@ -306,10 +275,6 @@ class Hypergraph4:
             u, v = v, u
         return self._rows[self._base[u] + v - u - 1]
 
-    def pair_link(self, u: int, v: int) -> Graph:
-        """Link graph of the pair {u, v}: edge {x, y} iff {u, v, x, y} is an edge."""
-        return Graph(self.n, list(self.pair_rows(u, v)))
-
     def has_edge(self, a: int, b: int, c: int, d: int) -> bool:
         return bool(self.pair_rows(a, b)[c] >> d & 1)
 
@@ -349,14 +314,6 @@ class Hypergraph4:
                     cache[key] = inner
                 total += inner
         return total
-
-    def induced(self, vertices: Iterable[int] | int) -> "Hypergraph4":
-        umask = vertex_mask(vertices, self.n)
-        members = list(iter_bits(umask))
-        relabel = {v: i for i, v in enumerate(members)}
-        edges = [tuple(relabel[v] for v in e) for e in self.iter_edges()
-                 if all(umask >> v & 1 for v in e)]
-        return Hypergraph4.from_edges(len(members), edges)
 
 
 def write_hypergraph(h: Hypergraph3 | Hypergraph4) -> str:

@@ -94,15 +94,14 @@ def _least_clique(cand: int, k: int, narrow) -> tuple[int, ...] | None:
     return tuple(chosen) if extend(cand) else None
 
 
-def find_clique_graph(g: Graph, k: int, within: int | None = None):
+def find_clique_graph(g: Graph, k: int):
     """Lexicographically least k-clique of a graph, or None."""
     if k > CLIQUE_MAX_K:
         raise CapExceeded("clique search supports k <= %d" % CLIQUE_MAX_K)
     if k < 1:
         raise ValueError("k must be positive")
     rows = g.rows
-    cand = (1 << g.n) - 1 if within is None else within
-    return _least_clique(cand, k, lambda chosen, v, above: above & rows[v])
+    return _least_clique((1 << g.n) - 1, k, lambda chosen, v, above: above & rows[v])
 
 
 def find_k4_minus(h: Hypergraph3, ordered: bool = False) -> Witness | None:

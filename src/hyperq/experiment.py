@@ -27,7 +27,7 @@ from .certifiers import (
 )
 from .constructions import CONSTRUCTIONS
 from .core import write_hypergraph
-from .detectors import find_clique3, find_f4, find_k4_minus, find_sk
+from .detectors import count_k4_minus, find_clique3, find_f4, find_k4_minus, find_sk
 
 CSV_SCHEMA_VERSION = 1
 BASE_COLUMNS = ("schema_version", "construction", "n", "k", "seed",
@@ -117,7 +117,6 @@ def _run_detect(h, task: dict):
     pattern = task["pattern"]
     if pattern == "k4minus":
         if task.get("count"):
-            from .detectors import count_k4_minus
             return count_k4_minus(h)
         return int(find_k4_minus(h, ordered=bool(task.get("ordered"))) is not None)
     if pattern == "clique":

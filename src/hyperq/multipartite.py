@@ -1,5 +1,5 @@
-"""Multipartite graphs: mean-square degree profiles, triangle and clique
-search, the half-split extremal pattern, threshold diagnostics, auxiliary
+"""Multipartite graphs: mean-square degree profiles, triangle search and
+counting, the half-split extremal pattern, threshold diagnostics, auxiliary
 triple blocks with their projections, and a triangle-free local-search
 explorer.
 """
@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .core import N3_CAP, CapExceeded, Graph, ParseError, iter_bits
-from .detectors import count_triangles_graph, find_clique_graph, find_triangle_graph
+from .detectors import count_triangles_graph, find_triangle_graph
 from .hashing import TAG_AUX_TRIPLE, TAG_MP_EDGE, bernoulli, subseed
 
 # a complete graph on 64 parts of 64 vertices holds 63 * 4096 row ints, about
@@ -67,16 +67,6 @@ class MultipartiteGraph:
 
     def has_edge(self, i: int, a: int, j: int, b: int) -> bool:
         return bool(self.rows[(i, j)][a] >> b & 1)
-
-    def degree(self, i: int, a: int, j: int) -> int:
-        return self.rows[(i, j)][a].bit_count()
-
-    def edge_count(self) -> int:
-        total = 0
-        for i in range(self.m):
-            for j in range(i + 1, self.m):
-                total += sum(r.bit_count() for r in self.rows[(i, j)])
-        return total
 
     def pair_density(self, i: int, j: int) -> Fraction:
         """Edges between parts i and j over |V_i||V_j|; 0 if either is empty."""
@@ -163,6 +153,8 @@ class MeanSquareProfile:
     margins: dict  # (i, j) with i < j -> ratio - (threshold + epsilon)
 
     def min_ratio(self) -> Fraction:
+        if not self.ratios:
+            raise ValueError("a mean-square profile needs at least two parts")
         return min(self.ratios.values())
 
 
@@ -208,20 +200,6 @@ def count_triangles_mp(g: MultipartiteGraph, parts: tuple[int, int, int] | None 
     """Exact triangle count, optionally restricted to one part triple."""
     flat, offsets = g.flatten()
     return count_triangles_graph(flat, None if parts is None else _parts_mask(offsets, parts))
-
-
-def find_clique_mp(g: MultipartiteGraph, k: int):
-    """Clique on k parts, one vertex per part; first found in scan order."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if k > g.m:
-        return None
-    flat, offsets = g.flatten()
-    for parts in combinations(range(g.m), k):
-        clique = find_clique_graph(flat, k, _parts_mask(offsets, parts))
-        if clique is not None:
-            return [(p, x - offsets[p]) for p, x in zip(parts, clique)]
-    return None
 
 
 @dataclass(frozen=True)
@@ -288,9 +266,6 @@ class TripartiteTriples:
                 raise ValueError("triple %r out of class range" % ((a, b, c),))
         self.triples = trips
 
-    def count(self) -> int:
-        return len(self.triples)
-
     def density(self) -> Fraction:
         slots = self.sizes[0] * self.sizes[1] * self.sizes[2]
         return Fraction(len(self.triples), slots) if slots else Fraction(0)
@@ -339,7 +314,7 @@ def project_auxiliary(block: TripartiteTriples, epsilon: Fraction) -> Projection
     sum_right = sum(r.bit_count() ** 2 for r in right_adj)
     left_holds = sum_left >= thr * (l1 * l1 * l2)
     right_holds = sum_right >= thr * (l3 * l3 * l2)
-    premise = block.count() >= thr * (l1 * l2 * l3)
+    premise = len(block.triples) >= thr * (l1 * l2 * l3)
     if left_holds and right_holds:
         colour, flagged = "green", "both-hold"
     elif left_holds:
@@ -370,34 +345,6 @@ class AuxiliaryHypergraph:
             sizes = (self.class_sizes[(i, j)], self.class_sizes[(i, k)],
                      self.class_sizes[(j, k)])
             self.blocks[(i, j, k)] = TripartiteTriples(sizes, triples)
-
-    def has_triple(self, vertices: dict) -> bool:
-        """vertices maps three sorted index pairs covering a sorted index
-        triple to class vertices; True when that triple is present."""
-        pairs = sorted(vertices)
-        idx = tuple(sorted({i for p in pairs for i in p}))
-        if len(idx) != 3 or idx[0] < 0 or idx[2] >= self.m:
-            raise ValueError("vertex keys must cover exactly three indices in [0, %d)"
-                             % self.m)
-        blk = self.blocks.get(idx)
-        want = (vertices[(idx[0], idx[1])], vertices[(idx[0], idx[2])],
-                vertices[(idx[1], idx[2])])
-        return blk is not None and want in blk.triples
-
-
-def gen_random_auxiliary(m: int, class_size: int, p_num: int, p_den: int,
-                         seed: int) -> AuxiliaryHypergraph:
-    sizes = {(i, j): class_size for i in range(m) for j in range(i + 1, m)}
-    blocks = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                blocks[(i, j, k)] = [
-                    (a, b, c)
-                    for a in range(class_size) for b in range(class_size)
-                    for c in range(class_size)
-                    if bernoulli(p_num, p_den, seed, TAG_AUX_TRIPLE, i, j, k, a, b, c)]
-    return AuxiliaryHypergraph(m, sizes, blocks)
 
 
 @dataclass(frozen=True)

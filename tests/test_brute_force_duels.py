@@ -33,14 +33,13 @@ from hyperq.multipartite import (
     AuxiliaryHypergraph,
     MultipartiteGraph,
     count_triangles_mp,
-    find_clique_mp,
     find_three_triples,
     find_triangle_mp,
-    gen_random_auxiliary,
     gen_random_multipartite,
 )
 from hyperq.hashing import subseed
 from hyperq.oracles import enumerate_pair_deviation, naive_bipartite_deviation
+from helpers import gen_random_auxiliary, has_triple
 
 
 def random_graph(n, p, rng):
@@ -57,7 +56,7 @@ def test_weak_search_witness_recomputes():
         h = gen_random_3hg(12, 3, 10, seed)
         d = h.density().density_fraction
         rep = weak_deviation(h, d, mode="search", restarts=3, seed=seed)
-        e = h.count_edges_within(rep.witness)
+        e = sum(1 for edge in h.iter_edges() if set(edge) <= set(rep.witness))
         assert abs(Fraction(e) - d * comb(len(rep.witness), 3)) == rep.max_deviation
 
 
@@ -245,14 +244,16 @@ HUGE_DENOMINATORS = [Fraction(1, 10 ** 17), Fraction(10 ** 17 - 1, 10 ** 17),
 @pytest.mark.parametrize("d", HUGE_DENOMINATORS, ids=str)
 @pytest.mark.parametrize("mode", ["exact", "search"])
 def test_sign_split_huge_denominator(d, mode):
-    h = gen_random_3hg(7, 1, 2, 3)
-    rep = pair_deviation(h, d, mode=mode)
-    assert rep.max_deviation == enumerate_pair_deviation(h, d)
-    assert pair_witness_value(h, d, rep.witness) == rep.max_deviation
-    g = gen_random_multipartite([6, 9], 1, 2, 1)
-    rep = bipartite_regularity_deviation(g, d, mode=mode)
-    assert rep.max_deviation == naive_bipartite_deviation(g, d)
-    assert bipartite_witness_value(g, d, rep.witness) == rep.max_deviation
+    # n = 1 has no pair column and [0, 3], [3, 0] an empty side
+    for h in (gen_random_3hg(7, 1, 2, 3), Hypergraph3.empty(1)):
+        rep = pair_deviation(h, d, mode=mode)
+        assert rep.max_deviation == enumerate_pair_deviation(h, d)
+        assert pair_witness_value(h, d, rep.witness) == rep.max_deviation
+    for g in (gen_random_multipartite([6, 9], 1, 2, 1), MultipartiteGraph([0, 3]),
+              MultipartiteGraph([3, 0])):
+        rep = bipartite_regularity_deviation(g, d, mode=mode)
+        assert rep.max_deviation == naive_bipartite_deviation(g, d)
+        assert bipartite_witness_value(g, d, rep.witness) == rep.max_deviation
 
 
 def reference_xyz(h, d, samples, seed, improve_steps, disjoint):
@@ -366,15 +367,9 @@ def test_clique_graph_vs_brute():
     for trial in range(25):
         g = random_graph(11, 0.55, rng)
         for k in (3, 4, 5):
-            found = find_clique_graph(g, k)
-            brute = None
-            for cand in combinations(range(11), k):
-                if all(g.has_edge(u, v) for u, v in combinations(cand, 2)):
-                    brute = cand
-                    break
-            assert (found is None) == (brute is None)
-            if found is not None:
-                assert found == brute  # both scans are lexicographic
+            brute = next((c for c in combinations(range(11), k)
+                          if all(g.has_edge(u, v) for u, v in combinations(c, 2))), None)
+            assert find_clique_graph(g, k) == brute  # both scans are lexicographic
 
 
 @st.composite
@@ -402,12 +397,12 @@ def small_multipartite(draw):
     return gen_random_multipartite(sizes, p, 4, draw(st.integers(0, 10 ** 6)))
 
 
-def brute_clique_mp(g, k):
-    """First clique with one vertex in each of k parts: part tuples in
-    combinations order, then vertices lexicographically."""
-    for parts in combinations(range(g.m), k):
+def brute_triangle_mp(g):
+    """First triangle: part triples in combinations order, then vertices
+    lexicographically."""
+    for parts in combinations(range(g.m), 3):
         for picks in product(*(range(g.sizes[p]) for p in parts)):
-            chosen = list(zip(parts, picks))
+            chosen = tuple(zip(parts, picks))
             if all(g.has_edge(i, a, j, b) for (i, a), (j, b) in combinations(chosen, 2)):
                 return chosen
     return None
@@ -423,10 +418,7 @@ def brute_triangles_mp(g, parts):
 @settings(max_examples=200, deadline=None)
 @given(small_multipartite(), st.data())
 def test_multipartite_views_vs_brute(g, data):
-    tri = brute_clique_mp(g, 3)
-    assert find_triangle_mp(g) == (None if tri is None else tuple(tri))
-    for k in range(2, g.m + 2):
-        assert find_clique_mp(g, k) == brute_clique_mp(g, k)
+    assert find_triangle_mp(g) == brute_triangle_mp(g)
     assert count_triangles_mp(g) == sum(brute_triangles_mp(g, parts)
                                         for parts in combinations(range(g.m), 3))
     if g.m >= 3:
@@ -520,8 +512,8 @@ def brute_three_triples(aux):
         rims = [(rest[0], rest[1]), (rest[0], rest[2]), (rest[1], rest[2])]
         sides = [(0, 1), (0, 2), (1, 2)]  # the two spokes of each rim's triple
         for hub_vertices in product(*(range(aux.class_sizes[s]) for s in spokes)):
-            if all(any(aux.has_triple({rim: q, spokes[a]: hub_vertices[a],
-                                       spokes[b]: hub_vertices[b]})
+            if all(any(has_triple(aux, {rim: q, spokes[a]: hub_vertices[a],
+                                        spokes[b]: hub_vertices[b]})
                        for q in range(aux.class_sizes[rim]))
                    for rim, (a, b) in zip(rims, sides)):
                 return (rest + (hub,), dict(zip(spokes, hub_vertices)),
@@ -556,7 +548,7 @@ def test_three_triples_vs_brute(aux):
     i1, i2, i3, hub = indices
     for x, y in ((i1, i2), (i1, i3), (i2, i3)):
         keys = [(x, y), tuple(sorted((x, hub))), tuple(sorted((y, hub)))]
-        assert aux.has_triple({k: cfg.vertices[k] for k in keys})
+        assert has_triple(aux, {k: cfg.vertices[k] for k in keys})
 
 
 # recorded before the rim vertices were read from completion tables; each
@@ -581,15 +573,7 @@ def test_three_triples_golden(args):
 def test_triangle_count_mp_vs_brute():
     for seed in range(8):
         g = gen_random_multipartite([5, 6, 7], 1, 2, seed)
-        parts = [(0, a) for a in range(5)] + [(1, b) for b in range(6)] + \
-                [(2, c) for c in range(7)]
-        brute = 0
-        for (i, a), (j, b), (k, c) in combinations(parts, 3):
-            if i != j and j != k and i != k:
-                if g.has_edge(i, a, j, b) and g.has_edge(i, a, k, c) \
-                        and g.has_edge(j, b, k, c):
-                    brute += 1
-        assert count_triangles_mp(g) == brute
+        assert count_triangles_mp(g) == brute_triangles_mp(g, (0, 1, 2))
 
 
 def test_f4_vs_brute():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from hyperq.oracles import (
 class TestWeakDeviation:
     def test_complete_zero(self):
         rep = weak_deviation(Hypergraph3.complete(8), Fraction(1))
-        assert rep.max_deviation == 0 and rep.is_exact
+        assert rep.max_deviation == 0 and rep.method == "exact"
 
     def test_empty_zero(self):
         assert weak_deviation(Hypergraph3.empty(8), Fraction(0)).max_deviation == 0
@@ -161,6 +162,18 @@ class TestPairDeviation:
     def test_cap_refusal(self):
         with pytest.raises(CapExceeded):
             pair_deviation(Hypergraph3.empty(21), Fraction(0), mode="exact")
+
+    def test_refusal_allocates_nothing(self):
+        h = gen_tournament_3hg(200, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded) as err:
+                pair_deviation(h, mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "exact pair deviation refused for n=200 > cap 20"
+        assert peak < 1 << 20
 
 
 class TestQuadDeviation:

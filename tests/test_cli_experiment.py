@@ -189,18 +189,30 @@ class TestCli:
         ["multipartite", "--op", "halfsplit", "--m", "3"],
         ["multipartite", "--op", "profile"],
         ["experiment", "--spec", "{list_spec}"],
+        ["certify", "--kind", "bipartite", "--in", "{one_part}"],
+        ["certify", "--kind", "bipartite", "--in", "{no_parts}"],
+        ["multipartite", "--op", "profile", "--in", "{one_part}"],
+        ["multipartite", "--op", "profile", "--in", "{no_parts}"],
     ], ids=["zero-denominator", "density-above-one", "negative-density",
             "explore-without-m", "halfsplit-without-s", "profile-without-in",
-            "spec-is-a-list"])
+            "spec-is-a-list", "bipartite-one-part", "bipartite-no-parts",
+            "profile-one-part", "profile-no-parts"])
     def test_malformed_input_exit_code(self, tmp_path, capsys, argv):
         hg = tmp_path / "h.hg"
         hg.write_text("3 4 1\n0 1 2\n")
         list_spec = tmp_path / "spec.json"
         list_spec.write_text(json.dumps([spec_dict(tmp_path)]))
-        argv = [a.format(hg=hg, list_spec=list_spec) for a in argv]
+        one_part = tmp_path / "one.mp"
+        one_part.write_text("mp 1 3\n")
+        no_parts = tmp_path / "none.mp"
+        no_parts.write_text("mp 0\n")
+        argv = [a.format(hg=hg, list_spec=list_spec, one_part=one_part,
+                         no_parts=no_parts) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        if argv[-1].endswith(".mp"):
+            assert "two parts" in err[0]
 
     def test_experiment_cli(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -2,6 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
+from hyperq.core import Hypergraph3
 from hyperq.constructions import (
     PairColouring,
     Tournament,
@@ -19,6 +20,7 @@ from hyperq.constructions import (
     quad_hypergraph_from_orientation,
     sk_free_patterns,
 )
+from helpers import arcs, pair_direction, tournament_seed
 
 
 def test_determinism():
@@ -39,32 +41,27 @@ def test_determinism():
 def test_restriction_monotone(make):
     big = make(24, 5)
     small = make(15, 5)
-    assert big.induced(range(15)).edges() == small.edges()
+    assert [e for e in big.edges() if e[-1] < 15] == small.edges()
 
 
 def test_restriction_monotone_4uniform():
     for make in (gen_oriented_4hg, gen_leader_tan):
         big = make(16, 3)
         small = make(10, 3)
-        assert big.induced(range(10)).edges() == small.edges()
+        assert [e for e in big.edges() if e[-1] < 10] == small.edges()
 
 
 def test_regular_tournament_gives_five_edges():
-    seed = 0
-    while True:
-        t = Tournament(5, seed)
-        if all(t.out_degree(v) == 2 for v in range(5)):
-            break
-        seed += 1
+    seed = tournament_seed(5, lambda out: all(r.bit_count() == 2 for r in out))
     h = gen_tournament_3hg(5, seed)
     assert h.edge_count == 5
 
 
 def test_tournament_edges_are_cyclic_triples():
     h = gen_tournament_3hg(12, 2)
-    t = h.orientation
+    out = h.orientation.out
     for x, y, z in combinations(range(12), 3):
-        arcs = t.beats(x, y) + t.beats(y, z) + t.beats(z, x)
+        arcs = (out[x] >> y & 1) + (out[y] >> z & 1) + (out[z] >> x & 1)
         cyclic = arcs in (0, 3)  # out-degrees 1,1,1 within the triple
         assert h.has_edge(x, y, z) == cyclic
 
@@ -102,7 +99,8 @@ def test_rainbow_induced_satisfies_ordering_condition():
     psi = h.colouring
     for lo in range(0, 36, 7):
         members = list(range(lo, lo + 5))
-        sub = h.induced(members)
+        sub = Hypergraph3.from_edges(5, [tuple(v - lo for v in e) for e in h.iter_edges()
+                                         if e[0] >= lo and e[-1] < lo + 5])
         colours = {(a, b): psi.colour(members[a], members[b])
                    for a in range(5) for b in range(a + 1, 5)}
         witness = VanishingWitness(tuple(range(5)), colours)
@@ -153,7 +151,8 @@ class TestQuadRule:
         triples = list(combinations(range(4), 3))
         admissible = 0
         for bits in product((0, 1), repeat=4):
-            orient = TripleOrientation.from_classes(4, dict(zip(triples, bits)))
+            table = dict(zip(triples, bits))
+            orient = TripleOrientation(4, lambda x, y, z: table[(x, y, z)])
             h = quad_hypergraph_from_orientation(orient)
             admissible += h.edge_count
         assert admissible == 2
@@ -166,8 +165,8 @@ class TestQuadRule:
             ok = True
             for u, v in combinations(quad, 2):
                 thirds = [w for w in quad if w not in (u, v)]
-                d0 = orient.pair_direction(u, v, thirds[0])
-                d1 = orient.pair_direction(u, v, thirds[1])
+                d0 = pair_direction(orient, u, v, thirds[0])
+                d1 = pair_direction(orient, u, v, thirds[1])
                 if d0 == d1:
                     ok = False
                     break
@@ -177,7 +176,7 @@ class TestQuadRule:
         orient = TripleOrientation.from_tournament(Tournament(10, 8))
         h = quad_hypergraph_from_orientation(orient)
         for quad in combinations(range(10), 4):
-            ok = all(orient.pair_direction(u, v, t0) != orient.pair_direction(u, v, t1)
+            ok = all(pair_direction(orient, u, v, t0) != pair_direction(orient, u, v, t1)
                      for u, v in combinations(quad, 2)
                      for t0, t1 in [[w for w in quad if w not in (u, v)]])
             assert h.has_edge(*quad) == ok
@@ -189,23 +188,28 @@ class TestQuadRule:
             gen_leader_tan(3, 0)
 
 
+def tournament_with_arcs(pattern):
+    # one arc per pair fixes the whole 3-vertex tournament
+    return Tournament(3, tournament_seed(3, lambda out: all(
+        out[u] >> v & 1 for u, v in pattern)))
+
+
 class TestLeaderTanRule:
     def test_worked_cases(self):
-        cyclic = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-        assert TripleOrientation.from_tournament(cyclic).cyclic_class(0, 1, 2) == 0
-        transitive = Tournament.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
-        assert TripleOrientation.from_tournament(transitive).cyclic_class(0, 1, 2) == 1
+        cyclic = tournament_with_arcs([(0, 1), (1, 2), (2, 0)])
+        orient = TripleOrientation.from_tournament(cyclic)
+        assert arcs(orient, 0, 1, 2) == {(0, 1), (1, 2), (2, 0)}
+        transitive = tournament_with_arcs([(0, 1), (0, 2), (1, 2)])
+        orient = TripleOrientation.from_tournament(transitive)
+        assert arcs(orient, 0, 1, 2) == {(0, 2), (2, 1), (1, 0)}
 
     def test_odd_agreement_for_all_eight_arc_patterns(self):
         for bits in product((0, 1), repeat=3):
-            arcs = []
-            arcs.append((0, 1) if bits[0] else (1, 0))
-            arcs.append((1, 2) if bits[1] else (2, 1))
-            arcs.append((2, 0) if bits[2] else (0, 2))
-            t = Tournament.from_arcs(3, arcs)
-            orient = TripleOrientation.from_tournament(t)
-            chosen = orient.arcs(0, 1, 2)
-            agreements = sum(1 for a in arcs if a in chosen)
+            pattern = [(a, b) if bit else (b, a)
+                       for bit, (a, b) in zip(bits, [(0, 1), (1, 2), (2, 0)])]
+            orient = TripleOrientation.from_tournament(tournament_with_arcs(pattern))
+            chosen = arcs(orient, 0, 1, 2)
+            agreements = sum(1 for a in pattern if a in chosen)
             assert agreements % 2 == 1
 
 

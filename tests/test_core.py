@@ -1,6 +1,8 @@
 import math
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperq.core import (
     Hypergraph3,
@@ -9,40 +11,52 @@ from hyperq.core import (
     read_hypergraph,
     write_hypergraph,
 )
-from hyperq.constructions import Tournament, gen_random_3hg, gen_tournament_3hg
+from hyperq.constructions import gen_random_3hg, gen_tournament_3hg
+from helpers import tournament_seed
 
 
-def regular_t5_seed():
-    # smallest seed whose 5-vertex tournament has every out-degree 2
-    seed = 0
-    while True:
-        t = Tournament(5, seed)
-        if all(t.out_degree(v) == 2 for v in range(5)):
-            return seed
-        seed += 1
+def edges_within(h, u):
+    """e(U), from count_ordered_triples, which counts each ordering of an edge."""
+    return h.count_ordered_triples(u, u, u) // 6
 
 
 class TestCountWithin:
     def test_complete_subset(self):
         h = Hypergraph3.complete(6)
-        assert h.count_edges_within(range(4)) == math.comb(4, 3)
+        assert edges_within(h, range(4)) == math.comb(4, 3)
 
     def test_empty(self):
         h = Hypergraph3.empty(8)
-        assert h.count_edges_within(range(8)) == 0
+        assert edges_within(h, range(8)) == 0
 
     def test_regular_tournament_full_set(self):
-        seed = regular_t5_seed()
+        seed = tournament_seed(5, lambda out: all(r.bit_count() == 2 for r in out))
         h = gen_tournament_3hg(5, seed)
-        assert h.count_edges_within(range(5)) == 5
+        assert edges_within(h, range(5)) == 5
         # cyclic triangles = C(n,3) - sum over v of C(outdeg(v), 2)
-        t = h.orientation
-        assert math.comb(5, 3) - sum(math.comb(t.out_degree(v), 2) for v in range(5)) == 5
+        out = h.orientation.out
+        assert math.comb(5, 3) - sum(math.comb(out[v].bit_count(), 2) for v in range(5)) == 5
 
     def test_out_of_range_vertex(self):
         h = Hypergraph3.empty(4)
         with pytest.raises(ValueError):
-            h.count_edges_within([0, 4])
+            edges_within(h, [0, 4])
+
+
+def brute_ordered(h, sets):
+    """Ordered tuples of distinct vertices, one from each set, that span an edge."""
+    return sum(1 for t in product(*sets)
+               if len(set(t)) == len(t) and h.has_edge(*t))
+
+
+@st.composite
+def hypergraph_and_sets(draw, arity):
+    n = draw(st.integers(0, 8))
+    tuples = list(combinations(range(n), arity))
+    keep = draw(st.lists(st.booleans(), min_size=len(tuples), max_size=len(tuples)))
+    h = (Hypergraph3 if arity == 3 else Hypergraph4).from_edges(
+        n, [t for t, k in zip(tuples, keep) if k])
+    return h, [draw(st.sets(st.integers(0, n - 1))) if n else set() for _ in range(arity)]
 
 
 class TestOrderedTriples:
@@ -59,11 +73,13 @@ class TestOrderedTriples:
         h = Hypergraph3.from_edges(3, [(0, 1, 2)])
         assert h.count_ordered_triples([0], [1], [1, 2]) == 1
 
-    def test_matches_subset_count(self):
-        for seed in range(5):
-            h = gen_random_3hg(10, 2, 5, seed)
-            u = [v for v in range(10) if v % 3 != seed % 3]
-            assert h.count_ordered_triples(u, u, u) == 6 * h.count_edges_within(u)
+    @settings(max_examples=200, deadline=None)
+    @given(hypergraph_and_sets(3))
+    def test_matches_brute_count(self, case):
+        h, sets = case
+        assert h.count_ordered_triples(*sets) == brute_ordered(h, sets)
+        masks = [sum(1 << v for v in s) for s in sets]
+        assert h.count_ordered_triples(*masks) == brute_ordered(h, sets)
 
 
 class TestLinkGraph:
@@ -77,29 +93,13 @@ class TestLinkGraph:
 
     def test_edge_count_difference(self):
         h = gen_tournament_3hg(12, 3)
-        everyone = h.count_edges_within(range(12))
         for a in range(12):
-            rest = [v for v in range(12) if v != a]
-            assert h.link_graph(a).edge_count == everyone - h.count_edges_within(rest)
+            rest = [e for e in h.iter_edges() if a not in e]
+            assert h.link_graph(a).edge_count == h.edge_count - len(rest)
 
     def test_links_sum_to_triple_edge_count(self):
         h = gen_random_3hg(11, 3, 10, 4)
         assert sum(h.link_graph(a).edge_count for a in range(11)) == 3 * h.edge_count
-
-
-class TestInduced:
-    def test_identity(self):
-        h = gen_random_3hg(9, 1, 2, 0)
-        assert h.induced(range(9)).edges() == h.edges()
-
-    def test_complete_restriction(self):
-        assert Hypergraph3.complete(6).induced(range(4)).edges() == \
-            Hypergraph3.complete(4).edges()
-
-    def test_edge_lost(self):
-        h = Hypergraph3.from_edges(4, [(0, 1, 2)])
-        sub = h.induced([0, 1, 3])
-        assert sub.n == 3 and sub.edge_count == 0
 
 
 class TestSerialization:
@@ -161,9 +161,16 @@ class TestHypergraph4:
     def test_pair_link_matches_edges(self):
         edges = [(0, 1, 2, 3), (0, 1, 2, 4), (1, 2, 3, 4)]
         h = Hypergraph4.from_edges(5, edges)
-        link = h.pair_link(1, 2)
-        assert sorted(link.iter_edges()) == [(0, 3), (0, 4), (3, 4)]
+        rows = h.pair_rows(1, 2)
+        assert [(x, y) for x, y in combinations(range(5), 2) if rows[x] >> y & 1] == \
+            [(0, 3), (0, 4), (3, 4)]
         assert h.edge_count == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(hypergraph_and_sets(4))
+    def test_ordered_quadruples_match_brute_count(self, case):
+        h, sets = case
+        assert h.count_ordered_quadruples(*sets) == brute_ordered(h, sets)
 
     def test_ordered_quadruples_complete(self):
         h = Hypergraph4.complete(6)

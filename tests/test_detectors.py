@@ -145,7 +145,8 @@ class TestEmbed:
     def test_identity_subpattern_always_embeds(self):
         for seed in range(10):
             host = gen_random_3hg(18, 3, 10, seed)
-            sub = host.induced(range(6, 13))
+            sub = Hypergraph3.from_edges(7, [tuple(v - 6 for v in e) for e in host.iter_edges()
+                                             if e[0] >= 6 and e[-1] < 13])
             if sub.edge_count == 0:
                 continue
             assert embed_small(sub, host) is not None
