@@ -20,16 +20,21 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import CapExceeded, Hypergraph3, Hypergraph4, iter_bits
 from .hashing import subseed
 from .multipartite import MultipartiteGraph, count_triangles_mp
 
+if TYPE_CHECKING:
+    import numpy as np
+
 WEAK_EXACT_HARD_CAP = 24
 PAIR_EXACT_HARD_CAP = 20
+# search mode holds an n x C(n, 2) int64 matrix, which grows as 4 n^3 bytes:
+# at n = 200 it takes 32 MB (90 MB peak while it is unpacked) and the default
+# 32 restarts take 46 s of CPU on a 2-vCPU Xeon VM
+PAIR_SEARCH_HARD_CAP = 200
 BIPARTITE_EXACT_HARD_CAP = 24
 # steepest-toggle steps per restart of the weak and of the sign-split searches
 WEAK_SEARCH_STEPS = 10 ** 4
@@ -310,6 +315,9 @@ def _sign_split_deviation(kind: str, d: Fraction, columns: Sequence[int], k: int
     reaching the best value, each climb taking strict improvements and the
     least row on ties.
     """
+    # only this engine uses numpy, so no other command pays for loading it
+    import numpy as np
+
     p, q = d.numerator, d.denominator
     cols = len(columns)
     # every residual sum is below 2 * cols * k * max(p, q), and q and p * k
@@ -389,13 +397,17 @@ def pair_deviation(h: Hypergraph3, d=None, mode: str = "exact",
     (deg_U(p) - d|U|): for any fixed U the maximizing X collects all pairs
     whose residual shares one sign, so only U is enumerated.  Exact mode
     walks subsets U in blocked Gray-code order and is refused above
-    ``PAIR_EXACT_HARD_CAP``.
+    ``PAIR_EXACT_HARD_CAP``; search mode is refused above
+    ``PAIR_SEARCH_HARD_CAP``.
     """
     n = h.n
     d = _as_fraction(d, h.density().density_fraction)
     if mode == "exact" and n > PAIR_EXACT_HARD_CAP:
         raise CapExceeded("exact pair deviation refused for n=%d > cap %d"
                           % (n, PAIR_EXACT_HARD_CAP))
+    if mode == "search" and n > PAIR_SEARCH_HARD_CAP:
+        raise CapExceeded("pair deviation search refused for n=%d > cap %d"
+                          % (n, PAIR_SEARCH_HARD_CAP))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     columns = [h.link_row(u, v) for u, v in pairs]
     rep = _sign_split_deviation("pair", d, columns, n, n ** 3, mode, restarts, seed)

@@ -32,7 +32,6 @@ from .detectors import (
     find_sk,
 )
 from .experiment import ExperimentSpec, run_experiment
-from .checks import run_suite
 from .multipartite import (
     AuxiliaryHypergraph,
     TripartiteTriples,
@@ -276,6 +275,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .checks import run_suite
     results = run_suite(args.level)
     failed = [r for r in results if not r.passed]
     print("%d/%d criteria passed" % (len(results) - len(failed), len(results)))

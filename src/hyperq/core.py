@@ -10,6 +10,8 @@ as immutable once constructed.
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -318,14 +320,122 @@ class Hypergraph4:
 
 def write_hypergraph(h: Hypergraph3 | Hypergraph4) -> str:
     """Serialize to the text format: "<arity> <n> <m>" then sorted edge lines."""
-    arity = 3 if isinstance(h, Hypergraph3) else 4
-    lines = ["%d %d %d" % (arity, h.n, h.edge_count)]
-    lines.extend(" ".join(map(str, e)) for e in h.iter_edges())
+    n, rows, base = h.n, h._rows, h._base
+    names = [str(v) for v in range(n)]
+    if isinstance(h, Hypergraph3):
+        lines = ["3 %d %d" % (n, h.edge_count)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                row = rows[base[u] + v - u - 1] >> (v + 1) << (v + 1)
+                if row:
+                    prefix = "%d %d " % (u, v)
+                    lines.extend([prefix + names[w] for w in iter_bits(row)])
+    else:
+        lines = ["4 %d %d" % (n, h.edge_count)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                pair = rows[base[a] + b - a - 1]
+                for c in range(b + 1, n):
+                    row = pair[c] >> (c + 1) << (c + 1)
+                    if row:
+                        prefix = "%d %d %d " % (a, b, c)
+                        lines.extend([prefix + names[d] for d in iter_bits(row)])
     return "\n".join(lines) + "\n"
 
 
+# Canonical text: a single-space header, then edge lines of ASCII digits
+# joined by single spaces, each ended by LF.  The header's fields are bounded
+# so int() never meets the interpreter's digit limit.
+_CANONICAL_HEADER = re.compile(r"([34]) ([0-9]{1,18}) ([0-9]{1,18})\n")
+_CANONICAL_BLOCK = {3: re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*"),
+                    4: re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+ [0-9]+\n)*")}
+# characters of body per block: a few thousand lines, so neither the regex's
+# backtracking stack nor the token list grows with the file
+_BLOCK_CHARS = 1 << 16
+
+
+def _read_canonical(text: str) -> Hypergraph3 | Hypergraph4 | None:
+    """Parse canonical text in blocks, or return None on any departure from
+    it (edge count, layout, range or order) so the line checker can report."""
+    head = _CANONICAL_HEADER.match(text)
+    if head is None:
+        return None
+    arity, n, m = map(int, head.groups())
+    if n > (N3_CAP if arity == 3 else N4_CAP):
+        return None
+    pos, size = head.end(), len(text)
+    # canonical lines all end in LF, so the body holds m of them; checking
+    # that first keeps a truncated file from allocating its rows
+    if text.count("\n", pos) != m:
+        return None
+    block_re = _CANONICAL_BLOCK[arity]
+    # looking names up both converts and range-checks; a leading zero misses
+    vertex = {str(v): v for v in range(n)}.__getitem__
+    base = _pair_base(n)
+    bit = [1 << v for v in range(n)]
+    if arity == 3:
+        rows = [0] * (n * (n - 1) // 2)
+    else:
+        rows = [[0] * n for _ in range(n * (n - 1) // 2)]
+    prev: tuple[int, ...] = (-1,)
+    while pos < size:
+        end = text.find("\n", pos + _BLOCK_CHARS) + 1 or size
+        block = text[pos:end]
+        pos = end
+        if block_re.fullmatch(block) is None:
+            return None
+        try:
+            vals = list(map(vertex, block.split()))
+        except KeyError:
+            return None
+        cols = [vals[j::arity] for j in range(arity)]
+        if not all(all(map(operator.lt, cols[j], cols[j + 1])) for j in range(arity - 1)):
+            return None
+        edges = list(zip(*cols))
+        if not (prev < edges[0] and all(map(operator.lt, edges, islice(edges, 1, None)))):
+            return None
+        prev = edges[-1]
+        if arity == 3:
+            for x, y, z in edges:
+                rows[base[x] + y - x - 1] |= bit[z]
+                rows[base[x] + z - x - 1] |= bit[y]
+                rows[base[y] + z - y - 1] |= bit[x]
+        else:
+            # the six pairs of each edge, unrolled
+            for a, b, c, d in edges:
+                above_a, above_b = base[a] - a - 1, base[b] - b - 1
+                pair = rows[above_a + b]
+                pair[c] |= bit[d]
+                pair[d] |= bit[c]
+                pair = rows[above_a + c]
+                pair[b] |= bit[d]
+                pair[d] |= bit[b]
+                pair = rows[above_a + d]
+                pair[b] |= bit[c]
+                pair[c] |= bit[b]
+                pair = rows[above_b + c]
+                pair[a] |= bit[d]
+                pair[d] |= bit[a]
+                pair = rows[above_b + d]
+                pair[a] |= bit[c]
+                pair[c] |= bit[a]
+                pair = rows[base[c] + d - c - 1]
+                pair[a] |= bit[b]
+                pair[b] |= bit[a]
+    return Hypergraph3(n, rows) if arity == 3 else Hypergraph4(n, rows)
+
+
 def read_hypergraph(text: str) -> Hypergraph3 | Hypergraph4:
-    """Parse the text format; raises ParseError with a 1-based line number."""
+    """Parse the text format; raises ParseError with a 1-based line number.
+
+    Canonical text takes a bulk pass; anything else, and canonical text with
+    an error, goes through ``_read_lines``, the only source of ParseError."""
+    h = _read_canonical(text)
+    return h if h is not None else _read_lines(text)
+
+
+def _read_lines(text: str) -> Hypergraph3 | Hypergraph4:
+    """Line-by-line parser of the text format, any whitespace accepted."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError("line 1: missing header")

@@ -15,7 +15,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -213,6 +212,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     jobs = [(spec_data, n, seed) for n, seed in spec.cells]
     workers = worker_count(threads, len(jobs), _usable_cpus())
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_worker, jobs))
     else:

@@ -2,6 +2,7 @@
 force on instances small enough to enumerate completely."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -10,8 +11,17 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperq import certifiers
-from hyperq.core import Graph, Hypergraph3, Hypergraph4, ParseError, write_hypergraph, read_hypergraph
+from hyperq import certifiers, core
+from hyperq.core import (
+    N3_CAP,
+    N4_CAP,
+    Graph,
+    Hypergraph3,
+    Hypergraph4,
+    ParseError,
+    read_hypergraph,
+    write_hypergraph,
+)
 from hyperq.certifiers import (
     DeviationReport,
     bipartite_regularity_deviation,
@@ -607,3 +617,63 @@ def test_serialization_mutation_fuzz():
             read_hypergraph("".join(chars))
         except (ParseError, ValueError):
             pass  # every rejection must be a parse-level error
+
+
+MUTATIONS = ("none", "substitute", "double-space", "crlf", "no-final-newline",
+             "leading-zero", "wrong-m", "over-cap")
+
+
+@st.composite
+def hypergraph_texts(draw):
+    """Canonical text of a small 3- or 4-graph, unchanged or mutated."""
+    arity = draw(st.sampled_from([3, 4]))
+    n = draw(st.integers(0, 9))
+    slots = list(combinations(range(n), arity))
+    edges = draw(st.lists(st.sampled_from(slots), unique=True)) if slots else []
+    h = (Hypergraph3 if arity == 3 else Hypergraph4).from_edges(n, edges)
+    text = write_hypergraph(h)
+    mutation = draw(st.sampled_from(MUTATIONS))
+    if mutation == "substitute":
+        chars = list(text)
+        for _ in range(draw(st.integers(1, 3))):
+            pos = draw(st.integers(0, len(chars) - 1))
+            chars[pos] = draw(st.sampled_from("0123456789 \n\r\t-+x\u0663"))
+        text = "".join(chars)
+    elif mutation == "double-space":
+        spaces = [i for i, c in enumerate(text) if c == " "]
+        pos = draw(st.sampled_from(spaces))
+        text = text[:pos] + " " + text[pos:]
+    elif mutation == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif mutation == "no-final-newline":
+        text = text[:-1]
+    elif mutation == "leading-zero":
+        starts = [m.start() for m in re.finditer(r"[0-9]+", text)]
+        pos = draw(st.sampled_from(starts))
+        text = text[:pos] + "0" + text[pos:]
+    elif mutation == "wrong-m":
+        m = h.edge_count + draw(st.sampled_from([-1, 1, 2]))
+        text = "%d %d %d" % (arity, n, max(m, 0)) + text[text.index("\n"):]
+    elif mutation == "over-cap":
+        cap = N3_CAP if arity == 3 else N4_CAP
+        text = "%d %d %d" % (arity, cap + 1, h.edge_count) + text[text.index("\n"):]
+    return mutation, text
+
+
+def parse_outcome(parse, text):
+    try:
+        h = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(h), h.n, h._rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(hypergraph_texts())
+def test_bulk_reader_duels_line_checker(case):
+    """read_hypergraph, which tries the bulk pass first, agrees with the line
+    checker on every input: equal rows, or the same error and message."""
+    mutation, text = case
+    if mutation == "none":
+        assert core._read_canonical(text) is not None
+    assert parse_outcome(read_hypergraph, text) == parse_outcome(core._read_lines, text)

@@ -6,6 +6,7 @@ import pytest
 
 from hyperq.core import CapExceeded, Hypergraph3, Hypergraph4
 from hyperq.certifiers import (
+    PAIR_SEARCH_HARD_CAP,
     bipartite_regularity_deviation,
     pair_deviation,
     quad_vertex_deviation,
@@ -173,6 +174,18 @@ class TestPairDeviation:
         finally:
             tracemalloc.stop()
         assert str(err.value) == "exact pair deviation refused for n=200 > cap 20"
+        assert peak < 1 << 20
+
+    def test_search_refusal_allocates_nothing(self):
+        h = gen_tournament_3hg(PAIR_SEARCH_HARD_CAP + 1, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded) as err:
+                pair_deviation(h, mode="search")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "pair deviation search refused for n=201 > cap 200"
         assert peak < 1 << 20
 
 

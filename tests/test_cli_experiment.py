@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hyperq
 from hyperq.cli import main
 from hyperq.core import read_hypergraph
 from hyperq.experiment import ExperimentSpec, run_experiment, worker_count
@@ -122,6 +126,16 @@ class TestCli:
               "--seed", "0", "--out", str(hg)])
         assert main(["certify", "--kind", "weak", "--in", str(hg),
                      "--mode", "exact"]) == 3
+
+    def test_pair_search_cap_refused(self, tmp_path, capsys):
+        hg = tmp_path / "big.hg"
+        main(["generate", "--construction", "tournament3", "--n", "201",
+              "--seed", "0", "--out", str(hg)])
+        capsys.readouterr()
+        assert main(["certify", "--kind", "pair", "--in", str(hg),
+                     "--mode", "search"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["refused: pair deviation search refused for n=201 > cap 200"]
 
     @pytest.mark.parametrize("header", [
         "mp 65" + " 0" * 65,
@@ -264,3 +278,31 @@ class TestCli:
                      "--epsilon", "1/10", "--report", str(rep)]) == 0
         data = json.loads(rep.read_text())
         assert data["report"]["left_holds"] and data["report"]["right_holds"]
+
+
+STARTUP_PROBE = """
+import json, sys
+import hyperq, hyperq.cli
+lazy = ["numpy", "concurrent.futures", "hyperq.checks", "hyperq.oracles"]
+eager = ["hyperq.core", "hyperq.constructions", "hyperq.detectors",
+         "hyperq.certifiers", "hyperq.multipartite", "hyperq.experiment"]
+loaded = [m for m in lazy if m in sys.modules]
+missing = [m for m in eager if m not in sys.modules]
+from hyperq.certifiers import pair_deviation
+from hyperq.core import Hypergraph3
+pair_deviation(Hypergraph3.empty(4), mode="exact")
+print(json.dumps([loaded, missing, "numpy" in sys.modules]))
+"""
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    """Importing the CLI loads no numpy, process pool or verify suite (only
+    the commands that use them do), but every module the CLI dispatches to."""
+    src = os.path.dirname(os.path.dirname(hyperq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    loaded, missing, numpy_after_pair = json.loads(out)
+    assert loaded == [] and missing == []
+    assert numpy_after_pair

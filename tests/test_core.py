@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperq import core
 from hyperq.core import (
     Hypergraph3,
     Hypergraph4,
@@ -144,6 +145,26 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             read_hypergraph("3 5 2\n0 1 2\n0 1 7\n")
         assert "line 3" in str(err.value)
+
+    @pytest.mark.parametrize("fault,message", [
+        ("swap", "edges not sorted lexicographically"),
+        ("repeat", "duplicate edge"),
+    ], ids=["swap", "repeat"])
+    def test_order_checked_across_bulk_blocks(self, fault, message):
+        # the bulk reader checks order in blocks; break it where two meet
+        text = write_hypergraph(gen_tournament_3hg(60, 0))
+        cut = text.find("\n", text.index("\n") + 1 + core._BLOCK_CHARS) + 1
+        assert 0 < cut < len(text)
+        start = text.rindex("\n", 0, cut - 1) + 1
+        end = text.index("\n", cut) + 1
+        last, first = text[start:cut], text[cut:end]
+        broken = first + last if fault == "swap" else last + last
+        bad = text[:start] + broken + text[end:]
+        line = text.count("\n", 0, cut) + 1
+        with pytest.raises(ParseError) as err:
+            read_hypergraph(bad)
+        assert str(err.value) == "line %d: %s" % (line, message)
+        assert core._read_canonical(text) is not None
 
 
 class TestFromEdges:
