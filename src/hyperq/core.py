@@ -214,10 +214,11 @@ class Hypergraph4:
     """A 4-uniform hypergraph backed by per-pair link graphs.
 
     ``pair_rows(u, v)[x]`` is the bitmask of vertices y with {u, v, x, y} an
-    edge, so each pair carries the adjacency rows of its link graph.
+    edge, so each pair carries the adjacency rows of its link graph.  The
+    rows are the source of truth; ``_pack`` derives a packed view of them.
     """
 
-    __slots__ = ("n", "_rows", "_base", "edge_count", "orientation")
+    __slots__ = ("n", "_rows", "_base", "edge_count", "orientation", "_packed")
 
     def __init__(self, n: int, rows: list[list[int]], orientation=None):
         if not 0 <= n <= N4_CAP:
@@ -232,6 +233,7 @@ class Hypergraph4:
             raise ValueError("inconsistent pair rows: total bit count not divisible by 12")
         self.edge_count = bits // 12
         self.orientation = orientation
+        self._packed: list[int] | None = None
 
     @classmethod
     def empty(cls, n: int) -> "Hypergraph4":
@@ -296,25 +298,38 @@ class Hypergraph4:
     def density(self) -> DensityReport:
         return DensityReport.of(self.edge_count, self.n, 4)
 
+    def _pack(self) -> list[int]:
+        """One int per pair, row x of its link graph at bit ``8 * w * x`` with
+        ``w = (n + 7) // 8`` bytes; built once, as the rows never change."""
+        w = (self.n + 7) // 8
+        self._packed = [int.from_bytes(b"".join(r.to_bytes(w, "little") for r in pair), "little")
+                        for pair in self._rows]
+        return self._packed
+
     def count_ordered_quadruples(self, u1, u2, u3, u4) -> int:
-        """Ordered tuples in U1 x U2 x U3 x U4 whose vertex set is an edge."""
+        """Ordered tuples in U1 x U2 x U3 x U4 whose vertex set is an edge.
+
+        One AND per pair (a, b) of the packed link rows with a probe that
+        holds U4 at the offset of each x in U3."""
         m1 = vertex_mask(u1, self.n)
         m2 = vertex_mask(u2, self.n)
         m3 = vertex_mask(u3, self.n)
         m4 = vertex_mask(u4, self.n)
+        packed = self._packed or self._pack()
+        stride = 8 * ((self.n + 7) // 8)
+        probe = 0
+        for x in iter_bits(m3):
+            probe |= m4 << stride * x
+        base = self._base
+        seconds = list(iter_bits(m2))
         total = 0
-        cache: dict[tuple[int, int], int] = {}
         for a in iter_bits(m1):
-            for b in iter_bits(m2):
-                if a == b:
-                    continue
-                key = (a, b) if a < b else (b, a)
-                inner = cache.get(key)
-                if inner is None:
-                    rows = self.pair_rows(*key)
-                    inner = sum((rows[x] & m4).bit_count() for x in iter_bits(m3))
-                    cache[key] = inner
-                total += inner
+            above = base[a] - a - 1
+            for b in seconds:
+                if b > a:
+                    total += (packed[above + b] & probe).bit_count()
+                elif b < a:
+                    total += (packed[base[b] + a - b - 1] & probe).bit_count()
         return total
 
 
@@ -357,6 +372,10 @@ _BLOCK_CHARS = 1 << 16
 def _read_canonical(text: str) -> Hypergraph3 | Hypergraph4 | None:
     """Parse canonical text in blocks, or return None on any departure from
     it (edge count, layout, range or order) so the line checker can report."""
+    # canonical text has no tab, CR or doubled space; scanning for them first
+    # keeps a late one from costing a bulk pass before the line checker runs
+    if "\t" in text or "\r" in text or "  " in text:
+        return None
     head = _CANONICAL_HEADER.match(text)
     if head is None:
         return None

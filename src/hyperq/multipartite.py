@@ -432,6 +432,20 @@ def _creates_triangle(g: MultipartiteGraph, i: int, a: int, j: int, b: int) -> b
     return False
 
 
+def _edge_at(g: MultipartiteGraph, r: int) -> tuple[int, int, int, int]:
+    """``list(g.iter_edges())[r]``, found from row bit counts."""
+    for i in range(g.m):
+        for j in range(i + 1, g.m):
+            for a, row in enumerate(g.rows[(i, j)]):
+                count = row.bit_count()
+                if r < count:
+                    for _ in range(r):
+                        row &= row - 1
+                    return (i, a, j, (row & -row).bit_length() - 1)
+                r -= count
+    raise IndexError("edge index out of range")
+
+
 def explore_extremal(m: int, s: int, eps_target: Fraction | None = None,
                      restarts: int = 32, seed: int = 0,
                      moves: int = 400) -> ExploreResult:
@@ -470,8 +484,9 @@ def explore_extremal(m: int, s: int, eps_target: Fraction | None = None,
                 continue
             removed = None
             if _creates_triangle(g, i, a, j, b):
-                edges = list(g.iter_edges())
-                removed = edges[rng.randrange(len(edges))]
+                total = sum(row.bit_count() for (p, q), rows in g.rows.items() if p < q
+                            for row in rows)
+                removed = _edge_at(g, rng.randrange(total))
                 g.remove_edge(*removed)
                 if _creates_triangle(g, i, a, j, b):
                     g.add_edge(*removed)

@@ -201,6 +201,39 @@ class TestQuadDeviation:
         cnt = h.count_ordered_quadruples([0, 1], [2, 3], [4, 5], [6, 7])
         assert cnt == 16
 
+    # recorded before the packed-view count; witness sets as vertex masks
+    @pytest.mark.parametrize("n,seed,deviation,eta,masks", [
+        (44, 0, Fraction(9331), 0.002489530684379482,
+         (0xf7d5f26aef8, 0x9bf7b9cee29, 0x80ff1357db2, 0x7ce3f507f8d)),
+        (70, 1, Fraction(109047, 4), 0.001135433152852978,
+         (0x37c375dfa76873ebe9, 0x16c8721d3f78837a5d, 0x17b55bfa6b36901a9a,
+          0x65b7ab38e5f15e6bd)),
+    ])
+    def test_oriented_golden(self, n, seed, deviation, eta, masks):
+        from hyperq.constructions import gen_oriented_4hg
+        rep = quad_vertex_deviation(gen_oriented_4hg(n, seed), Fraction(1, 8), samples=100,
+                                    seed=seed)
+        assert (rep.max_deviation, rep.eta, rep.normalizer) == (deviation, eta, n ** 4)
+        assert rep.witness == tuple(tuple(v for v in range(n) if m >> v & 1) for m in masks)
+        assert rep.trials == {"samples": 100, "improve_steps": 0}
+
+    def test_one_count_call_per_sample(self, monkeypatch):
+        # the benchmark tracer reads certifiers.quad_vertex_deviation.evaluations
+        # from these calls
+        calls = []
+        count = Hypergraph4.count_ordered_quadruples
+
+        def counted(self, *sets):
+            calls.append(sets)
+            return count(self, *sets)
+
+        monkeypatch.setattr(Hypergraph4, "count_ordered_quadruples", counted)
+        h = Hypergraph4.complete(9)
+        for k in (1, 7, 30):
+            calls.clear()
+            quad_vertex_deviation(h, Fraction(1, 8), samples=k, seed=k)
+            assert len(calls) == k
+
     def test_oriented_construction_concentrates(self):
         from hyperq.constructions import gen_oriented_4hg
         h = gen_oriented_4hg(60, 3)

@@ -50,14 +50,18 @@ def brute_ordered(h, sets):
                if len(set(t)) == len(t) and h.has_edge(*t))
 
 
+def draw_sets(draw, n, arity):
+    return [draw(st.sets(st.integers(0, n - 1))) if n else set() for _ in range(arity)]
+
+
 @st.composite
-def hypergraph_and_sets(draw, arity):
-    n = draw(st.integers(0, 8))
+def hypergraph_and_sets(draw, arity, low=0, high=8):
+    n = draw(st.integers(low, high))
     tuples = list(combinations(range(n), arity))
     keep = draw(st.lists(st.booleans(), min_size=len(tuples), max_size=len(tuples)))
     h = (Hypergraph3 if arity == 3 else Hypergraph4).from_edges(
         n, [t for t, k in zip(tuples, keep) if k])
-    return h, [draw(st.sets(st.integers(0, n - 1))) if n else set() for _ in range(arity)]
+    return h, draw_sets(draw, n, arity)
 
 
 class TestOrderedTriples:
@@ -167,6 +171,25 @@ class TestSerialization:
         assert core._read_canonical(text) is not None
 
 
+class _NoBlocks:
+    def __getitem__(self, arity):
+        raise AssertionError("bulk block loop reached")
+
+
+@pytest.mark.parametrize("fault", ["\t", "\r", "  "], ids=["tab", "cr", "double-space"])
+def test_layout_departure_skips_bulk_blocks(monkeypatch, fault):
+    """Tabs, CRs and doubled spaces send the text to the line checker before
+    any block is parsed, wherever they occur."""
+    text = write_hypergraph(gen_tournament_3hg(30, 1))
+    rows = read_hypergraph(text)._rows
+    # on the last line: its LF becomes CRLF, or its last space a tab or two spaces
+    at = len(text) - 1 if fault == "\r" else text.rindex(" ")
+    bad = text[:at] + ("\r\n" if fault == "\r" else fault) + text[at + 1:]
+    monkeypatch.setattr(core, "_CANONICAL_BLOCK", _NoBlocks())
+    assert core._read_canonical(bad) is None
+    assert read_hypergraph(bad)._rows == rows
+
+
 class TestFromEdges:
     @pytest.mark.parametrize("cls,first,again", [
         (Hypergraph3, (0, 1, 2), (2, 0, 1)),
@@ -192,6 +215,25 @@ class TestHypergraph4:
     def test_ordered_quadruples_match_brute_count(self, case):
         h, sets = case
         assert h.count_ordered_quadruples(*sets) == brute_ordered(h, sets)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hypergraph_and_sets(4, low=9, high=13))
+    def test_ordered_quadruples_multibyte_rows(self, case):
+        # n > 8: each packed link row spans w > 1 bytes, mostly n % 8 != 0
+        h, sets = case
+        assert h.count_ordered_quadruples(*sets) == brute_ordered(h, sets)
+
+    @settings(max_examples=20, deadline=None)
+    @given(hypergraph_and_sets(4, low=9, high=13), st.data())
+    def test_ordered_quadruples_reuse_packed_view(self, case, data):
+        h, sets = case
+        assert h.count_ordered_quadruples(*sets) == brute_ordered(h, sets)
+        view = h._packed
+        assert view is not None
+        for _ in range(3):
+            sets = draw_sets(data.draw, h.n, 4)
+            assert h.count_ordered_quadruples(*sets) == brute_ordered(h, sets)
+        assert h._packed is view
 
     def test_ordered_quadruples_complete(self):
         h = Hypergraph4.complete(6)

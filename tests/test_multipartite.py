@@ -1,7 +1,11 @@
+import hashlib
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hyperq import multipartite
 from hyperq.core import CapExceeded, ParseError
 from hyperq.multipartite import (
     MP_MAX_PARTS,
@@ -190,6 +194,41 @@ class TestExplorer:
     def test_budget(self):
         with pytest.raises(CapExceeded):
             explore_extremal(9, 8)
+
+    def test_golden(self, monkeypatch):
+        # recorded before the edge pick stopped listing edges: the result, and
+        # every edge the swaps removed, in order
+        removed = []
+        remove = MultipartiteGraph.remove_edge
+
+        def logged(self, *edge):
+            removed.append(edge)
+            remove(self, *edge)
+
+        monkeypatch.setattr(MultipartiteGraph, "remove_edge", logged)
+        res = explore_extremal(3, 12, restarts=40, seed=0)
+        text = write_multipartite(res.graph)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "a448cfc45e3de39425b550aeb253f54e567ef2864111afa8ef061f427bcc86dc"
+        assert (res.min_ratio, res.accepted_moves) == (Fraction(1, 4), 0)
+        assert len(removed) == 8088
+        assert hashlib.sha256(repr(removed).encode()).hexdigest() == \
+            "a2a791985aa5c0cbc00f40cab630a1c6aa1c541c4a02fad924251f39995d4fd6"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_edge_at_matches_edge_list(self, data):
+        sizes = data.draw(st.lists(st.integers(0, 5), min_size=2, max_size=4))
+        g = MultipartiteGraph(sizes)
+        for i, j in combinations(range(len(sizes)), 2):
+            for a, b in product(range(sizes[i]), range(sizes[j])):
+                if data.draw(st.booleans()):
+                    g.add_edge(i, a, j, b)
+        edges = list(g.iter_edges())
+        for r in range(len(edges)):
+            assert multipartite._edge_at(g, r) == edges[r]
+        with pytest.raises(IndexError):
+            multipartite._edge_at(g, len(edges))
 
 
 class TestCaps:
