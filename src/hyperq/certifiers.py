@@ -3,24 +3,27 @@ triple-of-sets, set-and-pair-set, and four-set edge counts, plus bipartite
 regularity deviation, exact tripartite triangle counting with the counting
 bound, and relative density of a hypergraph against a tripartite graph.
 
-Exact modes enumerate subsets in Gray-code order with incremental updates
-and are refused (never silently downgraded) beyond their caps.  The pair and
+Exact modes enumerate subsets in Gray-code order and are refused (never
+silently downgraded) beyond their caps.  Each walk tabulates over the subsets
+of its low rows or vertices once and steps the high ones in Gray-code order,
+evaluating a block of subsets per step; the witness is the maximizer of least
+Gray rank, the first one a single-toggle Gray walk meets.  The pair and
 bipartite certifiers share one sign-split engine: for each subset of the
 enumerated side the best set on the other side is every column whose residual
-has the winning sign.  Its exact walk tabulates the low rows' subset sums by
-doubling and steps the high rows in Gray-code order, evaluating a block of
-subsets per step; the witness is the maximizer of least Gray rank, the first
-one a single-toggle Gray walk meets.  Heuristic modes report certified lower
-bounds on the true maximum.
+has the winning sign.  The weak walk packs its tables into 16-bit fields of
+Python ints.  Heuristic modes report certified lower bounds on the true
+maximum.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .core import CapExceeded, Hypergraph3, Hypergraph4, iter_bits
 from .hashing import subseed
@@ -38,8 +41,12 @@ PAIR_SEARCH_HARD_CAP = 200
 BIPARTITE_EXACT_HARD_CAP = 24
 # steepest-toggle steps per restart of the weak and of the sign-split searches
 WEAK_SEARCH_STEPS = 10 ** 4
+# weak search restarts whose start counts are built together, each holding
+# an n^2-bit probe and n counts
+WEAK_SEARCH_BATCH = 32
 SIGN_SPLIT_SEARCH_STEPS = 200
-# entries (rows x columns) in one block of the sign-split exact walk
+# entries in one block of an exact walk: rows x columns in the sign-split
+# engine, sets in the weak one
 _BLOCK_ENTRIES = 1 << 13
 
 
@@ -80,8 +87,8 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
                    restarts: int = 32, seed: int = 0) -> DeviationReport:
     """Maximum of |e(U) - d*C(|U|,3)| over vertex subsets U.
 
-    Exact mode walks all 2^n subsets in Gray-code order, maintaining e(U)
-    incrementally through single-vertex toggles; it is refused above
+    Exact mode walks all 2^n subsets in Gray-code order, a block of them at
+    a time, and keeps the maximizer of least Gray rank; it is refused above
     ``WEAK_EXACT_HARD_CAP``.
     Search mode runs seeded steepest-toggle hill climbs from random subsets.
     """
@@ -96,52 +103,29 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
         raise ValueError("mode must be 'exact' or 'search'")
     links = [h.link_rows(v) for v in range(n)]
     if mode == "exact":
-        target = [math.comb(s, 3) * p for s in range(n + 1)]
-        best = 0
-        best_mask = 0
-        e = 0
-        size = 0
-        mask = 0
-        for i in range(1, 1 << n):
-            bit = i & -i  # the reflected Gray walk toggles vertex v at step i
-            v = bit.bit_length() - 1
-            rest = mask & ~bit
-            row = links[v]
-            gained = 0
-            for x in iter_bits(rest):
-                gained += (row[x] & rest).bit_count()
-            sign = -1 if mask & bit else 1
-            e += sign * (gained // 2)
-            size += sign
-            mask ^= bit
-            val = abs(e * q - target[size])
-            if val > best:
-                best = val
-                best_mask = mask
+        best, best_mask = _weak_exact(links, p, q)
         witness = tuple(iter_bits(best_mask))
         eta = best / (q * norm) if norm else 0.0
         return DeviationReport("weak", d, Fraction(best, q), eta,
                                norm, witness, "exact", {"subsets": 1 << n})
 
+    # target[size + 1] is read only below size n, and target[size - 1] only
+    # above size 0
+    target = [math.comb(s, 3) * p for s in range(n + 2)]
     best = Fraction(0)
     best_witness: tuple = ()
-    for r in range(restarts):
-        rng = random.Random(subseed(seed, r))
-        mask = rng.getrandbits(n) & ((1 << n) - 1)
-        # cnt[v]: edges through v with both other vertices in the current set
-        cnt = [sum((links[v][x] & mask).bit_count() for x in iter_bits(mask)) // 2
-               for v in range(n)]
+    for mask, cnt in _weak_starts(links, restarts, seed):
         e = sum(cnt[v] for v in iter_bits(mask)) // 3
         size = mask.bit_count()
         for _ in range(WEAK_SEARCH_STEPS):
-            cur = abs(e * q - math.comb(size, 3) * p)
             move_v = -1
-            move_val = cur
+            move_val = abs(e * q - target[size])
+            lose, gain = target[size - 1], target[size + 1]
             for v in range(n):
                 if mask >> v & 1:
-                    nv = abs((e - cnt[v]) * q - math.comb(size - 1, 3) * p)
+                    nv = abs((e - cnt[v]) * q - lose)
                 else:
-                    nv = abs((e + cnt[v]) * q - math.comb(size + 1, 3) * p)
+                    nv = abs((e + cnt[v]) * q - gain)
                 if nv > move_val:
                     move_val = nv
                     move_v = v
@@ -160,13 +144,143 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
                     cnt[w] += (row & mask).bit_count()
                 mask ^= bit
                 size += 1
-        final = Fraction(abs(e * q - math.comb(size, 3) * p), q)
+        final = Fraction(abs(e * q - target[size]), q)
         if final > best:
             best = final
             best_witness = tuple(iter_bits(mask))
     eta = float(best) / norm if norm else 0.0
     return DeviationReport("weak", d, best, eta, norm, best_witness, "local-search",
                            {"restarts": restarts, "max_steps": WEAK_SEARCH_STEPS})
+
+
+def _weak_starts(links: list[list[int]], restarts: int,
+                 seed: int) -> Iterator[tuple[int, list[int]]]:
+    """(mask, cnt) for each restart of the weak search in turn: the random
+    start set, and for each vertex v the edges through v with both other
+    vertices in the set.
+
+    The link rows of v are packed into one int, row x at bit 8 * w * x with
+    w = (n + 7) // 8 bytes, and each start set gets one probe holding the
+    set at the offset of each of its members, so one AND counts every pair
+    of the set through v twice.  Only one vertex's rows are packed at a
+    time, and the restarts go in batches, so memory does not grow with them.
+    """
+    n = len(links)
+    w = (n + 7) // 8
+    zero = bytes(w)
+    for first in range(0, restarts, WEAK_SEARCH_BATCH):
+        masks = [random.Random(subseed(seed, r)).getrandbits(n) & ((1 << n) - 1)
+                 for r in range(first, min(restarts, first + WEAK_SEARCH_BATCH))]
+        probes = []
+        for mask in masks:
+            chunk = mask.to_bytes(w, "little")
+            probes.append(int.from_bytes(b"".join(chunk if mask >> x & 1 else zero
+                                                  for x in range(n)), "little"))
+        cnts = [[0] * n for _ in masks]
+        for v, rows in enumerate(links):
+            packed = int.from_bytes(b"".join(row.to_bytes(w, "little") for row in rows),
+                                    "little")
+            for cnt, probe in zip(cnts, probes):
+                cnt[v] = (packed & probe).bit_count() >> 1
+        yield from zip(masks, cnts)
+
+
+def _subset_edge_counts(rows: Sequence[int], k: int) -> list[int]:
+    """Edges of the graph with adjacency ``rows`` within each subset of the
+    vertices below k, indexed by the subset's mask."""
+    counts = [0]
+    for x in range(k):
+        row = rows[x]
+        counts += [c + (row & s).bit_count() for s, c in enumerate(counts)]
+    return counts
+
+
+def _weak_exact(links: list[list[int]], p: int, q: int) -> tuple[int, int]:
+    """Largest |e(U) * q - C(|U|, 3) * p| over all vertex sets U, and the U
+    of least Gray rank reaching it.
+
+    U splits into A over the ``low`` first vertices and B over the rest, and
+    e(A | B) = e(A) + sum over b in B of l_b(A) + sum over a in A of y_a(B)
+    + e(B), where l_b(A) and y_a(B) count the pairs in A and in B that
+    complete an edge with b and with a.  B steps in Gray-code order, and each
+    step evaluates its block of 2^low sets at once: every table over the
+    sets A is packed into 16-bit fields of one int (no count exceeds
+    C(24, 3) = 2024, so no field carries into the next), and e(B) moves into
+    the target.  Fields are ordered by |A| and then by Gray rank in an even
+    block, so each |A| class is one slice with one target.
+    """
+    n = len(links)
+    low = min(n, _BLOCK_ENTRIES.bit_length() - 1)
+    last = (1 << low) - 1
+    gray = [r ^ (r >> 1) for r in range(1 << low)]
+    # ranks[f] is the rank of field f in an even block, codes[f] its set A
+    ranks = sorted(range(1 << low), key=[g.bit_count() for g in gray].__getitem__)
+    codes = [gray[r] for r in ranks]
+    bounds = [0]
+    for s in range(low + 1):
+        bounds.append(bounds[-1] + math.comb(low, s))
+
+    def pack(table: list[int]) -> int:
+        """``table``, indexed by the set A, with field f holding A = codes[f]."""
+        return int.from_bytes(array("H", [table[c] for c in codes]).tobytes(), sys.byteorder)
+
+    e_low = [0]
+    for a in range(low):
+        e_low += [e + c for e, c in zip(e_low, _subset_edge_counts(links[a], a))]
+    # e(A) + sum over b in B of l_b(A)
+    run = pack(e_low)
+    ell = [pack(_subset_edge_counts(links[b], low)) for b in range(low, n)]
+    members = [pack([c >> a & 1 for c in range(1 << low)]) for a in range(low)]
+    target = [math.comb(s, 3) * p for s in range(n + 1)]
+    y = [0] * low
+    e_high = 0
+    high = 0
+    best = 0
+    best_mask = 0
+    nbytes = 2 << low
+    for j in range(1 << (n - low)):
+        if j:
+            b = low + (j & -j).bit_length() - 1
+            bit = 1 << b
+            rest = high & ~bit
+            row = links[b]
+            sign = -1 if high & bit else 1
+            e_high += sign * (sum((row[x] & rest).bit_count() for x in iter_bits(rest)) // 2)
+            for a in range(low):
+                y[a] += sign * (row[a] & rest).bit_count()
+            run += sign * ell[b - low]
+            high ^= bit
+        total = run
+        for a in range(low):
+            if y[a]:
+                total += y[a] * members[a]
+        vals = memoryview(total.to_bytes(nbytes, sys.byteorder)).cast("H").tolist()
+        size_b = high.bit_count()
+        found = None
+        for s in range(low + 1):
+            cls = vals[bounds[s]:bounds[s + 1]]
+            t = target[s + size_b] - e_high * q
+            hi, lo = max(cls), min(cls)
+            val = max(hi * q - t, t - lo * q)
+            if val > best:
+                # an odd block flips the top bit of the Gray code at every
+                # rank, so the set at rank r there is the set at rank
+                # last - r in an even block: its class runs in reverse
+                if j & 1:
+                    cls.reverse()
+                f = min(cls.index(e) for e in (hi, lo) if abs(e * q - t) == val)
+                if j & 1:
+                    f = bounds[s + 1] - 1 - f
+                    rank = last - ranks[f]
+                else:
+                    f += bounds[s]
+                    rank = ranks[f]
+                if found is None or (val, -rank) > found[:2]:
+                    found = (val, -rank, codes[f])
+        if found is not None:
+            best, _, code = found
+            best_mask = high | code
+    return best, best_mask
 
 
 def sample_set_triple(rng: random.Random, n: int,

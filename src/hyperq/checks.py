@@ -7,6 +7,7 @@ pass/fail line per criterion.  The same functions back tests/test_acceptance.py.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -130,18 +131,26 @@ def check_freeness(level: str) -> tuple[bool, str]:
 
 
 def check_oracle_equivalence(level: str) -> tuple[bool, str]:
-    weak_instances = 100 if level == "full" else 20
+    weak_sizes = [8 + i % 5 for i in range(100 if level == "full" else 20)]
+    if level == "full":
+        # more vertices than one block of the exact walk, so it crosses blocks
+        weak_sizes.append(15)
+    weak_instances = len(weak_sizes)
     pair_instances = 20 if level == "full" else 6
     k4_sizes = (10, 15, 20, 25) if level == "full" else (10, 15)
     problems = []
-    for i in range(weak_instances):
-        n = 8 + i % 5
+    for i, n in enumerate(weak_sizes):
         h = cons.gen_random_3hg(n, 3, 10, subseed(1000, i))
         d = h.density().density_fraction
-        fast = weak_deviation(h, d, mode="exact").max_deviation
+        rep = weak_deviation(h, d, mode="exact")
+        fast = rep.max_deviation
         slow, _ = naive_weak_deviation(h, d)
         if fast != slow:
             problems.append("weak mismatch on instance %d" % i)
+        members = set(rep.witness)
+        inside = sum(1 for e in h.iter_edges() if members.issuperset(e))
+        if abs(inside - d * math.comb(len(rep.witness), 3)) != fast:
+            problems.append("weak witness misses the maximum on instance %d" % i)
         search = weak_deviation(h, d, mode="search", restarts=4, seed=i).max_deviation
         if search > fast:
             problems.append("search exceeded exact on instance %d" % i)

@@ -364,6 +364,7 @@ def write_hypergraph(h: Hypergraph3 | Hypergraph4) -> str:
 _CANONICAL_HEADER = re.compile(r"([34]) ([0-9]{1,18}) ([0-9]{1,18})\n")
 _CANONICAL_BLOCK = {3: re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*"),
                     4: re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+ [0-9]+\n)*")}
+_LEADING_ZERO = re.compile(r"\n0[0-9]")
 # characters of body per block: a few thousand lines, so neither the regex's
 # backtracking stack nor the token list grows with the file
 _BLOCK_CHARS = 1 << 16
@@ -383,6 +384,11 @@ def _read_canonical(text: str) -> Hypergraph3 | Hypergraph4 | None:
     if n > (N3_CAP if arity == 3 else N4_CAP):
         return None
     pos, size = head.end(), len(text)
+    # vertex 0 can only open a line, so " 0" in the body is out of order or a
+    # leading zero, as is "\n0" followed by a digit: scanning for them first
+    # keeps a late one from costing a bulk pass
+    if text.find(" 0", pos) >= 0 or _LEADING_ZERO.search(text, pos - 1):
+        return None
     # canonical lines all end in LF, so the body holds m of them; checking
     # that first keeps a truncated file from allocating its rows
     if text.count("\n", pos) != m:

@@ -372,6 +372,109 @@ def test_xyz_golden(key):
             rep.trials["improve_steps"]) == XYZ_GOLDEN[key]
 
 
+def reference_weak_exact(h, d):
+    """weak_deviation(mode="exact") as a walk of single Gray toggles, each
+    updating e(U) from the toggled vertex's link rows, as the certifier did
+    before it walked in blocks."""
+    n = h.n
+    d = h.density().density_fraction if d is None else d
+    p, q = d.numerator, d.denominator
+    links = [h.link_rows(v) for v in range(n)]
+    target = [comb(s, 3) * p for s in range(n + 1)]
+    best = best_mask = e = size = mask = 0
+    for i in range(1, 1 << n):
+        bit = i & -i  # the reflected Gray walk toggles vertex v at step i
+        v = bit.bit_length() - 1
+        rest = mask & ~bit
+        gained = sum((links[v][x] & rest).bit_count() for x in range(n) if rest >> x & 1)
+        sign = -1 if mask & bit else 1
+        e += sign * (gained // 2)
+        size += sign
+        mask ^= bit
+        val = abs(e * q - target[size])
+        if val > best:
+            best = val
+            best_mask = mask
+    norm = n ** 3
+    witness = tuple(v for v in range(n) if best_mask >> v & 1)
+    return DeviationReport("weak", d, Fraction(best, q), best / (q * norm) if norm else 0.0,
+                           norm, witness, "exact", {"subsets": 1 << n})
+
+
+def _within(n, keep):
+    return Hypergraph3.from_edges(n, [t for t in combinations(range(n), 3) if keep(set(t))])
+
+
+@st.composite
+def weak_instances(draw):
+    """A hypergraph and a block budget whose walk over it takes one block,
+    two blocks or many, with n <= 15."""
+    budget = draw(st.sampled_from(BLOCK_BUDGETS))
+    low = budget.bit_length() - 1
+    n = min(15, draw(st.one_of(st.integers(0, low), st.just(low + 1),
+                               st.integers(low + 2, low + 5))))
+    seed = draw(st.integers(0, 10 ** 6))
+    shape = draw(st.sampled_from(["tournament", "random", "clique"]))
+    if shape == "tournament" and n >= 4:
+        return gen_tournament_3hg(n, seed), budget
+    rng = random.Random(seed)
+    if shape == "clique":
+        # every superset of the clique ties at d = 0, every subset at d = 1
+        clique = {v for v in range(n) if rng.random() < 0.6}
+        return _within(n, lambda t: t <= clique), budget
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    return Hypergraph3.from_edges(
+        n, [t for t in combinations(range(n), 3) if rng.random() < density]), budget
+
+
+@settings(max_examples=120, deadline=None)
+@given(weak_instances(), st.sampled_from(DENSITIES + [None, Fraction(999999, 1000000)]))
+def test_weak_exact_vs_reference(instance, d):
+    h, budget = instance
+    with mock.patch.object(certifiers, "_BLOCK_ENTRIES", budget):
+        rep = weak_deviation(h, d, mode="exact")
+    assert rep == reference_weak_exact(h, d)
+
+
+# tie-heavy instances: no edges, every edge, a clique on some of the vertices
+# (each superset of it reaches the d = 0 maximum) and its complement
+WEAK_INSTANCES = {
+    "empty9": lambda: Hypergraph3.empty(9),
+    "complete9": lambda: Hypergraph3.complete(9),
+    "clique-3..9-of-10": lambda: _within(10, lambda t: t <= set(range(3, 10))),
+    "coclique-2..8-of-10": lambda: _within(10, lambda t: not t <= set(range(2, 9))),
+    "clique-4..12-of-15": lambda: _within(15, lambda t: t <= set(range(4, 13))),
+    "tournament11": lambda: gen_tournament_3hg(11, 0),
+}
+# (instance, d or None for its own density) -> (max_deviation, witness),
+# recorded from the single-toggle walk
+WEAK_GOLDEN = {
+    ("empty9", None): ("0", ()),
+    ("empty9", "1"): ("84", (0, 1, 2, 3, 4, 5, 6, 7, 8)),
+    ("complete9", None): ("0", ()),
+    ("complete9", "0"): ("84", (0, 1, 2, 3, 4, 5, 6, 7, 8)),
+    ("clique-3..9-of-10", "0"): ("35", (2, 3, 4, 5, 6, 7, 8, 9)),
+    ("clique-3..9-of-10", "1"): ("85", (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)),
+    ("coclique-2..8-of-10", "0"): ("85", (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)),
+    ("coclique-2..8-of-10", "1"): ("35", (1, 2, 3, 4, 5, 6, 7, 8)),
+    ("clique-4..12-of-15", None): ("4452/65", (4, 5, 6, 7, 8, 9, 10, 11, 12)),
+    ("clique-4..12-of-15", "0"): ("84", (3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+    ("tournament11", "0"): ("45", (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+    ("tournament11", "1"): ("120", (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(WEAK_GOLDEN, key=str), ids=str)
+@pytest.mark.parametrize("budget", BLOCK_BUDGETS)
+def test_weak_exact_golden(key, budget):
+    name, d = key
+    h = WEAK_INSTANCES[name]()
+    with mock.patch.object(certifiers, "_BLOCK_ENTRIES", budget):
+        rep = weak_deviation(h, None if d is None else Fraction(d), mode="exact")
+    assert (str(rep.max_deviation), rep.witness) == WEAK_GOLDEN[key]
+    assert rep.method == "exact" and rep.trials == {"subsets": 1 << h.n}
+
+
 def test_clique_graph_vs_brute():
     rng = random.Random(0)
     for trial in range(25):

@@ -288,21 +288,24 @@ eager = ["hyperq.core", "hyperq.constructions", "hyperq.detectors",
          "hyperq.certifiers", "hyperq.multipartite", "hyperq.experiment"]
 loaded = [m for m in lazy if m in sys.modules]
 missing = [m for m in eager if m not in sys.modules]
-from hyperq.certifiers import pair_deviation
+from hyperq.certifiers import pair_deviation, weak_deviation
 from hyperq.core import Hypergraph3
+weak_deviation(Hypergraph3.complete(15), mode="exact")
+numpy_after_weak = "numpy" in sys.modules
 pair_deviation(Hypergraph3.empty(4), mode="exact")
-print(json.dumps([loaded, missing, "numpy" in sys.modules]))
+print(json.dumps([loaded, missing, numpy_after_weak, "numpy" in sys.modules]))
 """
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
     """Importing the CLI loads no numpy, process pool or verify suite (only
-    the commands that use them do), but every module the CLI dispatches to."""
+    the commands that use them do), but every module the CLI dispatches to.
+    A weak exact certification loads no numpy; a pair one does."""
     src = os.path.dirname(os.path.dirname(hyperq.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout
-    loaded, missing, numpy_after_pair = json.loads(out)
+    loaded, missing, numpy_after_weak, numpy_after_pair = json.loads(out)
     assert loaded == [] and missing == []
-    assert numpy_after_pair
+    assert not numpy_after_weak and numpy_after_pair

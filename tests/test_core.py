@@ -176,15 +176,23 @@ class _NoBlocks:
         raise AssertionError("bulk block loop reached")
 
 
-@pytest.mark.parametrize("fault", ["\t", "\r", "  "], ids=["tab", "cr", "double-space"])
+@pytest.mark.parametrize("fault", ["\t", "\r", "  ", "0", "\n0"],
+                         ids=["tab", "cr", "double-space", "leading-zero", "leading-zero-first"])
 def test_layout_departure_skips_bulk_blocks(monkeypatch, fault):
-    """Tabs, CRs and doubled spaces send the text to the line checker before
-    any block is parsed, wherever they occur."""
+    """Tabs, CRs, doubled spaces and leading zeros send the text to the line
+    checker before any block is parsed, wherever they occur."""
     text = write_hypergraph(gen_tournament_3hg(30, 1))
     rows = read_hypergraph(text)._rows
-    # on the last line: its LF becomes CRLF, or its last space a tab or two spaces
-    at = len(text) - 1 if fault == "\r" else text.rindex(" ")
-    bad = text[:at] + ("\r\n" if fault == "\r" else fault) + text[at + 1:]
+    # on the last line: its LF becomes CRLF, its last space a tab or two
+    # spaces, or a 0 goes before its last or its first vertex
+    if fault == "\r":
+        at = len(text) - 1
+    elif fault == "\n0":
+        at = text.rindex("\n", 0, len(text) - 1)
+    else:
+        at = text.rindex(" ")
+    fault = {"\r": "\r\n", "0": " 0"}.get(fault, fault)
+    bad = text[:at] + fault + text[at + 1:]
     monkeypatch.setattr(core, "_CANONICAL_BLOCK", _NoBlocks())
     assert core._read_canonical(bad) is None
     assert read_hypergraph(bad)._rows == rows
