@@ -23,9 +23,9 @@ import sys
 from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .core import CapExceeded, Hypergraph3, Hypergraph4, iter_bits
+from .core import CapExceeded, Hypergraph3, Hypergraph4, iter_bits, row_bytes
 from .hashing import subseed
 from .multipartite import MultipartiteGraph, count_triangles_mp
 
@@ -41,9 +41,6 @@ PAIR_SEARCH_HARD_CAP = 200
 BIPARTITE_EXACT_HARD_CAP = 24
 # steepest-toggle steps per restart of the weak and of the sign-split searches
 WEAK_SEARCH_STEPS = 10 ** 4
-# weak search restarts whose start counts are built together, each holding
-# an n^2-bit probe and n counts
-WEAK_SEARCH_BATCH = 32
 SIGN_SPLIT_SEARCH_STEPS = 200
 # entries in one block of an exact walk: rows x columns in the sign-split
 # engine, sets in the weak one
@@ -90,7 +87,8 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
     Exact mode walks all 2^n subsets in Gray-code order, a block of them at
     a time, and keeps the maximizer of least Gray rank; it is refused above
     ``WEAK_EXACT_HARD_CAP``.
-    Search mode runs seeded steepest-toggle hill climbs from random subsets.
+    Search mode runs seeded steepest-toggle hill climbs from random subsets;
+    a negative ``restarts`` is refused.
     """
     n = h.n
     d = _as_fraction(d, h.density().density_fraction)
@@ -101,6 +99,8 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
                           % (n, WEAK_EXACT_HARD_CAP))
     if mode not in ("exact", "search"):
         raise ValueError("mode must be 'exact' or 'search'")
+    if restarts < 0:
+        raise ValueError("restarts must be nonnegative, got %d" % restarts)
     links = [h.link_rows(v) for v in range(n)]
     if mode == "exact":
         best, best_mask = _weak_exact(links, p, q)
@@ -114,7 +114,11 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
     target = [math.comb(s, 3) * p for s in range(n + 2)]
     best = Fraction(0)
     best_witness: tuple = ()
-    for mask, cnt in _weak_starts(links, restarts, seed):
+    for r in range(restarts):
+        mask = random.Random(subseed(seed, r)).getrandbits(n) & ((1 << n) - 1)
+        # cnt[v] counts the edges through v with both other vertices in the
+        # set; pair_counts meets each once per order of those two vertices
+        cnt = [c >> 1 for c in h.pair_counts(mask, mask)]
         e = sum(cnt[v] for v in iter_bits(mask)) // 3
         size = mask.bit_count()
         for _ in range(WEAK_SEARCH_STEPS):
@@ -131,19 +135,14 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
                     move_v = v
             if move_v < 0:
                 break
-            bit = 1 << move_v
-            if mask & bit:
-                e -= cnt[move_v]
-                mask ^= bit
-                size -= 1
-                for w, row in enumerate(links[move_v]):
-                    cnt[w] -= (row & mask).bit_count()
-            else:
-                e += cnt[move_v]
-                for w, row in enumerate(links[move_v]):
-                    cnt[w] += (row & mask).bit_count()
-                mask ^= bit
-                size += 1
+            # no link row holds its own pair's vertices, so the rows of
+            # move_v meet the set alike with and without move_v
+            sign = -1 if mask >> move_v & 1 else 1
+            e += sign * cnt[move_v]
+            for w, row in enumerate(links[move_v]):
+                cnt[w] += sign * (row & mask).bit_count()
+            mask ^= 1 << move_v
+            size += sign
         final = Fraction(abs(e * q - target[size]), q)
         if final > best:
             best = final
@@ -151,38 +150,6 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
     eta = float(best) / norm if norm else 0.0
     return DeviationReport("weak", d, best, eta, norm, best_witness, "local-search",
                            {"restarts": restarts, "max_steps": WEAK_SEARCH_STEPS})
-
-
-def _weak_starts(links: list[list[int]], restarts: int,
-                 seed: int) -> Iterator[tuple[int, list[int]]]:
-    """(mask, cnt) for each restart of the weak search in turn: the random
-    start set, and for each vertex v the edges through v with both other
-    vertices in the set.
-
-    The link rows of v are packed into one int, row x at bit 8 * w * x with
-    w = (n + 7) // 8 bytes, and each start set gets one probe holding the
-    set at the offset of each of its members, so one AND counts every pair
-    of the set through v twice.  Only one vertex's rows are packed at a
-    time, and the restarts go in batches, so memory does not grow with them.
-    """
-    n = len(links)
-    w = (n + 7) // 8
-    zero = bytes(w)
-    for first in range(0, restarts, WEAK_SEARCH_BATCH):
-        masks = [random.Random(subseed(seed, r)).getrandbits(n) & ((1 << n) - 1)
-                 for r in range(first, min(restarts, first + WEAK_SEARCH_BATCH))]
-        probes = []
-        for mask in masks:
-            chunk = mask.to_bytes(w, "little")
-            probes.append(int.from_bytes(b"".join(chunk if mask >> x & 1 else zero
-                                                  for x in range(n)), "little"))
-        cnts = [[0] * n for _ in masks]
-        for v, rows in enumerate(links):
-            packed = int.from_bytes(b"".join(row.to_bytes(w, "little") for row in rows),
-                                    "little")
-            for cnt, probe in zip(cnts, probes):
-                cnt[v] = (packed & probe).bit_count() >> 1
-        yield from zip(masks, cnts)
 
 
 def _subset_edge_counts(rows: Sequence[int], k: int) -> list[int]:
@@ -355,12 +322,7 @@ def _xyz_improve(h: Hypergraph3, masks: list, best: int, p: int, q: int,
     if not steps:
         return masks, best, 0
     n = h.n
-    c = [[0] * n for _ in range(3)]
-    for v in range(n):
-        links = h.link_rows(v)
-        for i, (j, k) in enumerate(_OTHER_SETS):
-            mk = masks[k]
-            c[i][v] = sum((links[w] & mk).bit_count() for w in iter_bits(masks[j]))
+    c = [h.pair_counts(masks[j], masks[k]) for j, k in _OTHER_SETS]
     cnt = sum(c[0][x] for x in iter_bits(masks[0]))
     sizes = [m.bit_count() for m in masks]
 
@@ -438,8 +400,7 @@ def _sign_split_deviation(kind: str, d: Fraction, columns: Sequence[int], k: int
     # must fit even with no rows or columns: past int64, use exact Python ints
     dtype = object if 2 * max(cols, 1) * max(k, 1) * max(p, q) >= 2 ** 63 else np.int64
     width = (k + 7) // 8
-    packed = np.frombuffer(b"".join(c.to_bytes(width, "little") for c in columns),
-                           dtype=np.uint8).reshape(cols, width)
+    packed = np.frombuffer(row_bytes(columns, width), dtype=np.uint8).reshape(cols, width)
     rows = np.unpackbits(packed, axis=1, count=k, bitorder="little").T.astype(dtype, order="C")
     best = 0
     best_mask = 0
@@ -467,6 +428,8 @@ def _sign_split_deviation(kind: str, d: Fraction, columns: Sequence[int], k: int
                 best = int(vals[i])
                 best_mask = high | int(order[i])
     elif mode == "search":
+        if restarts < 0:
+            raise ValueError("restarts must be nonnegative, got %d" % restarts)
         for r in range(restarts):
             rng = random.Random(subseed(seed, r))
             mask = rng.getrandbits(k) & ((1 << k) - 1)

@@ -167,18 +167,26 @@ def cmd_detect(args) -> int:
     return 0
 
 
+# a field of the wrong JSON type (a number where a list belongs, a list where
+# an object does) raises one of the caught errors while the model is built
 def _read_block(path: str) -> TripartiteTriples:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return TripartiteTriples(tuple(data["sizes"]), [tuple(t) for t in data["triples"]])
+    try:
+        return TripartiteTriples(tuple(data["sizes"]), [tuple(t) for t in data["triples"]])
+    except (TypeError, IndexError) as exc:
+        raise ValueError("malformed block: %s" % exc) from None
 
 
 def _read_auxiliary(path: str) -> AuxiliaryHypergraph:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    sizes = {tuple(int(x) for x in key.split(",")): int(v)
-             for key, v in data["class_sizes"].items()}
-    blocks = {tuple(int(x) for x in key.split(",")): [tuple(t) for t in triples]
-              for key, triples in data.get("blocks", {}).items()}
-    return AuxiliaryHypergraph(int(data["m"]), sizes, blocks)
+    try:
+        sizes = {tuple(int(x) for x in key.split(",")): int(v)
+                 for key, v in data["class_sizes"].items()}
+        blocks = {tuple(int(x) for x in key.split(",")): [tuple(t) for t in triples]
+                  for key, triples in data.get("blocks", {}).items()}
+        return AuxiliaryHypergraph(int(data["m"]), sizes, blocks)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError("malformed auxiliary system: %s" % exc) from None
 
 
 def cmd_multipartite(args) -> int:

@@ -51,6 +51,25 @@ def vertex_mask(vertices: Iterable[int] | int, n: int) -> int:
     return mask
 
 
+def row_bytes(rows: Iterable[int], width: int) -> bytes:
+    """``rows`` little-endian, each padded to ``width`` bytes, one after
+    another: the layout of every packed view of link rows."""
+    return b"".join(r.to_bytes(width, "little") for r in rows)
+
+
+def pack_rows(rows: Iterable[int], width: int) -> int:
+    """One int holding ``rows[x]`` at bit ``8 * width * x``."""
+    return int.from_bytes(row_bytes(rows, width), "little")
+
+
+def probe(outer: int, inner: int, width: int) -> int:
+    """``inner`` at the offset of each member x of the mask ``outer``: ANDed
+    with ``pack_rows(rows, width)`` it keeps ``rows[x] & inner`` for every x
+    in ``outer``, so one ``bit_count`` sums them."""
+    return pack_rows((inner if outer >> x & 1 else 0 for x in range(outer.bit_length())),
+                     width)
+
+
 def _pair_base(n: int) -> list[int]:
     # base[u] + (v - u - 1) indexes the unordered pair {u < v} in a flat list
     base = [0] * n
@@ -105,7 +124,7 @@ class Hypergraph3:
     The sorted edge list is derived from the rows on demand.
     """
 
-    __slots__ = ("n", "_rows", "_base", "edge_count", "colouring", "orientation")
+    __slots__ = ("n", "_rows", "_base", "edge_count", "colouring", "orientation", "_packed")
 
     def __init__(self, n: int, rows: list[int], colouring=None, orientation=None):
         if not 0 <= n <= N3_CAP:
@@ -121,6 +140,7 @@ class Hypergraph3:
         self.edge_count = bits // 3
         self.colouring = colouring
         self.orientation = orientation
+        self._packed: list[int] | None = None
 
     @classmethod
     def empty(cls, n: int) -> "Hypergraph3":
@@ -188,22 +208,29 @@ class Hypergraph3:
     def density(self) -> DensityReport:
         return DensityReport.of(self.edge_count, self.n, 3)
 
+    def _packed_links(self) -> list[int]:
+        """``pack_rows(link_rows(v), (n + 7) // 8)`` for every vertex v, built
+        on first use and kept, as the rows never change: n^3 / 8 bytes."""
+        if self._packed is None:
+            w = (self.n + 7) // 8
+            self._packed = [pack_rows(self.link_rows(v), w) for v in range(self.n)]
+        return self._packed
+
+    def pair_counts(self, a: int, b: int) -> list[int]:
+        """For every vertex v, the ordered pairs in A x B (vertex masks) that
+        complete an edge with v: one AND per vertex."""
+        pairs = probe(a, b, (self.n + 7) // 8)
+        return [(row & pairs).bit_count() for row in self._packed_links()]
+
     def count_ordered_triples(self, xs, ys, zs) -> int:
-        """Ordered (x, y, z) in X x Y x Z with {x, y, z} an edge."""
+        """Ordered (x, y, z) in X x Y x Z with {x, y, z} an edge: one AND per
+        x in X, as in ``pair_counts(Y, Z)``."""
         xmask = vertex_mask(xs, self.n)
         ymask = vertex_mask(ys, self.n)
         zmask = vertex_mask(zs, self.n)
-        rows, base = self._rows, self._base
-        y_members = list(iter_bits(ymask))
-        total = 0
-        for x in iter_bits(xmask):
-            above = base[x] - x - 1  # rows[above + y] is link(x, y) for y > x
-            for y in y_members:
-                if y > x:
-                    total += (rows[above + y] & zmask).bit_count()
-                elif y < x:
-                    total += (rows[base[y] + x - y - 1] & zmask).bit_count()
-        return total
+        packed = self._packed_links()
+        pairs = probe(ymask, zmask, (self.n + 7) // 8)
+        return sum((packed[x] & pairs).bit_count() for x in iter_bits(xmask))
 
     def link_graph(self, a: int) -> Graph:
         """Graph on the other vertices whose edges complete hyperedges with a."""
@@ -215,7 +242,8 @@ class Hypergraph4:
 
     ``pair_rows(u, v)[x]`` is the bitmask of vertices y with {u, v, x, y} an
     edge, so each pair carries the adjacency rows of its link graph.  The
-    rows are the source of truth; ``_pack`` derives a packed view of them.
+    rows are the source of truth; ``count_ordered_quadruples`` derives a
+    packed view of them.
     """
 
     __slots__ = ("n", "_rows", "_base", "edge_count", "orientation", "_packed")
@@ -298,28 +326,21 @@ class Hypergraph4:
     def density(self) -> DensityReport:
         return DensityReport.of(self.edge_count, self.n, 4)
 
-    def _pack(self) -> list[int]:
-        """One int per pair, row x of its link graph at bit ``8 * w * x`` with
-        ``w = (n + 7) // 8`` bytes; built once, as the rows never change."""
-        w = (self.n + 7) // 8
-        self._packed = [int.from_bytes(b"".join(r.to_bytes(w, "little") for r in pair), "little")
-                        for pair in self._rows]
-        return self._packed
-
     def count_ordered_quadruples(self, u1, u2, u3, u4) -> int:
         """Ordered tuples in U1 x U2 x U3 x U4 whose vertex set is an edge.
 
-        One AND per pair (a, b) of the packed link rows with a probe that
-        holds U4 at the offset of each x in U3."""
+        One AND per pair (a, b) of its packed link graph rows, built on first
+        use and kept as the rows never change, with a probe that holds U4 at
+        the offset of each x in U3."""
         m1 = vertex_mask(u1, self.n)
         m2 = vertex_mask(u2, self.n)
         m3 = vertex_mask(u3, self.n)
         m4 = vertex_mask(u4, self.n)
-        packed = self._packed or self._pack()
-        stride = 8 * ((self.n + 7) // 8)
-        probe = 0
-        for x in iter_bits(m3):
-            probe |= m4 << stride * x
+        w = (self.n + 7) // 8
+        if self._packed is None:
+            self._packed = [pack_rows(pair, w) for pair in self._rows]
+        packed = self._packed
+        pairs = probe(m3, m4, w)
         base = self._base
         seconds = list(iter_bits(m2))
         total = 0
@@ -327,9 +348,9 @@ class Hypergraph4:
             above = base[a] - a - 1
             for b in seconds:
                 if b > a:
-                    total += (packed[above + b] & probe).bit_count()
+                    total += (packed[above + b] & pairs).bit_count()
                 elif b < a:
-                    total += (packed[base[b] + a - b - 1] & probe).bit_count()
+                    total += (packed[base[b] + a - b - 1] & pairs).bit_count()
         return total
 
 

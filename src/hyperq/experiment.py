@@ -55,17 +55,22 @@ class ExperimentSpec:
         construction = data["construction"]
         if construction not in CONSTRUCTIONS:
             raise ValueError("unknown construction %r" % construction)
-        if "cells" in data:
-            cells = [(int(n), int(s)) for n, s in data["cells"]]
-        else:
-            cells = [(int(n), int(s)) for n in data["ns"] for s in data["seeds"]]
-        out = data.get("output", {})
-        spec = cls(construction=construction, cells=cells,
-                   k=data.get("k"), certify=list(data.get("certify", [])),
-                   detect=list(data.get("detect", [])),
-                   csv_path=out.get("csv"), json_path=out.get("json"),
-                   hypergraph_dir=out.get("hypergraph_dir"))
-        cols = spec.task_columns()
+        # a field of the wrong JSON type, such as a number where a list
+        # belongs or a list where an object does, raises one of these
+        try:
+            if "cells" in data:
+                cells = [(int(n), int(s)) for n, s in data["cells"]]
+            else:
+                cells = [(int(n), int(s)) for n in data["ns"] for s in data["seeds"]]
+            out = data.get("output", {})
+            spec = cls(construction=construction, cells=cells,
+                       k=data.get("k"), certify=list(data.get("certify", [])),
+                       detect=list(data.get("detect", [])),
+                       csv_path=out.get("csv"), json_path=out.get("json"),
+                       hypergraph_dir=out.get("hypergraph_dir"))
+            cols = spec.task_columns()
+        except (TypeError, AttributeError) as exc:
+            raise ValueError("malformed experiment spec: %s" % exc) from None
         if len(cols) != len(set(cols)):
             raise ValueError("tasks produce duplicate report columns: %r" % cols)
         return spec

@@ -457,6 +457,8 @@ def explore_extremal(m: int, s: int, eps_target: Fraction | None = None,
     triangle-free by exhaustive scan."""
     if m < 2 or s < 2 or s % 2:
         raise ValueError("need m >= 2 parts of even size s >= 2")
+    if restarts < 0:
+        raise ValueError("restarts must be nonnegative, got %d" % restarts)
     if m > 8 or s > 64:
         raise CapExceeded("explorer budget is m <= 8, s <= 64")
     base = half_split(m, s)

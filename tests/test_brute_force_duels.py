@@ -475,6 +475,28 @@ def test_weak_exact_golden(key, budget):
     assert rep.method == "exact" and rep.trials == {"subsets": 1 << h.n}
 
 
+# (n, d or None for its own density, search seed) -> (max_deviation, witness
+# mask) of weak_deviation(mode="search", restarts=40) on tournament3 seed 0,
+# recorded when the start counts were built in batches of 32 restarts: each
+# of these maxima is first reached by a restart after the 32nd
+WEAK_SEARCH_GOLDEN = {
+    (45, None, 1): ("354044/2365", 0x1d5a8f7567f3),
+    (45, None, 2): ("350121/2365", 0x1d5aa77567d3),
+    (45, "1/4", 1): ("277/2", 0x1d5a8f7567f3),
+    (61, "1/4", 1): ("567/2", 0x9df6f77541d66b5),
+}
+
+
+@pytest.mark.parametrize("key", sorted(WEAK_SEARCH_GOLDEN, key=str), ids=str)
+def test_weak_search_golden(key):
+    n, d, seed = key
+    rep = weak_deviation(gen_tournament_3hg(n, 0), None if d is None else Fraction(d),
+                         mode="search", restarts=40, seed=seed)
+    deviation, mask = WEAK_SEARCH_GOLDEN[key]
+    assert (str(rep.max_deviation), rep.witness) == (deviation, tuple(core.iter_bits(mask)))
+    assert rep.trials == {"restarts": 40, "max_steps": certifiers.WEAK_SEARCH_STEPS}
+
+
 def test_clique_graph_vs_brute():
     rng = random.Random(0)
     for trial in range(25):

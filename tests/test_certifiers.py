@@ -77,6 +77,15 @@ class TestWeakDeviation:
         with pytest.raises(CapExceeded):
             weak_deviation(Hypergraph3.empty(30), Fraction(0), mode="exact")
 
+    def test_negative_restarts_refused(self):
+        # they used to report a deviation of 0 over -1 restarts
+        h = gen_tournament_3hg(8, 0)
+        with pytest.raises(ValueError, match="restarts"):
+            weak_deviation(h, mode="search", restarts=-1)
+        with pytest.raises(ValueError, match="restarts"):
+            pair_deviation(h, mode="search", restarts=-3)
+        assert weak_deviation(h, mode="search", restarts=0).max_deviation == 0
+
 
 class TestXyzDeviation:
     def test_complete_disjoint_zero(self):
@@ -110,6 +119,15 @@ class TestXyzDeviation:
         e = h.count_ordered_triples(x, y, z)
         recomputed = abs(Fraction(e) - d * (x.bit_count() * y.bit_count() * z.bit_count()))
         assert recomputed == rep.max_deviation
+
+    def test_certifiers_share_packed_view(self):
+        h = gen_tournament_3hg(20, 1)
+        first = xyz_deviation(h, Fraction(1, 4), samples=20, seed=2)
+        view = h._packed
+        assert view is not None
+        weak_deviation(h, Fraction(1, 4), mode="search", restarts=3)
+        assert xyz_deviation(h, Fraction(1, 4), samples=20, seed=2) == first
+        assert h._packed is view
 
 
 class TestPairDeviation:

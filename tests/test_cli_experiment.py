@@ -228,6 +228,45 @@ class TestCli:
         if argv[-1].endswith(".mp"):
             assert "two parts" in err[0]
 
+    @pytest.mark.parametrize("argv,payload", [
+        (["experiment", "--spec"], {"ns": 5}),
+        (["experiment", "--spec"], {"cells": [[[1], 2]]}),
+        (["experiment", "--spec"], {"certify": "x"}),
+        (["experiment", "--spec"], {"detect": [5]}),
+        (["experiment", "--spec"], {"output": []}),
+        (["multipartite", "--op", "project", "--in"], {"sizes": [3, 3, 3], "triples": 5}),
+        (["multipartite", "--op", "project", "--in"], {"sizes": 3, "triples": []}),
+        (["multipartite", "--op", "project", "--in"], {"sizes": [3], "triples": [[0, 0, 0]]}),
+        (["multipartite", "--op", "project", "--in"], [[3, 3, 3]]),
+        (["multipartite", "--op", "threetriples", "--in"], [4]),
+        (["multipartite", "--op", "threetriples", "--in"], {"m": [4], "class_sizes": {}}),
+        (["multipartite", "--op", "threetriples", "--in"],
+         {"m": 3, "class_sizes": {"0,1": [2], "0,2": 2, "1,2": 2}}),
+        (["multipartite", "--op", "threetriples", "--in"],
+         {"m": 3, "class_sizes": {"0,1": 2, "0,2": 2, "1,2": 2}, "blocks": {"0,1,2": 7}}),
+    ], ids=["ns-not-a-list", "cell-not-integers", "certify-not-a-list",
+            "detect-task-not-an-object", "output-not-an-object", "triples-not-a-list",
+            "sizes-not-a-list", "sizes-too-short", "block-is-a-list", "auxiliary-is-a-list",
+            "m-not-an-integer", "class-size-not-an-integer", "block-triples-not-a-list"])
+    def test_malformed_json_exit_code(self, tmp_path, capsys, argv, payload):
+        if argv[0] == "experiment":
+            payload = spec_dict(tmp_path, **payload)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_negative_restarts_refused(self, tmp_path, capsys):
+        assert main(["multipartite", "--op", "explore", "--m", "3", "--s", "4",
+                     "--restarts", "-1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "restarts" in err[0]
+        spec = spec_dict(tmp_path, ns=[12], seeds=[0], detect=[], output={},
+                         certify=[{"kind": "weak", "mode": "search", "restarts": -3}])
+        row, = run_experiment(ExperimentSpec.from_dict(spec)).rows
+        assert row["error"].startswith("ValueError: restarts must be nonnegative")
+
     def test_experiment_cli(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec_dict(tmp_path, ns=[20], seeds=[0])))

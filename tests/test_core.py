@@ -86,6 +86,28 @@ class TestOrderedTriples:
         masks = [sum(1 << v for v in s) for s in sets]
         assert h.count_ordered_triples(*masks) == brute_ordered(h, sets)
 
+    @settings(max_examples=40, deadline=None)
+    @given(hypergraph_and_sets(3, low=9, high=17))
+    def test_ordered_triples_multibyte_rows(self, case):
+        # n > 8: each packed link row spans w > 1 bytes, mostly n % 8 != 0
+        h, sets = case
+        assert h.count_ordered_triples(*sets) == brute_ordered(h, sets)
+        _, ys, zs = sets
+        counts = h.pair_counts(sum(1 << v for v in ys), sum(1 << v for v in zs))
+        assert counts == [brute_ordered(h, [{v}, ys, zs]) for v in range(h.n)]
+
+    @settings(max_examples=20, deadline=None)
+    @given(hypergraph_and_sets(3, low=9, high=13), st.data())
+    def test_ordered_triples_reuse_packed_view(self, case, data):
+        h, sets = case
+        assert h.count_ordered_triples(*sets) == brute_ordered(h, sets)
+        view = h._packed
+        assert view is not None
+        for _ in range(3):
+            sets = draw_sets(data.draw, h.n, 3)
+            assert h.count_ordered_triples(*sets) == brute_ordered(h, sets)
+        assert h._packed is view
+
 
 class TestLinkGraph:
     def test_complete(self):
