@@ -97,6 +97,15 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _read_input(path: str, task: str) -> Hypergraph3 | Hypergraph4:
+    """The hypergraph a certify kind or detect pattern reads, of its arity."""
+    h = read_hypergraph(Path(path).read_text(encoding="utf-8"))
+    arity = 4 if task in ("quad", "f4") else 3
+    if not isinstance(h, Hypergraph3 if arity == 3 else Hypergraph4):
+        raise ValueError("%s needs a %d-uniform input" % (task, arity))
+    return h
+
+
 def cmd_certify(args) -> int:
     d = parse_density(args.d) if args.d else None
     if args.kind == "bipartite":
@@ -104,19 +113,15 @@ def cmd_certify(args) -> int:
         rep = bipartite_regularity_deviation(g, d, mode=args.mode, seed=args.seed)
         meta = {"parts": list(g.sizes[:2])}
     else:
-        h = read_hypergraph(Path(args.infile).read_text(encoding="utf-8"))
+        h = _read_input(args.infile, args.kind)
         if args.kind == "weak":
             rep = weak_deviation(h, d, mode=args.mode, seed=args.seed)
         elif args.kind == "xyz":
             rep = xyz_deviation(h, d, samples=args.samples, seed=args.seed)
         elif args.kind == "pair":
             rep = pair_deviation(h, d, mode=args.mode, seed=args.seed)
-        elif args.kind == "quad":
-            if not isinstance(h, Hypergraph4):
-                raise ValueError("quad deviation needs a 4-uniform input")
-            rep = quad_vertex_deviation(h, d, samples=args.samples, seed=args.seed)
         else:
-            raise ValueError("unknown kind %r" % args.kind)
+            rep = quad_vertex_deviation(h, d, samples=args.samples, seed=args.seed)
         meta = {"n": h.n, "edges": h.edge_count}
     payload = {"schema_version": 1, "input": args.infile, "kind": args.kind,
                "instance": meta, "report": rep}
@@ -125,8 +130,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    h = read_hypergraph(Path(args.infile).read_text(encoding="utf-8"))
-    witness = None
+    h = _read_input(args.infile, args.pattern)
     extra = {}
     if args.pattern == "k4minus":
         witness = find_k4_minus(h, ordered=args.ordered)
@@ -134,22 +138,16 @@ def cmd_detect(args) -> int:
         witness = find_clique3(h, args.k or 4)
     elif args.pattern == "sk":
         witness = find_sk(h, args.k or 3)
-    elif args.pattern == "f4":
-        if not isinstance(h, Hypergraph4):
-            raise ValueError("f4 detection needs a 4-uniform input")
-        witness = find_f4(h)
     elif args.pattern == "custom":
         if not args.pattern_file:
             raise ValueError("custom detection needs --pattern-file")
         pat = read_hypergraph(Path(args.pattern_file).read_text(encoding="utf-8"))
-        if not isinstance(pat, Hypergraph3) or not isinstance(h, Hypergraph3):
+        if not isinstance(pat, Hypergraph3):
             raise ValueError("custom embedding works on 3-uniform inputs")
         image = embed_small(pat, h, ordered=args.ordered)
         extra["embedding"] = list(image) if image is not None else None
         witness = image
     elif args.pattern == "vanishing":
-        if not isinstance(h, Hypergraph3):
-            raise ValueError("vanishing check needs a 3-uniform input")
         w = check_vanishing_condition(h)
         payload = {"schema_version": 1, "input": args.infile,
                    "pattern": args.pattern, "found": w is not None,
@@ -159,8 +157,8 @@ def cmd_detect(args) -> int:
                                if w else None)}
         _write_report(args.report, payload)
         return 0
-    else:
-        raise ValueError("unknown pattern %r" % args.pattern)
+    else:  # f4
+        witness = find_f4(h)
     payload = {"schema_version": 1, "input": args.infile, "pattern": args.pattern,
                "found": witness is not None, "result": _jsonable(witness), **extra}
     _write_report(args.report, payload)

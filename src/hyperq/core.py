@@ -379,44 +379,83 @@ def write_hypergraph(h: Hypergraph3 | Hypergraph4) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Canonical text: a single-space header, then edge lines of ASCII digits
-# joined by single spaces, each ended by LF.  The header's fields are bounded
-# so int() never meets the interpreter's digit limit.
-_CANONICAL_HEADER = re.compile(r"([34]) ([0-9]{1,18}) ([0-9]{1,18})\n")
+# Canonical layout: single spaces, LF after every line, no leading zeros.  The
+# rewrites to it keep every line break, open with a literal, and return
+# canonical text itself rather than a copy.
+_SPACES = re.compile(r"  +")
+_ZEROS_AFTER_SPACE = re.compile(r" 0+(?=[0-9])")
+_ZEROS_AFTER_LF = re.compile(r"\n0+(?=[0-9])")
+_INTEGER = re.compile(r"-?[0-9]+")
 _CANONICAL_BLOCK = {3: re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*"),
                     4: re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+ [0-9]+\n)*")}
-_LEADING_ZERO = re.compile(r"\n0[0-9]")
 # characters of body per block: a few thousand lines, so neither the regex's
 # backtracking stack nor the token list grows with the file
 _BLOCK_CHARS = 1 << 16
 
 
-def _read_canonical(text: str) -> Hypergraph3 | Hypergraph4 | None:
-    """Parse canonical text in blocks, or return None on any departure from
-    it (edge count, layout, range or order) so the line checker can report."""
-    # canonical text has no tab, CR or doubled space; scanning for them first
-    # keeps a late one from costing a bulk pass before the line checker runs
-    if "\t" in text or "\r" in text or "  " in text:
-        return None
-    head = _CANONICAL_HEADER.match(text)
-    if head is None:
-        return None
-    arity, n, m = map(int, head.groups())
-    if n > (N3_CAP if arity == 3 else N4_CAP):
-        return None
-    pos, size = head.end(), len(text)
-    # vertex 0 can only open a line, so " 0" in the body is out of order or a
-    # leading zero, as is "\n0" followed by a digit: scanning for them first
-    # keeps a late one from costing a bulk pass
-    if text.find(" 0", pos) >= 0 or _LEADING_ZERO.search(text, pos - 1):
-        return None
-    # canonical lines all end in LF, so the body holds m of them; checking
-    # that first keeps a truncated file from allocating its rows
-    if text.count("\n", pos) != m:
-        return None
+def _block_error(block: str, line: int, arity: int, names: dict[str, int],
+                 prev: tuple[int, ...]) -> ParseError:
+    """The error of the first bad line of a block the bulk pass refused;
+    ``line`` numbers its first line, ``names`` maps each vertex id to its
+    vertex and ``prev`` is the edge before the block."""
+    for i, text in enumerate(block.split("\n")[:-1], start=line):
+        parts = text.split(" ") if text else []
+        if len(parts) != arity:
+            return ParseError("line %d: expected %d vertices" % (i, arity))
+        if not all(map(_INTEGER.fullmatch, parts)):
+            return ParseError("line %d: vertices must be integers" % i)
+        if not all(p in names for p in parts):
+            return ParseError("line %d: vertex out of range [0, %d)" % (i, len(names)))
+        edge = tuple(names[p] for p in parts)
+        if any(edge[j] >= edge[j + 1] for j in range(arity - 1)):
+            return ParseError("line %d: vertices must be strictly increasing" % i)
+        if edge <= prev:
+            if edge == prev:
+                return ParseError("line %d: duplicate edge" % i)
+            return ParseError("line %d: edges not sorted lexicographically" % i)
+        prev = edge
+    raise AssertionError("refused block has no bad line")
+
+
+def read_hypergraph(text: str) -> Hypergraph3 | Hypergraph4:
+    """Parse the text format; raises ParseError with a 1-based line number.
+
+    Fields may be separated by runs of spaces and tabs, lines may end in LF,
+    CRLF or CR, and vertex ids may carry leading zeros: rewriting those to
+    canonical layout first leaves one bulk pass, which checks and parses a
+    block of lines at a time and names an error from the block it is in."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n").replace("\t", " ")
+    if not text.endswith("\n"):
+        text += "\n"
+    text = _SPACES.sub(" ", text).replace(" \n", "\n").replace("\n ", "\n")
+    head = text[:text.index("\n")].lstrip(" ")
+    if not head:
+        raise ParseError("line 1: missing header")
+    fields = head.split(" ")
+    if len(fields) != 3:
+        raise ParseError("line 1: header must be '<arity> <n> <m>'")
+    try:
+        if not all(map(_INTEGER.fullmatch, fields)):
+            raise ValueError
+        arity, n, m = map(int, fields)  # ValueError past the digit limit
+    except ValueError:
+        raise ParseError("line 1: header fields must be integers") from None
+    if arity not in (3, 4):
+        raise ParseError("line 1: unsupported arity %d" % arity)
+    if "-" in head:  # a sign on n or m, as the arity is 3 or 4
+        raise ParseError("line 1: negative n or m")
+    lines = text.count("\n")
+    if lines != m + 1:
+        raise ParseError("line %d: expected %d edge lines, found %d"
+                         % (lines + 1, m, lines - 1))
+    cap = N3_CAP if arity == 3 else N4_CAP
+    if n > cap:
+        raise ValueError("n=%d outside supported range [0, %d]" % (n, cap))
+    text = _ZEROS_AFTER_LF.sub("\n", _ZEROS_AFTER_SPACE.sub(" ", text))
+    pos, size = text.index("\n") + 1, len(text)
     block_re = _CANONICAL_BLOCK[arity]
-    # looking names up both converts and range-checks; a leading zero misses
-    vertex = {str(v): v for v in range(n)}.__getitem__
+    # looking names up both converts and range-checks
+    names = {str(v): v for v in range(n)}
     base = _pair_base(n)
     bit = [1 << v for v in range(n)]
     if arity == 3:
@@ -427,20 +466,21 @@ def _read_canonical(text: str) -> Hypergraph3 | Hypergraph4 | None:
     while pos < size:
         end = text.find("\n", pos + _BLOCK_CHARS) + 1 or size
         block = text[pos:end]
-        pos = end
-        if block_re.fullmatch(block) is None:
-            return None
         try:
-            vals = list(map(vertex, block.split()))
-        except KeyError:
-            return None
-        cols = [vals[j::arity] for j in range(arity)]
-        if not all(all(map(operator.lt, cols[j], cols[j + 1])) for j in range(arity - 1)):
-            return None
-        edges = list(zip(*cols))
-        if not (prev < edges[0] and all(map(operator.lt, edges, islice(edges, 1, None)))):
-            return None
+            if block_re.fullmatch(block) is None:
+                raise KeyError
+            vals = list(map(names.__getitem__, block.split()))
+            cols = [vals[j::arity] for j in range(arity)]
+            if not all(all(map(operator.lt, cols[j], cols[j + 1])) for j in range(arity - 1)):
+                raise KeyError
+            edges = list(zip(*cols))
+            if not (prev < edges[0] and all(map(operator.lt, edges, islice(edges, 1, None)))):
+                raise KeyError
+        except KeyError:  # every refusal: the block's lines name the error
+            line = text.count("\n", 0, pos) + 1
+            raise _block_error(block, line, arity, names, prev) from None
         prev = edges[-1]
+        pos = end
         if arity == 3:
             for x, y, z in edges:
                 rows[base[x] + y - x - 1] |= bit[z]
@@ -469,59 +509,3 @@ def _read_canonical(text: str) -> Hypergraph3 | Hypergraph4 | None:
                 pair[a] |= bit[b]
                 pair[b] |= bit[a]
     return Hypergraph3(n, rows) if arity == 3 else Hypergraph4(n, rows)
-
-
-def read_hypergraph(text: str) -> Hypergraph3 | Hypergraph4:
-    """Parse the text format; raises ParseError with a 1-based line number.
-
-    Canonical text takes a bulk pass; anything else, and canonical text with
-    an error, goes through ``_read_lines``, the only source of ParseError."""
-    h = _read_canonical(text)
-    return h if h is not None else _read_lines(text)
-
-
-def _read_lines(text: str) -> Hypergraph3 | Hypergraph4:
-    """Line-by-line parser of the text format, any whitespace accepted."""
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise ParseError("line 1: missing header")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ParseError("line 1: header must be '<arity> <n> <m>'")
-    try:
-        arity, n, m = (int(x) for x in head)
-    except ValueError:
-        raise ParseError("line 1: header fields must be integers") from None
-    if arity not in (3, 4):
-        raise ParseError("line 1: unsupported arity %d" % arity)
-    if n < 0 or m < 0:
-        raise ParseError("line 1: negative n or m")
-    if len(lines) != m + 1:
-        raise ParseError("line %d: expected %d edge lines, found %d"
-                         % (len(lines) + 1, m, len(lines) - 1))
-
-    def edges() -> Iterator[tuple[int, ...]]:
-        prev: tuple[int, ...] | None = None
-        for i, line in enumerate(islice(lines, 1, None), start=2):
-            parts = line.split()
-            if len(parts) != arity:
-                raise ParseError("line %d: expected %d vertices" % (i, arity))
-            try:
-                edge = tuple(int(p) for p in parts)
-            except ValueError:
-                raise ParseError("line %d: vertices must be integers" % i) from None
-            if any(not 0 <= v < n for v in edge):
-                raise ParseError("line %d: vertex out of range [0, %d)" % (i, n))
-            if any(edge[j] >= edge[j + 1] for j in range(arity - 1)):
-                raise ParseError("line %d: vertices must be strictly increasing" % i)
-            if prev is not None and edge <= prev:
-                if edge == prev:
-                    raise ParseError("line %d: duplicate edge" % i)
-                raise ParseError("line %d: edges not sorted lexicographically" % i)
-            prev = edge
-            yield edge
-
-    # a generator, so no list of edge tuples is alive beside the rows
-    if arity == 3:
-        return Hypergraph3.from_edges(n, edges())
-    return Hypergraph4.from_edges(n, edges())

@@ -33,6 +33,21 @@ BASE_COLUMNS = ("schema_version", "construction", "n", "k", "seed",
                 "edge_count", "density_num", "density_den", "density", "error")
 
 
+def _check_task(task, key: str, names: tuple) -> None:
+    """Refuse a task that every cell would fail on, before any cell runs."""
+    if not isinstance(task, dict) or task.get(key) not in names:
+        raise ValueError("task %r needs a %s among %s" % (task, key, ", ".join(names)))
+    if task.get("mode", "search") not in ("exact", "search"):
+        raise ValueError("task %r: mode must be exact or search" % (task,))
+    # clique and sk have no default k; every other field has a default
+    needs_k = task[key] in ("clique", "sk")
+    for name, least in (("samples", 1), ("restarts", 0), ("seed", None), ("k", None)):
+        value = task.get(name, None if name == "k" and needs_k else 1)
+        if type(value) is not int or least is not None and value < least:
+            raise ValueError("task %r: %s must be an integer%s" % (
+                task, name, "" if least is None else " >= %d" % least))
+
+
 @dataclass
 class ExperimentSpec:
     """A declarative sweep description, loadable from JSON."""
@@ -68,9 +83,16 @@ class ExperimentSpec:
                        detect=list(data.get("detect", [])),
                        csv_path=out.get("csv"), json_path=out.get("json"),
                        hypergraph_dir=out.get("hypergraph_dir"))
-            cols = spec.task_columns()
         except (TypeError, AttributeError) as exc:
             raise ValueError("malformed experiment spec: %s" % exc) from None
+        for path in (spec.csv_path, spec.json_path, spec.hypergraph_dir):
+            if not isinstance(path, (str, type(None))):
+                raise ValueError("output paths must be strings, not %r" % (path,))
+        for task in spec.certify:
+            _check_task(task, "kind", ("weak", "xyz", "pair", "quad"))
+        for task in spec.detect:
+            _check_task(task, "pattern", ("k4minus", "clique", "sk", "f4"))
+        cols = spec.task_columns()
         if len(cols) != len(set(cols)):
             raise ValueError("tasks produce duplicate report columns: %r" % cols)
         return spec
@@ -97,23 +119,18 @@ class ExperimentSpec:
 
 
 def _run_certify(h, task: dict) -> float:
-    kind = task["kind"]
-    d = task.get("d")
-    seed = int(task.get("seed", 0))
+    kind, d, seed = task["kind"], task.get("d"), task.get("seed", 0)
     if kind == "weak":
         rep = weak_deviation(h, d, mode=task.get("mode", "search"),
-                             restarts=int(task.get("restarts", 8)), seed=seed)
+                             restarts=task.get("restarts", 8), seed=seed)
     elif kind == "xyz":
-        rep = xyz_deviation(h, d, samples=int(task.get("samples", 100)),
+        rep = xyz_deviation(h, d, samples=task.get("samples", 100),
                             seed=seed, disjoint=bool(task.get("disjoint", False)))
     elif kind == "pair":
         rep = pair_deviation(h, d, mode=task.get("mode", "search"),
-                             restarts=int(task.get("restarts", 8)), seed=seed)
-    elif kind == "quad":
-        rep = quad_vertex_deviation(h, d, samples=int(task.get("samples", 100)),
-                                    seed=seed)
+                             restarts=task.get("restarts", 8), seed=seed)
     else:
-        raise ValueError("unknown certifier kind %r" % kind)
+        rep = quad_vertex_deviation(h, d, samples=task.get("samples", 100), seed=seed)
     return rep.eta
 
 
@@ -124,12 +141,10 @@ def _run_detect(h, task: dict):
             return count_k4_minus(h)
         return int(find_k4_minus(h, ordered=bool(task.get("ordered"))) is not None)
     if pattern == "clique":
-        return int(find_clique3(h, int(task["k"])) is not None)
+        return int(find_clique3(h, task["k"]) is not None)
     if pattern == "sk":
-        return int(find_sk(h, int(task["k"])) is not None)
-    if pattern == "f4":
-        return int(find_f4(h) is not None)
-    raise ValueError("unknown detector pattern %r" % pattern)
+        return int(find_sk(h, task["k"]) is not None)
+    return int(find_f4(h) is not None)
 
 
 def run_cell(spec_data: dict, n: int, seed: int) -> dict:

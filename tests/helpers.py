@@ -1,6 +1,9 @@
 """Reference rules and fixture builders shared by the test modules."""
 
+import re
+
 from hyperq.constructions import Tournament
+from hyperq.core import Hypergraph3, Hypergraph4, ParseError
 from hyperq.hashing import TAG_AUX_TRIPLE, bernoulli
 from hyperq.multipartite import AuxiliaryHypergraph
 
@@ -48,3 +51,56 @@ def has_triple(aux: AuxiliaryHypergraph, vertices: dict) -> bool:
     blk = aux.blocks.get((i, j, k))
     want = (vertices[(i, j)], vertices[(i, k)], vertices[(j, k)])
     return blk is not None and want in blk.triples
+
+
+def read_lines(text: str):
+    """Naive line-by-line reader of the hypergraph text format, the reference
+    for ``read_hypergraph``: fields of ASCII digits separated by spaces or
+    tabs, lines ended by LF, CRLF or CR, a minus sign refused as negative."""
+    lines = re.split(r"\r\n|\r|\n", text)
+    if lines[-1] == "":
+        lines.pop()
+    fields = [re.split(r"[ \t]+", line.strip(" \t")) if line.strip(" \t") else []
+              for line in lines]
+    if not lines or not fields[0]:
+        raise ParseError("line 1: missing header")
+    head = fields[0]
+    if len(head) != 3:
+        raise ParseError("line 1: header must be '<arity> <n> <m>'")
+    try:
+        if not all(re.fullmatch(r"-?[0-9]+", x) for x in head):
+            raise ValueError
+        arity, n, m = (int(x) for x in head)
+    except ValueError:
+        raise ParseError("line 1: header fields must be integers") from None
+    if arity not in (3, 4):
+        raise ParseError("line 1: unsupported arity %d" % arity)
+    if head[1].startswith("-") or head[2].startswith("-"):
+        raise ParseError("line 1: negative n or m")
+    if len(lines) != m + 1:
+        raise ParseError("line %d: expected %d edge lines, found %d"
+                         % (len(lines) + 1, m, len(lines) - 1))
+
+    def edges():
+        prev = None
+        for i, parts in enumerate(fields[1:], start=2):
+            if len(parts) != arity:
+                raise ParseError("line %d: expected %d vertices" % (i, arity))
+            try:
+                if not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):
+                    raise ValueError
+                edge = tuple(int(p) for p in parts)
+            except ValueError:
+                raise ParseError("line %d: vertices must be integers" % i) from None
+            if any(p.startswith("-") or int(p) >= n for p in parts):
+                raise ParseError("line %d: vertex out of range [0, %d)" % (i, n))
+            if any(edge[j] >= edge[j + 1] for j in range(arity - 1)):
+                raise ParseError("line %d: vertices must be strictly increasing" % i)
+            if prev is not None and edge <= prev:
+                if edge == prev:
+                    raise ParseError("line %d: duplicate edge" % i)
+                raise ParseError("line %d: edges not sorted lexicographically" % i)
+            prev = edge
+            yield edge
+
+    return (Hypergraph3 if arity == 3 else Hypergraph4).from_edges(n, edges())

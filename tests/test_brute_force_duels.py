@@ -49,7 +49,7 @@ from hyperq.multipartite import (
 )
 from hyperq.hashing import subseed
 from hyperq.oracles import enumerate_pair_deviation, naive_bipartite_deviation
-from helpers import gen_random_auxiliary, has_triple
+from helpers import gen_random_auxiliary, has_triple, read_lines
 
 
 def random_graph(n, p, rng):
@@ -744,8 +744,8 @@ def test_serialization_mutation_fuzz():
             pass  # every rejection must be a parse-level error
 
 
-MUTATIONS = ("none", "substitute", "double-space", "crlf", "no-final-newline",
-             "leading-zero", "wrong-m", "over-cap")
+MUTATIONS = ("none", "substitute", "double-space", "tab", "edge-space", "crlf", "cr",
+             "no-final-newline", "leading-zero", "wrong-m", "over-cap")
 
 
 @st.composite
@@ -762,14 +762,18 @@ def hypergraph_texts(draw):
         chars = list(text)
         for _ in range(draw(st.integers(1, 3))):
             pos = draw(st.integers(0, len(chars) - 1))
-            chars[pos] = draw(st.sampled_from("0123456789 \n\r\t-+x\u0663"))
+            chars[pos] = draw(st.sampled_from("0123456789 \n\r\t-+_x\x0c\u0663"))
         text = "".join(chars)
-    elif mutation == "double-space":
+    elif mutation in ("double-space", "tab"):
         spaces = [i for i, c in enumerate(text) if c == " "]
         pos = draw(st.sampled_from(spaces))
-        text = text[:pos] + " " + text[pos:]
-    elif mutation == "crlf":
-        text = text.replace("\n", "\r\n")
+        text = text[:pos] + (" " if mutation == "double-space" else "\t") + text[pos + 1:]
+    elif mutation == "edge-space":
+        ends = [i for i, c in enumerate(text) if c == "\n"]
+        pos = draw(st.sampled_from([0] + ends + [i + 1 for i in ends]))
+        text = text[:pos] + draw(st.sampled_from([" ", "\t", "  \t"])) + text[pos:]
+    elif mutation in ("crlf", "cr"):
+        text = text.replace("\n", "\r\n" if mutation == "crlf" else "\r")
     elif mutation == "no-final-newline":
         text = text[:-1]
     elif mutation == "leading-zero":
@@ -796,9 +800,9 @@ def parse_outcome(parse, text):
 @settings(max_examples=400, deadline=None)
 @given(hypergraph_texts())
 def test_bulk_reader_duels_line_checker(case):
-    """read_hypergraph, which tries the bulk pass first, agrees with the line
-    checker on every input: equal rows, or the same error and message."""
+    """read_hypergraph, the one reader, agrees with the naive line checker
+    on every input: equal rows, or the same error and message."""
     mutation, text = case
     if mutation == "none":
-        assert core._read_canonical(text) is not None
-    assert parse_outcome(read_hypergraph, text) == parse_outcome(core._read_lines, text)
+        assert write_hypergraph(read_hypergraph(text)) == text
+    assert parse_outcome(read_hypergraph, text) == parse_outcome(read_lines, text)

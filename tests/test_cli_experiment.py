@@ -228,6 +228,25 @@ class TestCli:
         if argv[-1].endswith(".mp"):
             assert "two parts" in err[0]
 
+    @pytest.mark.parametrize("argv,arity", [
+        (["certify", "--kind", "weak"], 3),
+        (["certify", "--kind", "weak", "--mode", "search"], 3),
+        (["certify", "--kind", "xyz"], 3),
+        (["certify", "--kind", "pair"], 3),
+        (["certify", "--kind", "quad"], 4),
+        (["detect", "--pattern", "k4minus"], 3),
+        (["detect", "--pattern", "clique"], 3),
+        (["detect", "--pattern", "sk"], 3),
+        (["detect", "--pattern", "f4"], 4),
+        (["detect", "--pattern", "vanishing"], 3),
+    ])
+    def test_wrong_arity_exit_code(self, tmp_path, capsys, argv, arity):
+        hg = tmp_path / "h.hg"
+        hg.write_text("4 5 1\n0 1 2 3\n" if arity == 3 else "3 4 1\n0 1 2\n")
+        assert main(argv + ["--in", str(hg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: %s needs a %d-uniform input" % (argv[2], arity)]
+
     @pytest.mark.parametrize("argv,payload", [
         (["experiment", "--spec"], {"ns": 5}),
         (["experiment", "--spec"], {"cells": [[[1], 2]]}),
@@ -244,10 +263,24 @@ class TestCli:
          {"m": 3, "class_sizes": {"0,1": [2], "0,2": 2, "1,2": 2}}),
         (["multipartite", "--op", "threetriples", "--in"],
          {"m": 3, "class_sizes": {"0,1": 2, "0,2": 2, "1,2": 2}, "blocks": {"0,1,2": 7}}),
+        (["experiment", "--spec"], {"output": {"csv": 5}}),
+        (["experiment", "--spec"], {"output": {"hypergraph_dir": ["hgs"]}}),
+        (["experiment", "--spec"], {"certify": [{"kind": "xyz", "samples": [1]}]}),
+        (["experiment", "--spec"], {"certify": [{"kind": "xyz", "samples": 0}]}),
+        (["experiment", "--spec"], {"certify": [{"kind": "weak", "restarts": "8"}]}),
+        (["experiment", "--spec"], {"certify": [{"kind": "weak", "seed": 1.5}]}),
+        (["experiment", "--spec"], {"certify": [{"kind": "pair", "mode": "fast"}]}),
+        (["experiment", "--spec"], {"certify": [{"kind": "eta"}]}),
+        (["experiment", "--spec"], {"detect": [{"pattern": "k5"}]}),
+        (["experiment", "--spec"], {"detect": [{"pattern": "clique"}]}),
+        (["experiment", "--spec"], {"detect": [{"pattern": "sk", "k": True}]}),
     ], ids=["ns-not-a-list", "cell-not-integers", "certify-not-a-list",
             "detect-task-not-an-object", "output-not-an-object", "triples-not-a-list",
             "sizes-not-a-list", "sizes-too-short", "block-is-a-list", "auxiliary-is-a-list",
-            "m-not-an-integer", "class-size-not-an-integer", "block-triples-not-a-list"])
+            "m-not-an-integer", "class-size-not-an-integer", "block-triples-not-a-list",
+            "csv-not-a-string", "hypergraph-dir-not-a-string", "samples-not-an-integer",
+            "samples-zero", "restarts-a-string", "seed-a-float", "unknown-mode",
+            "unknown-kind", "unknown-pattern", "clique-without-k", "k-a-boolean"])
     def test_malformed_json_exit_code(self, tmp_path, capsys, argv, payload):
         if argv[0] == "experiment":
             payload = spec_dict(tmp_path, **payload)
@@ -264,8 +297,8 @@ class TestCli:
         assert len(err) == 1 and "restarts" in err[0]
         spec = spec_dict(tmp_path, ns=[12], seeds=[0], detect=[], output={},
                          certify=[{"kind": "weak", "mode": "search", "restarts": -3}])
-        row, = run_experiment(ExperimentSpec.from_dict(spec)).rows
-        assert row["error"].startswith("ValueError: restarts must be nonnegative")
+        with pytest.raises(ValueError, match="restarts must be an integer >= 0"):
+            ExperimentSpec.from_dict(spec)
 
     def test_experiment_cli(self, tmp_path):
         spec_path = tmp_path / "spec.json"

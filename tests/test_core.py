@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations, product
 
 import pytest
@@ -12,7 +13,7 @@ from hyperq.core import (
     read_hypergraph,
     write_hypergraph,
 )
-from hyperq.constructions import gen_random_3hg, gen_tournament_3hg
+from hyperq.constructions import gen_oriented_4hg, gen_random_3hg, gen_tournament_3hg
 from helpers import tournament_seed
 
 
@@ -167,17 +168,41 @@ class TestSerialization:
             read_hypergraph(text)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("text,message", [
+        ("3 4 1\n0 1 +2\n", "line 2: vertices must be integers"),
+        ("3 4 1\n0 1_0 2\n", "line 2: vertices must be integers"),
+        ("3 4 1\n0 1 \u0663\n", "line 2: vertices must be integers"),
+        ("3 4 1\n0 1\x0c2\n", "line 2: expected 3 vertices"),
+        ("3 4 1\n0\xa01 2\n", "line 2: expected 3 vertices"),
+        ("3 4 1\n-0 1 2\n", "line 2: vertex out of range [0, 4)"),
+        ("3 +4 1\n0 1 2\n", "line 1: header fields must be integers"),
+        ("3 -0 0\n", "line 1: negative n or m"),
+        ("3 4 2\n0 1 2\x0b0 1 3\n", "line 3: expected 2 edge lines, found 1"),
+    ], ids=["plus", "underscore", "arabic-digit", "form-feed", "nbsp", "minus-zero",
+            "header-plus", "header-minus-zero", "vertical-tab-line"])
+    def test_refused_outside_the_format(self, text, message):
+        with pytest.raises(ParseError) as err:
+            read_hypergraph(text)
+        assert str(err.value) == message
+
+    def test_header_only_without_final_lf(self):
+        assert read_hypergraph("3 2 0").n == 2
+        assert read_hypergraph("3 4 1\r0 1 2\n").edges() == [(0, 1, 2)]
+
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ParseError) as err:
             read_hypergraph("3 5 2\n0 1 2\n0 1 7\n")
         assert "line 3" in str(err.value)
 
-    @pytest.mark.parametrize("fault,message", [
-        ("swap", "edges not sorted lexicographically"),
-        ("repeat", "duplicate edge"),
-    ], ids=["swap", "repeat"])
-    def test_order_checked_across_bulk_blocks(self, fault, message):
-        # the bulk reader checks order in blocks; break it where two meet
+    @pytest.mark.parametrize("fault,message,layout", [
+        ("swap", "edges not sorted lexicographically", "canonical"),
+        ("repeat", "duplicate edge", "canonical"),
+        ("swap", "edges not sorted lexicographically", "crlf"),
+        ("repeat", "duplicate edge", "tabs"),
+    ], ids=["swap", "repeat", "swap-crlf", "repeat-tabs"])
+    def test_order_checked_across_bulk_blocks(self, fault, message, layout):
+        # the reader checks order in blocks; break it where two meet, in text
+        # whose layout the reader rewrites first or in canonical text
         text = write_hypergraph(gen_tournament_3hg(60, 0))
         cut = text.find("\n", text.index("\n") + 1 + core._BLOCK_CHARS) + 1
         assert 0 < cut < len(text)
@@ -187,37 +212,59 @@ class TestSerialization:
         broken = first + last if fault == "swap" else last + last
         bad = text[:start] + broken + text[end:]
         line = text.count("\n", 0, cut) + 1
+        if layout == "crlf":
+            bad = bad.replace("\n", "\r\n")
+        elif layout == "tabs":
+            bad = bad.replace(" ", "\t ")
         with pytest.raises(ParseError) as err:
             read_hypergraph(bad)
         assert str(err.value) == "line %d: %s" % (line, message)
-        assert core._read_canonical(text) is not None
+        assert write_hypergraph(read_hypergraph(text)) == text
 
 
-class _NoBlocks:
-    def __getitem__(self, arity):
-        raise AssertionError("bulk block loop reached")
+def _at_last_line(text: str, where: str, fault: str) -> str:
+    """``fault`` in place of the last space of ``text``, or before its last
+    line's first or last vertex."""
+    at = {"space": text.rindex(" "), "last": text.rindex(" ") + 1,
+          "first": text.rindex("\n", 0, len(text) - 1) + 1}[where]
+    return text[:at] + fault + text[at + (where == "space"):]
 
 
-@pytest.mark.parametrize("fault", ["\t", "\r", "  ", "0", "\n0"],
-                         ids=["tab", "cr", "double-space", "leading-zero", "leading-zero-first"])
-def test_layout_departure_skips_bulk_blocks(monkeypatch, fault):
-    """Tabs, CRs, doubled spaces and leading zeros send the text to the line
-    checker before any block is parsed, wherever they occur."""
-    text = write_hypergraph(gen_tournament_3hg(30, 1))
-    rows = read_hypergraph(text)._rows
-    # on the last line: its LF becomes CRLF, its last space a tab or two
-    # spaces, or a 0 goes before its last or its first vertex
-    if fault == "\r":
-        at = len(text) - 1
-    elif fault == "\n0":
-        at = text.rindex("\n", 0, len(text) - 1)
-    else:
-        at = text.rindex(" ")
-    fault = {"\r": "\r\n", "0": " 0"}.get(fault, fault)
-    bad = text[:at] + fault + text[at + 1:]
-    monkeypatch.setattr(core, "_CANONICAL_BLOCK", _NoBlocks())
-    assert core._read_canonical(bad) is None
-    assert read_hypergraph(bad)._rows == rows
+# each departure from canonical layout the reader accepts: the first five
+# late in the text, on its last line, the others all through it
+LAYOUTS = {
+    "tab": lambda t: _at_last_line(t, "space", "\t"),
+    "cr": lambda t: t[:-1] + "\r\n",
+    "double-space": lambda t: _at_last_line(t, "space", "  "),
+    "leading-zero": lambda t: _at_last_line(t, "last", "0"),
+    "leading-zero-first": lambda t: _at_last_line(t, "first", "00"),
+    "tabs": lambda t: t.replace(" ", "\t"),
+    "spaces-and-tabs": lambda t: t.replace(" ", " \t  "),
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "lone-cr": lambda t: t.replace("\n", "\r"),
+    "leading-space": lambda t: "\t" + t.replace("\n", "\n ")[:-1],
+    "trailing-space": lambda t: t.replace("\n", " \t\n"),
+    "leading-zeros": lambda t: re.sub(r"\b([0-9])", r"00\1", t),
+    "no-final-lf": lambda t: t[:-1],
+}
+
+
+@pytest.fixture(scope="module")
+def several_blocks():
+    return {3: gen_tournament_3hg(80, 1), 4: gen_oriented_4hg(44, 1)}
+
+
+@pytest.mark.parametrize("arity", [3, 4])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_layout_departure_reads_canonical_rows(several_blocks, arity, layout):
+    """Every accepted departure from canonical layout, wherever it occurs in
+    a text of several blocks, reads to the rows of the canonical text."""
+    h = several_blocks[arity]
+    text = write_hypergraph(h)
+    assert len(text) > 2 * core._BLOCK_CHARS
+    bent = LAYOUTS[layout](text)
+    assert bent != text
+    assert read_hypergraph(bent)._rows == h._rows
 
 
 class TestFromEdges:
