@@ -10,9 +10,9 @@ evaluating a block of subsets per step; the witness is the maximizer of least
 Gray rank, the first one a single-toggle Gray walk meets.  The pair and
 bipartite certifiers share one sign-split engine: for each subset of the
 enumerated side the best set on the other side is every column whose residual
-has the winning sign.  The weak walk packs its tables into 16-bit fields of
-Python ints.  Heuristic modes report certified lower bounds on the true
-maximum.
+has the winning sign.  Every exact walk packs its tables into fields of
+Python ints, so none of them loads numpy; only the sign-split search does.
+Heuristic modes report certified lower bounds on the true maximum.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ import sys
 from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
-from .core import CapExceeded, Hypergraph3, Hypergraph4, iter_bits, row_bytes
+from .core import CapExceeded, Hypergraph3, Hypergraph4, iter_bits, pack_rows, row_bytes
 from .hashing import subseed
 from .multipartite import MultipartiteGraph, count_triangles_mp
 
@@ -42,9 +43,11 @@ BIPARTITE_EXACT_HARD_CAP = 24
 # steepest-toggle steps per restart of the weak and of the sign-split searches
 WEAK_SEARCH_STEPS = 10 ** 4
 SIGN_SPLIT_SEARCH_STEPS = 200
-# entries in one block of an exact walk: rows x columns in the sign-split
-# engine, sets in the weak one
+# sets in one block of an exact walk
 _BLOCK_ENTRIES = 1 << 13
+# bytes of the packed tables of one sign-split walk, which shrinks its blocks
+# to stay within them
+_TABLE_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -391,10 +394,124 @@ def _sign_split_deviation(kind: str, d: Fraction, columns: Sequence[int], k: int
     reaching the best value, each climb taking strict improvements and the
     least row on ties.
     """
-    # only this engine uses numpy, so no other command pays for loading it
+    p, q = d.numerator, d.denominator
+    if mode == "exact":
+        best, best_mask = _sign_split_exact(columns, k, p, q)
+    elif mode == "search":
+        if restarts < 0:
+            raise ValueError("restarts must be nonnegative, got %d" % restarts)
+        best, best_mask = _sign_split_search(columns, k, p, q, restarts, seed)
+    else:
+        raise ValueError("mode must be 'exact' or 'search'")
+    size = best_mask.bit_count()
+    r = [q * (col & best_mask).bit_count() - p * size for col in columns]
+    sign = 1 if sum(r) >= 0 else -1
+    witness = (tuple(iter_bits(best_mask)), tuple(c for c, v in enumerate(r) if v * sign > 0))
+    method, trials = (("exact", {"subsets": 1 << k}) if mode == "exact"
+                      else ("local-search", {"restarts": restarts}))
+    eta = best / (q * norm) if norm else 0.0
+    return DeviationReport(kind, d, Fraction(best, q), eta, norm, witness, method, trials)
+
+
+def _sign_split_exact(columns: Sequence[int], k: int, p: int, q: int) -> tuple[int, int]:
+    """Largest sign-split value over all row sets S, and the S of least Gray
+    rank reaching it.
+
+    With x_c = p|S| - q deg_S(c) and R = -(sum of the x_c), the value
+    (sum |r| + |sum r|) / 2 is N + max(R, 0), N summing the x_c above 0.
+    S splits into A over the ``low`` first rows and B over the rest, and
+    x_c(A | B) = x_c(A) + x_c(B).  B steps in Gray-code order, and each step
+    evaluates its block of 2^low sets at once: every table over the sets A
+    is packed into w-byte fields of one int, field A holding 2^b + x_c(A)
+    (b = 8w - 1), one table per low pattern of a column and one for R.  No
+    |x_c|, |R| or value reaches cols * k * max(p, q) < 2^b, so adding x_c(B)
+    to every field keeps it in [0, 2^(b + 1)): bit b is set exactly when
+    x_c(A | B) >= 0, and masking the field's lower bits by it adds
+    max(x_c, 0).  Fields are ordered by A, and an odd block meets the sets
+    A in reverse order of their Gray rank in an even one.
+    """
+    cols = len(columns)
+    w = ((2 * max(cols, 1) * max(k, 1) * max(p, q)).bit_length() + 7) // 8
+    b = 8 * w - 1
+    low = min(k, _BLOCK_ENTRIES.bit_length() - 1)
+    while low and (min(cols, 1 << low) + 1) * w << low > _TABLE_BYTES:
+        low -= 1
+    ones = pack_rows(repeat(1, 1 << low), w)
+    # doubling: the fields of the sets with row a copy those without it and
+    # add row a's x, and the tables of the columns sharing a prefix are one
+    tables = {0: 1 << b}
+    rtable = 1 << b
+    for a in range(low):
+        shift = 8 * w << a
+        part = ones & ((1 << shift) - 1)
+        step = (p * part, (p - q) * part)
+        grown = {}
+        for key in {col & ((2 << a) - 1) for col in columns}:
+            t = tables[key & ~(1 << a)]
+            grown[key] = t | (t + step[key >> a & 1]) << shift
+        tables = grown
+        weight = sum(col >> a & 1 for col in columns)
+        rtable |= (rtable + (q * weight - p * cols) * part) << shift
+    tables = [tables[col & ((1 << low) - 1)] for col in columns]
+    # holders[a] lists the columns holding high row low + a, counts[c] counts
+    # the rows of B in column c, and count_b sums the counts
+    holders = [[c for c, col in enumerate(columns) if col >> a & 1] for a in range(low, k)]
+    counts = [0] * cols
+    signs = ones << b
+    rank = [0] * (1 << low)
+    for r in range(1 << low):
+        rank[r ^ (r >> 1)] = r
+    # a block is read with byte i of each field in byte i of an 8-byte
+    # native slot, the other bytes staying 0
+    places = [i if sys.byteorder == "little" else 7 - i for i in range(w)]
+    slots = bytearray(8 << low)
+    view = memoryview(slots).cast("Q")
+    high = size_b = count_b = 0
+    best = 0
+    best_mask = 0
+    for j in range(1 << (k - low)):
+        if j:
+            a = (j & -j).bit_length() - 1
+            sign = -1 if high >> low + a & 1 else 1
+            for c in holders[a]:
+                counts[c] += sign
+            count_b += sign * len(holders[a])
+            size_b += sign
+            high ^= 1 << low + a
+        shifts = [(p * size_b - q * h) * ones for h in range(size_b + 1)]
+        total = 0
+        for t, h in zip(tables, counts):
+            s = t + shifts[h]
+            m = s & signs
+            total += s & (m - (m >> b))
+        s = rtable + (q * count_b - p * cols * size_b) * ones
+        m = s & signs
+        total += s & (m - (m >> b))
+        raw = total.to_bytes(w << low, "little")
+        if w <= 8:
+            for i, place in enumerate(places):
+                slots[place::8] = raw[i::w]
+            vals = view.tolist()
+        else:
+            vals = [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
+        top = max(vals)
+        if top > best:
+            f = vals.index(top)
+            if vals.count(top) > 1:
+                tied = [g for g, v in enumerate(vals) if v == top]
+                f = (max if j & 1 else min)(tied, key=rank.__getitem__)
+            best = top
+            best_mask = high | f
+    return best, best_mask
+
+
+def _sign_split_search(columns: Sequence[int], k: int, p: int, q: int,
+                       restarts: int, seed: int) -> tuple[int, int]:
+    """Best sign-split value of ``restarts`` seeded steepest-toggle climbs over
+    row sets, and the set reaching it first."""
+    # only the search climbs use numpy, so no other command pays for loading it
     import numpy as np
 
-    p, q = d.numerator, d.denominator
     cols = len(columns)
     # every residual sum is below 2 * cols * k * max(p, q), and q and p * k
     # must fit even with no rows or columns: past int64, use exact Python ints
@@ -404,66 +521,32 @@ def _sign_split_deviation(kind: str, d: Fraction, columns: Sequence[int], k: int
     rows = np.unpackbits(packed, axis=1, count=k, bitorder="little").T.astype(dtype, order="C")
     best = 0
     best_mask = 0
-    if mode == "exact":
-        low = min(k, max(0, (_BLOCK_ENTRIES // max(cols, 1)).bit_length() - 1))
-        table = np.zeros((1 << low, cols), dtype=dtype)
-        for a in range(low):
-            table[1 << a:2 << a] = table[:1 << a] + rows[a]
-        ranks = np.arange(1 << low)
-        sizes = np.bitwise_count(ranks).astype(dtype)[:, None]
-        gray = ranks ^ (ranks >> 1)
-        # an odd high rank flips the top low bit of every Gray code in its block
-        orders = (gray, gray ^ ((1 << low) >> 1))
-        base = np.zeros(cols, dtype=dtype)
-        high = 0
-        for j in range(1 << (k - low)):
-            if j:
-                a = low + (j & -j).bit_length() - 1
-                base += -rows[a] if high >> a & 1 else rows[a]
-                high ^= 1 << a
-            order = orders[j & 1]
-            vals = _sign_split_value(table + base, sizes + high.bit_count(), p, q)[order]
-            i = int(vals.argmax())
-            if vals[i] > best:
-                best = int(vals[i])
-                best_mask = high | int(order[i])
-    elif mode == "search":
-        if restarts < 0:
-            raise ValueError("restarts must be nonnegative, got %d" % restarts)
-        for r in range(restarts):
-            rng = random.Random(subseed(seed, r))
-            mask = rng.getrandbits(k) & ((1 << k) - 1)
-            deg = rows[list(iter_bits(mask))].sum(axis=0)
-            size = mask.bit_count()
-            cur = int(_sign_split_value(deg, size, p, q))
-            for _ in range(SIGN_SPLIT_SEARCH_STEPS):
-                move = None
-                move_val = cur
-                for v in range(k):
-                    sign = -1 if mask >> v & 1 else 1
-                    val = _sign_split_value(deg + sign * rows[v], size + sign, p, q)
-                    if val > move_val:
-                        move_val = int(val)
-                        move = v
-                if move is None:
-                    break
-                sign = -1 if mask >> move & 1 else 1
-                deg += sign * rows[move]
-                size += sign
-                mask ^= 1 << move
-                cur = move_val
-            if cur > best:
-                best = cur
-                best_mask = mask
-    else:
-        raise ValueError("mode must be 'exact' or 'search'")
-    r = rows[list(iter_bits(best_mask))].sum(axis=0) * q - p * best_mask.bit_count()
-    keep = (r > 0) if r.sum() >= 0 else (r < 0)
-    witness = (tuple(iter_bits(best_mask)), tuple(int(c) for c in np.nonzero(keep)[0]))
-    method, trials = (("exact", {"subsets": 1 << k}) if mode == "exact"
-                      else ("local-search", {"restarts": restarts}))
-    eta = best / (q * norm) if norm else 0.0
-    return DeviationReport(kind, d, Fraction(best, q), eta, norm, witness, method, trials)
+    for r in range(restarts):
+        rng = random.Random(subseed(seed, r))
+        mask = rng.getrandbits(k) & ((1 << k) - 1)
+        deg = rows[list(iter_bits(mask))].sum(axis=0)
+        size = mask.bit_count()
+        cur = int(_sign_split_value(deg, size, p, q))
+        for _ in range(SIGN_SPLIT_SEARCH_STEPS):
+            move = None
+            move_val = cur
+            for v in range(k):
+                sign = -1 if mask >> v & 1 else 1
+                val = _sign_split_value(deg + sign * rows[v], size + sign, p, q)
+                if val > move_val:
+                    move_val = int(val)
+                    move = v
+            if move is None:
+                break
+            sign = -1 if mask >> move & 1 else 1
+            deg += sign * rows[move]
+            size += sign
+            mask ^= 1 << move
+            cur = move_val
+        if cur > best:
+            best = cur
+            best_mask = mask
+    return best, best_mask
 
 
 def pair_deviation(h: Hypergraph3, d=None, mode: str = "exact",

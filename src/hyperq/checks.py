@@ -158,10 +158,17 @@ def check_oracle_equivalence(level: str) -> tuple[bool, str]:
         n = 6 + i % 3
         h = cons.gen_random_3hg(n, 1, 2, subseed(2000, i))
         d = h.density().density_fraction
-        fast = pair_deviation(h, d, mode="exact").max_deviation
+        rep = pair_deviation(h, d, mode="exact")
+        fast = rep.max_deviation
         slow = enumerate_pair_deviation(h, d)
         if fast != slow:
             problems.append("pair mismatch on instance %d" % i)
+        members, x_pairs = set(rep.witness[0]), set(rep.witness[1])
+        # an edge counts once for each of its pairs in X whose third vertex is in U
+        inside = sum(1 for e in h.iter_edges() for t in range(3)
+                     if e[t] in members and e[:t] + e[t + 1:] in x_pairs)
+        if abs(inside - d * len(members) * len(x_pairs)) != fast:
+            problems.append("pair witness misses the maximum on instance %d" % i)
     for n in k4_sizes:
         for s in range(3):
             h = cons.gen_random_3hg(n, 3, 10, subseed(3000, n, s))

@@ -424,10 +424,17 @@ def read_hypergraph(text: str) -> Hypergraph3 | Hypergraph4:
     CRLF or CR, and vertex ids may carry leading zeros: rewriting those to
     canonical layout first leaves one bulk pass, which checks and parses a
     block of lines at a time and names an error from the block it is in."""
-    text = text.replace("\r\n", "\n").replace("\r", "\n").replace("\t", " ")
+    # each rewrite runs only on text holding its literal, so canonical text
+    # skips all but the "\n0" one, which an edge starting at vertex 0 holds
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if "\t" in text:
+        text = text.replace("\t", " ")
     if not text.endswith("\n"):
         text += "\n"
-    text = _SPACES.sub(" ", text).replace(" \n", "\n").replace("\n ", "\n")
+    if "  " in text:
+        text = _SPACES.sub(" ", text)
+    text = text.replace(" \n", "\n").replace("\n ", "\n")
     head = text[:text.index("\n")].lstrip(" ")
     if not head:
         raise ParseError("line 1: missing header")
@@ -451,7 +458,10 @@ def read_hypergraph(text: str) -> Hypergraph3 | Hypergraph4:
     cap = N3_CAP if arity == 3 else N4_CAP
     if n > cap:
         raise ValueError("n=%d outside supported range [0, %d]" % (n, cap))
-    text = _ZEROS_AFTER_LF.sub("\n", _ZEROS_AFTER_SPACE.sub(" ", text))
+    if " 0" in text:
+        text = _ZEROS_AFTER_SPACE.sub(" ", text)
+    if "\n0" in text:
+        text = _ZEROS_AFTER_LF.sub("\n", text)
     pos, size = text.index("\n") + 1, len(text)
     block_re = _CANONICAL_BLOCK[arity]
     # looking names up both converts and range-checks

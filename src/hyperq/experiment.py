@@ -16,9 +16,11 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 from .certifiers import (
+    _as_fraction,
     pair_deviation,
     quad_vertex_deviation,
     weak_deviation,
@@ -90,6 +92,11 @@ class ExperimentSpec:
                 raise ValueError("output paths must be strings, not %r" % (path,))
         for task in spec.certify:
             _check_task(task, "kind", ("weak", "xyz", "pair", "quad"))
+            try:  # the cells read d as the certifiers do
+                _as_fraction(task.get("d"), Fraction(0))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                raise ValueError("task %r: d must be a number or a fraction string"
+                                 % (task,)) from None
         for task in spec.detect:
             _check_task(task, "pattern", ("k4minus", "clique", "sk", "f4"))
         cols = spec.task_columns()

@@ -1,6 +1,7 @@
 """Reference rules and fixture builders shared by the test modules."""
 
 import re
+from fractions import Fraction
 
 from hyperq.constructions import Tournament
 from hyperq.core import Hypergraph3, Hypergraph4, ParseError
@@ -104,3 +105,27 @@ def read_lines(text: str):
             yield edge
 
     return (Hypergraph3 if arity == 3 else Hypergraph4).from_edges(n, edges())
+
+
+def sign_split_reference(columns, k: int, d: Fraction):
+    """The exact sign-split engine by brute force: over all row sets S, in
+    single-toggle Gray order, the larger of the positive and the negated
+    negative sums of the residuals q * |column & S| - p * |S| (d = p/q);
+    the first S reaching the maximum, and the columns whose residual has the
+    winning sign there (the positive side on a tie)."""
+    p, q = d.numerator, d.denominator
+
+    def residuals(mask):
+        return [q * (col & mask).bit_count() - p * mask.bit_count() for col in columns]
+
+    best, best_mask = 0, 0
+    for rank in range(1 << k):
+        mask = rank ^ (rank >> 1)
+        r = residuals(mask)
+        value = max(sum(v for v in r if v > 0), -sum(v for v in r if v < 0))
+        if value > best:
+            best, best_mask = value, mask
+    r = residuals(best_mask)
+    sign = 1 if sum(r) >= 0 else -1
+    members = tuple(v for v in range(k) if best_mask >> v & 1)
+    return Fraction(best, q), (members, tuple(c for c, v in enumerate(r) if v * sign > 0))

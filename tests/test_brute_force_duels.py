@@ -3,6 +3,7 @@ force on instances small enough to enumerate completely."""
 
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -49,7 +50,7 @@ from hyperq.multipartite import (
 )
 from hyperq.hashing import subseed
 from hyperq.oracles import enumerate_pair_deviation, naive_bipartite_deviation
-from helpers import gen_random_auxiliary, has_triple, read_lines
+from helpers import gen_random_auxiliary, has_triple, read_lines, sign_split_reference
 
 
 def random_graph(n, p, rng):
@@ -264,6 +265,46 @@ def test_sign_split_huge_denominator(d, mode):
         rep = bipartite_regularity_deviation(g, d, mode=mode)
         assert rep.max_deviation == naive_bipartite_deviation(g, d)
         assert bipartite_witness_value(g, d, rep.witness) == rep.max_deviation
+
+
+# numerators over denominators whose field widths, at up to 12 rows and 60
+# columns, fall on either side of 2, 4 and 8 bytes and past 8
+WIDTH_DENOMINATORS = [1, 2, 3, 45, 46, 2 ** 10, 2 ** 20 + 1, 2 ** 22, 2 ** 50,
+                      2 ** 52 + 1, 2 ** 54, 10 ** 20]
+
+
+@st.composite
+def sign_split_inputs(draw):
+    k = draw(st.integers(0, 12))
+    cols = draw(st.integers(0, 60))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    columns = [sum(1 << r for r in range(k) if rng.random() < density) for _ in range(cols)]
+    q = draw(st.sampled_from(WIDTH_DENOMINATORS))
+    return columns, k, Fraction(draw(st.integers(0, q)), q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sign_split_inputs(), st.sampled_from(BLOCK_BUDGETS))
+def test_sign_split_exact_vs_reference(instance, budget):
+    columns, k, d = instance
+    with mock.patch.object(certifiers, "_BLOCK_ENTRIES", budget):
+        rep = certifiers._sign_split_deviation("bipartite", d, columns, k, 1, "exact", 0, 0)
+    assert (rep.max_deviation, rep.witness) == sign_split_reference(columns, k, d)
+
+
+def test_sign_split_tables_within_budget():
+    """In blocks of all 2^12 sets, 12 x 3000 would trace about 50 MB: the
+    walk shrinks its blocks to keep its tables within ``_TABLE_BYTES``."""
+    g = gen_random_multipartite([12, 3000], 1, 2, 0)
+    tracemalloc.start()
+    try:
+        rep = bipartite_regularity_deviation(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.trials == {"subsets": 1 << 12}
+    assert peak <= 2 * certifiers._TABLE_BYTES
 
 
 def reference_xyz(h, d, samples, seed, improve_steps, disjoint):

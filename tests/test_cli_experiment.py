@@ -274,13 +274,18 @@ class TestCli:
         (["experiment", "--spec"], {"detect": [{"pattern": "k5"}]}),
         (["experiment", "--spec"], {"detect": [{"pattern": "clique"}]}),
         (["experiment", "--spec"], {"detect": [{"pattern": "sk", "k": True}]}),
+        (["experiment", "--spec"], {"certify": [{"kind": "xyz", "d": [1]}]}),
+        (["experiment", "--spec"], {"certify": [{"kind": "xyz", "d": "1/0"}]}),
+        (["experiment", "--spec"], {"certify": [{"kind": "pair", "d": "half"}]}),
+        (["experiment", "--spec"], {"certify": [{"kind": "weak", "d": float("inf")}]}),
     ], ids=["ns-not-a-list", "cell-not-integers", "certify-not-a-list",
             "detect-task-not-an-object", "output-not-an-object", "triples-not-a-list",
             "sizes-not-a-list", "sizes-too-short", "block-is-a-list", "auxiliary-is-a-list",
             "m-not-an-integer", "class-size-not-an-integer", "block-triples-not-a-list",
             "csv-not-a-string", "hypergraph-dir-not-a-string", "samples-not-an-integer",
             "samples-zero", "restarts-a-string", "seed-a-float", "unknown-mode",
-            "unknown-kind", "unknown-pattern", "clique-without-k", "k-a-boolean"])
+            "unknown-kind", "unknown-pattern", "clique-without-k", "k-a-boolean",
+            "d-a-list", "d-zero-denominator", "d-not-a-number", "d-infinite"])
     def test_malformed_json_exit_code(self, tmp_path, capsys, argv, payload):
         if argv[0] == "experiment":
             payload = spec_dict(tmp_path, **payload)
@@ -360,24 +365,28 @@ eager = ["hyperq.core", "hyperq.constructions", "hyperq.detectors",
          "hyperq.certifiers", "hyperq.multipartite", "hyperq.experiment"]
 loaded = [m for m in lazy if m in sys.modules]
 missing = [m for m in eager if m not in sys.modules]
-from hyperq.certifiers import pair_deviation, weak_deviation
+from hyperq.certifiers import bipartite_regularity_deviation, pair_deviation, weak_deviation
 from hyperq.core import Hypergraph3
+from hyperq.multipartite import gen_random_multipartite
 weak_deviation(Hypergraph3.complete(15), mode="exact")
-numpy_after_weak = "numpy" in sys.modules
-pair_deviation(Hypergraph3.empty(4), mode="exact")
-print(json.dumps([loaded, missing, numpy_after_weak, "numpy" in sys.modules]))
+pair_deviation(Hypergraph3.complete(9), mode="exact")
+bipartite_regularity_deviation(gen_random_multipartite([9, 20], 1, 2, 0), mode="exact")
+numpy_after_exact = "numpy" in sys.modules
+pair_deviation(Hypergraph3.empty(4), mode="search")
+print(json.dumps([loaded, missing, numpy_after_exact, "numpy" in sys.modules]))
 """
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
     """Importing the CLI loads no numpy, process pool or verify suite (only
     the commands that use them do), but every module the CLI dispatches to.
-    A weak exact certification loads no numpy; a pair one does."""
+    The exact weak, pair and bipartite certifications load no numpy; a pair
+    search does."""
     src = os.path.dirname(os.path.dirname(hyperq.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout
-    loaded, missing, numpy_after_weak, numpy_after_pair = json.loads(out)
+    loaded, missing, numpy_after_exact, numpy_after_search = json.loads(out)
     assert loaded == [] and missing == []
-    assert not numpy_after_weak and numpy_after_pair
+    assert not numpy_after_exact and numpy_after_search
