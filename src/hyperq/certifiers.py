@@ -4,15 +4,17 @@ regularity deviation, exact tripartite triangle counting with the counting
 bound, and relative density of a hypergraph against a tripartite graph.
 
 Exact modes enumerate subsets in Gray-code order and are refused (never
-silently downgraded) beyond their caps.  Each walk tabulates over the subsets
-of its low rows or vertices once and steps the high ones in Gray-code order,
-evaluating a block of subsets per step; the witness is the maximizer of least
-Gray rank, the first one a single-toggle Gray walk meets.  The pair and
-bipartite certifiers share one sign-split engine: for each subset of the
-enumerated side the best set on the other side is every column whose residual
-has the winning sign.  Every exact walk packs its tables into fields of
-Python ints, so none of them loads numpy; only the sign-split search does.
-Heuristic modes report certified lower bounds on the true maximum.
+silently downgraded) beyond their caps.  All three run one walk,
+``_exact_walk``: each certifier tabulates over the subsets of its low rows or
+vertices once, packed into fields of Python ints as wide as its bound needs,
+and the walk steps the high ones in Gray-code order, evaluating a block of
+subsets per step and unpacking only a block that beats the best so far; the
+witness is the maximizer of least Gray rank, the first one a single-toggle
+Gray walk meets.  The pair and bipartite certifiers share one sign-split
+engine: for each subset of the enumerated side the best set on the other
+side is every column whose residual has the winning sign.  No exact walk
+loads numpy; only the sign-split search does.  Heuristic modes report
+certified lower bounds on the true maximum.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import sys
 from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 from .core import CapExceeded, Hypergraph3, Hypergraph4, iter_bits, pack_rows, row_bytes
@@ -70,17 +71,21 @@ class DeviationReport:
 
 
 def _as_fraction(value, default: Fraction) -> Fraction:
+    """``value`` as a density in [0, 1] (a float to nine digits of its
+    denominator), or ``default`` when it is None."""
     if value is None:
         return default
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    if not isinstance(value, (Fraction, int, str, float)):
+        raise ValueError("cannot interpret %r as a density" % (value,))
+    try:
+        d = Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (value,)) from None
     if isinstance(value, float):
-        return Fraction(value).limit_denominator(10 ** 9)
-    raise ValueError("cannot interpret %r as a density" % (value,))
+        d = d.limit_denominator(10 ** 9)
+    if not 0 <= d <= 1:
+        raise ValueError("density %s is outside [0, 1]" % (value,))
+    return d
 
 
 def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
@@ -166,90 +171,116 @@ def _subset_edge_counts(rows: Sequence[int], k: int) -> list[int]:
 
 
 def _weak_exact(links: list[list[int]], p: int, q: int) -> tuple[int, int]:
-    """Largest |e(U) * q - C(|U|, 3) * p| over all vertex sets U, and the U
-    of least Gray rank reaching it.
+    """Largest |x(U)| = |e(U) * q - C(|U|, 3) * p| over all vertex sets U,
+    and the U of least Gray rank reaching it.
 
     U splits into A over the ``low`` first vertices and B over the rest, and
     e(A | B) = e(A) + sum over b in B of l_b(A) + sum over a in A of y_a(B)
     + e(B), where l_b(A) and y_a(B) count the pairs in A and in B that
-    complete an edge with b and with a.  B steps in Gray-code order, and each
-    step evaluates its block of 2^low sets at once: every table over the
-    sets A is packed into 16-bit fields of one int (no count exceeds
-    C(24, 3) = 2024, so no field carries into the next), and e(B) moves into
-    the target.  Fields are ordered by |A| and then by Gray rank in an even
-    block, so each |A| class is one slice with one target.
+    complete an edge with b and with a; with s = |B|, C(|A| + s, 3) =
+    C(|A|, 3) + C(|A|, 2) s + |A| C(s, 2) + C(s, 3).  Each term is a packed
+    table over the sets A times a scalar of the block, and field A sums to
+    2^b + x(A | B).  As 0 <= p <= q, |x| < q C(n, 3) < 2^b, so bit b of a
+    field is set exactly when x >= 0, masking the field's lower bits by it
+    leaves max(x, 0), and |x| = 2 max(x, 0) - x.
     """
     n = len(links)
+    w = ((2 * max(math.comb(n, 3), 1) * q).bit_length() + 7) // 8
+    b = 8 * w - 1
     low = min(n, _BLOCK_ENTRIES.bit_length() - 1)
-    last = (1 << low) - 1
-    gray = [r ^ (r >> 1) for r in range(1 << low)]
-    # ranks[f] is the rank of field f in an even block, codes[f] its set A
-    ranks = sorted(range(1 << low), key=[g.bit_count() for g in gray].__getitem__)
-    codes = [gray[r] for r in ranks]
-    bounds = [0]
-    for s in range(low + 1):
-        bounds.append(bounds[-1] + math.comb(low, s))
-
-    def pack(table: list[int]) -> int:
-        """``table``, indexed by the set A, with field f holding A = codes[f]."""
-        return int.from_bytes(array("H", [table[c] for c in codes]).tobytes(), sys.byteorder)
-
+    ones = _pack_fields([1] * (1 << low), w)
+    signs = ones << b
     e_low = [0]
     for a in range(low):
         e_low += [e + c for e, c in zip(e_low, _subset_edge_counts(links[a], a))]
-    # e(A) + sum over b in B of l_b(A)
-    run = pack(e_low)
-    ell = [pack(_subset_edge_counts(links[b], low)) for b in range(low, n)]
-    members = [pack([c >> a & 1 for c in range(1 << low)]) for a in range(low)]
-    target = [math.comb(s, 3) * p for s in range(n + 1)]
+    # q * (e(A) + sum over b in B of l_b(A))
+    run = q * _pack_fields(e_low, w)
+    ell = [q * _pack_fields(_subset_edge_counts(links[v], low), w) for v in range(low, n)]
+    members = [_pack_fields([c >> a & 1 for c in range(1 << low)], w) for a in range(low)]
+    c3, c2, c1 = (p * _pack_fields([math.comb(c.bit_count(), t) for c in range(1 << low)], w)
+                  for t in (3, 2, 1))
+    # 2^b - p * C(|A| + s, 3) in field A, for each s
+    shifts = [signs - c3 - s * c2 - math.comb(s, 2) * c1 - p * math.comb(s, 3) * ones
+              for s in range(n - low + 1)]
     y = [0] * low
-    e_high = 0
-    high = 0
-    best = 0
-    best_mask = 0
-    nbytes = 2 << low
-    for j in range(1 << (n - low)):
-        if j:
-            b = low + (j & -j).bit_length() - 1
-            bit = 1 << b
-            rest = high & ~bit
-            row = links[b]
-            sign = -1 if high & bit else 1
+    high = e_high = size_b = 0
+
+    def block(a: int, sign: int) -> int:
+        nonlocal run, high, e_high, size_b
+        if sign:
+            row = links[low + a]
+            high ^= 1 << low + a
+            rest = high & ~(1 << low + a)
             e_high += sign * (sum((row[x] & rest).bit_count() for x in iter_bits(rest)) // 2)
-            for a in range(low):
-                y[a] += sign * (row[a] & rest).bit_count()
-            run += sign * ell[b - low]
-            high ^= bit
-        total = run
-        for a in range(low):
-            if y[a]:
-                total += y[a] * members[a]
-        vals = memoryview(total.to_bytes(nbytes, sys.byteorder)).cast("H").tolist()
-        size_b = high.bit_count()
-        found = None
-        for s in range(low + 1):
-            cls = vals[bounds[s]:bounds[s + 1]]
-            t = target[s + size_b] - e_high * q
-            hi, lo = max(cls), min(cls)
-            val = max(hi * q - t, t - lo * q)
-            if val > best:
-                # an odd block flips the top bit of the Gray code at every
-                # rank, so the set at rank r there is the set at rank
-                # last - r in an even block: its class runs in reverse
-                if j & 1:
-                    cls.reverse()
-                f = min(cls.index(e) for e in (hi, lo) if abs(e * q - t) == val)
-                if j & 1:
-                    f = bounds[s + 1] - 1 - f
-                    rank = last - ranks[f]
-                else:
-                    f += bounds[s]
-                    rank = ranks[f]
-                if found is None or (val, -rank) > found[:2]:
-                    found = (val, -rank, codes[f])
-        if found is not None:
-            best, _, code = found
-            best_mask = high | code
+            for i in range(low):
+                y[i] += sign * (row[i] & rest).bit_count()
+            run += sign * ell[a]
+            size_b += sign
+        s = run + shifts[size_b] + q * e_high * ones
+        s += sum(q * count * m for count, m in zip(y, members) if count)
+        m = s & signs
+        return 2 * (s & (m - (m >> b))) + signs - s
+
+    return _exact_walk(n, low, w, block)
+
+
+# unpacked, byte i of a field of at most 8 bytes sits in byte _PLACES[i] of
+# an 8-byte native slot, the other bytes staying 0
+_PLACES = [i if sys.byteorder == "little" else 7 - i for i in range(8)]
+
+
+def _pack_fields(table: Sequence[int], w: int) -> int:
+    """One int holding ``table[f]``, in [0, 2^(8w)), in the w bytes from
+    byte w * f: the inverse of ``_exact_walk``'s unpacking."""
+    if w > 8:
+        return pack_rows(table, w)
+    raw = array("Q", table).tobytes()
+    fields = bytearray(w * len(table))
+    for i in range(w):
+        fields[i::w] = raw[_PLACES[i]::8]
+    return int.from_bytes(fields, "little")
+
+
+def _exact_walk(k: int, low: int, w: int, block) -> tuple[int, int]:
+    """Largest value over all sets of k rows, and the set of least Gray
+    rank reaching it.
+
+    A set splits into A over the ``low`` first rows and B over the rest.  B
+    steps in Gray-code order: ``block(a, sign)`` toggles high row low + a
+    (sign 1 when it enters, -1 when it leaves, 0 before the first step) and
+    returns one int whose w-byte field A holds the value of A | B, below 2^b
+    (b = 8w - 1).  Bit b of total + signs - (best + 1) * ones is set in just
+    the fields above ``best``, so a block that beats nothing is not unpacked.
+    An odd block meets the sets A in reverse order of their even Gray rank.
+    """
+    b = 8 * w - 1
+    ones = _pack_fields([1] * (1 << low), w)
+    signs = ones << b
+    cut = signs - ones
+    # rank[A] is the Gray rank of A in an even block
+    rank = sorted(range(1 << low), key=lambda r: r ^ r >> 1)
+    slots = bytearray(8 << low)
+    view = memoryview(slots).cast("Q")
+    high = best = best_mask = 0
+    total = block(0, 0)
+    for j in range(1 << (k - low)):
+        if j:
+            a = (j & -j).bit_length() - 1
+            high ^= 1 << low + a
+            total = block(a, 1 if high >> low + a & 1 else -1)
+        if not (total + cut) & signs:
+            continue
+        raw = total.to_bytes(w << low, "little")
+        if w <= 8:
+            for i in range(w):
+                slots[_PLACES[i]::8] = raw[i::w]
+            vals = view.tolist()
+        else:
+            vals = [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
+        best = max(vals)
+        tied = [f for f, v in enumerate(vals) if v == best]
+        best_mask = high | (max if j & 1 else min)(tied, key=rank.__getitem__)
+        cut = signs - (best + 1) * ones
     return best, best_mask
 
 
@@ -420,23 +451,21 @@ def _sign_split_exact(columns: Sequence[int], k: int, p: int, q: int) -> tuple[i
     With x_c = p|S| - q deg_S(c) and R = -(sum of the x_c), the value
     (sum |r| + |sum r|) / 2 is N + max(R, 0), N summing the x_c above 0.
     S splits into A over the ``low`` first rows and B over the rest, and
-    x_c(A | B) = x_c(A) + x_c(B).  B steps in Gray-code order, and each step
-    evaluates its block of 2^low sets at once: every table over the sets A
-    is packed into w-byte fields of one int, field A holding 2^b + x_c(A)
-    (b = 8w - 1), one table per low pattern of a column and one for R.  No
-    |x_c|, |R| or value reaches cols * k * max(p, q) < 2^b, so adding x_c(B)
-    to every field keeps it in [0, 2^(b + 1)): bit b is set exactly when
+    x_c(A | B) = x_c(A) + x_c(B).  Every table over the sets A is packed
+    into w-byte fields, field A holding 2^b + x_c(A) (b = 8w - 1), one
+    table per low pattern of a column and one for R.  No |x_c|, |R| or
+    value reaches cols * k * q < 2^b (as 0 <= p <= q), so adding x_c(B) to
+    every field keeps it in [0, 2^(b + 1)): bit b is set exactly when
     x_c(A | B) >= 0, and masking the field's lower bits by it adds
-    max(x_c, 0).  Fields are ordered by A, and an odd block meets the sets
-    A in reverse order of their Gray rank in an even one.
+    max(x_c, 0).
     """
     cols = len(columns)
-    w = ((2 * max(cols, 1) * max(k, 1) * max(p, q)).bit_length() + 7) // 8
+    w = ((2 * max(cols, 1) * max(k, 1) * q).bit_length() + 7) // 8
     b = 8 * w - 1
     low = min(k, _BLOCK_ENTRIES.bit_length() - 1)
     while low and (min(cols, 1 << low) + 1) * w << low > _TABLE_BYTES:
         low -= 1
-    ones = pack_rows(repeat(1, 1 << low), w)
+    ones = _pack_fields([1] * (1 << low), w)
     # doubling: the fields of the sets with row a copy those without it and
     # add row a's x, and the tables of the columns sharing a prefix are one
     tables = {0: 1 << b}
@@ -453,56 +482,30 @@ def _sign_split_exact(columns: Sequence[int], k: int, p: int, q: int) -> tuple[i
         weight = sum(col >> a & 1 for col in columns)
         rtable |= (rtable + (q * weight - p * cols) * part) << shift
     tables = [tables[col & ((1 << low) - 1)] for col in columns]
-    # holders[a] lists the columns holding high row low + a, counts[c] counts
-    # the rows of B in column c, and count_b sums the counts
+    # holders[a] lists the columns holding high row low + a, and counts[c]
+    # counts the rows of B in column c
     holders = [[c for c, col in enumerate(columns) if col >> a & 1] for a in range(low, k)]
     counts = [0] * cols
     signs = ones << b
-    rank = [0] * (1 << low)
-    for r in range(1 << low):
-        rank[r ^ (r >> 1)] = r
-    # a block is read with byte i of each field in byte i of an 8-byte
-    # native slot, the other bytes staying 0
-    places = [i if sys.byteorder == "little" else 7 - i for i in range(w)]
-    slots = bytearray(8 << low)
-    view = memoryview(slots).cast("Q")
-    high = size_b = count_b = 0
-    best = 0
-    best_mask = 0
-    for j in range(1 << (k - low)):
-        if j:
-            a = (j & -j).bit_length() - 1
-            sign = -1 if high >> low + a & 1 else 1
+    size_b = 0
+
+    def block(a: int, sign: int) -> int:
+        nonlocal size_b
+        if sign:
             for c in holders[a]:
                 counts[c] += sign
-            count_b += sign * len(holders[a])
             size_b += sign
-            high ^= 1 << low + a
         shifts = [(p * size_b - q * h) * ones for h in range(size_b + 1)]
         total = 0
         for t, h in zip(tables, counts):
             s = t + shifts[h]
             m = s & signs
             total += s & (m - (m >> b))
-        s = rtable + (q * count_b - p * cols * size_b) * ones
+        s = rtable + (q * sum(counts) - p * cols * size_b) * ones
         m = s & signs
-        total += s & (m - (m >> b))
-        raw = total.to_bytes(w << low, "little")
-        if w <= 8:
-            for i, place in enumerate(places):
-                slots[place::8] = raw[i::w]
-            vals = view.tolist()
-        else:
-            vals = [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
-        top = max(vals)
-        if top > best:
-            f = vals.index(top)
-            if vals.count(top) > 1:
-                tied = [g for g, v in enumerate(vals) if v == top]
-                f = (max if j & 1 else min)(tied, key=rank.__getitem__)
-            best = top
-            best_mask = high | f
-    return best, best_mask
+        return total + (s & (m - (m >> b)))
+
+    return _exact_walk(k, low, w, block)
 
 
 def _sign_split_search(columns: Sequence[int], k: int, p: int, q: int,
@@ -513,9 +516,9 @@ def _sign_split_search(columns: Sequence[int], k: int, p: int, q: int,
     import numpy as np
 
     cols = len(columns)
-    # every residual sum is below 2 * cols * k * max(p, q), and q and p * k
-    # must fit even with no rows or columns: past int64, use exact Python ints
-    dtype = object if 2 * max(cols, 1) * max(k, 1) * max(p, q) >= 2 ** 63 else np.int64
+    # every residual sum is below 2 * cols * k * q, and q and p * k must fit
+    # even with no rows or columns: past int64, use exact Python ints
+    dtype = object if 2 * max(cols, 1) * max(k, 1) * q >= 2 ** 63 else np.int64
     width = (k + 7) // 8
     packed = np.frombuffer(row_bytes(columns, width), dtype=np.uint8).reshape(cols, width)
     rows = np.unpackbits(packed, axis=1, count=k, bitorder="little").T.astype(dtype, order="C")

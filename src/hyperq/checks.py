@@ -131,17 +131,18 @@ def check_freeness(level: str) -> tuple[bool, str]:
 
 
 def check_oracle_equivalence(level: str) -> tuple[bool, str]:
-    weak_sizes = [8 + i % 5 for i in range(100 if level == "full" else 20)]
-    if level == "full":
-        # more vertices than one block of the exact walk, so it crosses blocks
-        weak_sizes.append(15)
-    weak_instances = len(weak_sizes)
+    # (n, d or None for its own density): n = 15 takes four blocks of the
+    # exact walk, two of them odd, and d = 1/10^20 fields past 8 bytes
+    weak_cases = [(8 + i % 5, None) for i in range(100 if level == "full" else 20)]
+    weak_cases += [(15, None), (10, Fraction(1, 10 ** 20))]
+    weak_instances = len(weak_cases)
     pair_instances = 20 if level == "full" else 6
     k4_sizes = (10, 15, 20, 25) if level == "full" else (10, 15)
     problems = []
-    for i, n in enumerate(weak_sizes):
+    for i, (n, d) in enumerate(weak_cases):
         h = cons.gen_random_3hg(n, 3, 10, subseed(1000, i))
-        d = h.density().density_fraction
+        if d is None:
+            d = h.density().density_fraction
         rep = weak_deviation(h, d, mode="exact")
         fast = rep.max_deviation
         slow, _ = naive_weak_deviation(h, d)

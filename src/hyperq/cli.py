@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .certifiers import (
+    _as_fraction,
     bipartite_regularity_deviation,
     pair_deviation,
     quad_vertex_deviation,
@@ -52,13 +53,6 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % text) from None
-
-
-def parse_density(text: str) -> Fraction:
-    d = parse_fraction(text)
-    if not 0 <= d <= 1:
-        raise ValueError("density %s is outside [0, 1]" % text)
-    return d
 
 
 def _jsonable(obj):
@@ -107,7 +101,7 @@ def _read_input(path: str, task: str) -> Hypergraph3 | Hypergraph4:
 
 
 def cmd_certify(args) -> int:
-    d = parse_density(args.d) if args.d else None
+    d = _as_fraction(args.d, None) if args.d else None
     if args.kind == "bipartite":
         g = read_multipartite(Path(args.infile).read_text(encoding="utf-8"))
         rep = bipartite_regularity_deviation(g, d, mode=args.mode, seed=args.seed)

@@ -94,9 +94,9 @@ class ExperimentSpec:
             _check_task(task, "kind", ("weak", "xyz", "pair", "quad"))
             try:  # the cells read d as the certifiers do
                 _as_fraction(task.get("d"), Fraction(0))
-            except (ValueError, ZeroDivisionError, OverflowError):
+            except (ValueError, OverflowError):
                 raise ValueError("task %r: d must be a number or a fraction string"
-                                 % (task,)) from None
+                                 " in [0, 1]" % (task,)) from None
         for task in spec.detect:
             _check_task(task, "pattern", ("k4minus", "clique", "sk", "f4"))
         cols = spec.task_columns()

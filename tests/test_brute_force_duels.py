@@ -254,6 +254,18 @@ HUGE_DENOMINATORS = [Fraction(1, 10 ** 17), Fraction(10 ** 17 - 1, 10 ** 17),
 
 @pytest.mark.parametrize("d", HUGE_DENOMINATORS, ids=str)
 @pytest.mark.parametrize("mode", ["exact", "search"])
+def test_weak_huge_denominator(d, mode):
+    # the exact walk needs fields past 8 bytes for q = 10^20
+    for h in (gen_tournament_3hg(9, 1), gen_random_3hg(7, 1, 2, 3), Hypergraph3.empty(2)):
+        rep = weak_deviation(h, d, mode=mode)
+        e = sum(1 for edge in h.iter_edges() if set(edge) <= set(rep.witness))
+        assert abs(e - d * comb(len(rep.witness), 3)) == rep.max_deviation
+        if mode == "exact":
+            assert rep == reference_weak_exact(h, d)
+
+
+@pytest.mark.parametrize("d", HUGE_DENOMINATORS, ids=str)
+@pytest.mark.parametrize("mode", ["exact", "search"])
 def test_sign_split_huge_denominator(d, mode):
     # n = 1 has no pair column and [0, 3], [3, 0] an empty side
     for h in (gen_random_3hg(7, 1, 2, 3), Hypergraph3.empty(1)):
@@ -274,14 +286,20 @@ WIDTH_DENOMINATORS = [1, 2, 3, 45, 46, 2 ** 10, 2 ** 20 + 1, 2 ** 22, 2 ** 50,
 
 
 @st.composite
+def width_densities(draw):
+    """p/q over a denominator from ``WIDTH_DENOMINATORS``."""
+    q = draw(st.sampled_from(WIDTH_DENOMINATORS))
+    return Fraction(draw(st.integers(0, q)), q)
+
+
+@st.composite
 def sign_split_inputs(draw):
     k = draw(st.integers(0, 12))
     cols = draw(st.integers(0, 60))
     density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
     rng = random.Random(draw(st.integers(0, 10 ** 6)))
     columns = [sum(1 << r for r in range(k) if rng.random() < density) for _ in range(cols)]
-    q = draw(st.sampled_from(WIDTH_DENOMINATORS))
-    return columns, k, Fraction(draw(st.integers(0, q)), q)
+    return columns, k, draw(width_densities())
 
 
 @settings(max_examples=150, deadline=None)
@@ -468,8 +486,12 @@ def weak_instances(draw):
         n, [t for t in combinations(range(n), 3) if rng.random() < density]), budget
 
 
+# weak fields are as wide as 2 * C(n, 3) * q needs: with n <= 15 these fall on
+# either side of 2, 4 and 8 bytes and past 8
 @settings(max_examples=120, deadline=None)
-@given(weak_instances(), st.sampled_from(DENSITIES + [None, Fraction(999999, 1000000)]))
+@given(weak_instances(), st.one_of(
+    st.sampled_from(DENSITIES + [None, Fraction(999999, 1000000)] + HUGE_DENOMINATORS),
+    width_densities()))
 def test_weak_exact_vs_reference(instance, d):
     h, budget = instance
     with mock.patch.object(certifiers, "_BLOCK_ENTRIES", budget):

@@ -29,6 +29,27 @@ from hyperq.oracles import (
 )
 
 
+# each certifier on a small input of its kind, at density d
+CERTIFY_AT = {
+    "weak": lambda d: weak_deviation(gen_random_3hg(6, 1, 2, 0), d),
+    "xyz": lambda d: xyz_deviation(gen_random_3hg(6, 1, 2, 0), d),
+    "pair": lambda d: pair_deviation(gen_random_3hg(6, 1, 2, 0), d),
+    "quad": lambda d: quad_vertex_deviation(Hypergraph4.from_edges(5, [(0, 1, 2, 3)]), d),
+    "bipartite": lambda d: bipartite_regularity_deviation(
+        gen_random_multipartite([6, 9], 1, 2, 1), d),
+    "triangle-bound": lambda d: triangle_bound_check(
+        gen_random_multipartite([3, 3, 3], 1, 2, 0), d),
+}
+
+
+@pytest.mark.parametrize("d", [Fraction(-3), Fraction(3, 2), -3, "3/2", 1.5], ids=repr)
+@pytest.mark.parametrize("kind", sorted(CERTIFY_AT))
+def test_density_outside_unit_interval_refused(kind, d):
+    # the field widths of the exact walks hold only for 0 <= d <= 1
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        CERTIFY_AT[kind](d)
+
+
 class TestWeakDeviation:
     def test_complete_zero(self):
         rep = weak_deviation(Hypergraph3.complete(8), Fraction(1))

@@ -278,6 +278,8 @@ class TestCli:
         (["experiment", "--spec"], {"certify": [{"kind": "xyz", "d": "1/0"}]}),
         (["experiment", "--spec"], {"certify": [{"kind": "pair", "d": "half"}]}),
         (["experiment", "--spec"], {"certify": [{"kind": "weak", "d": float("inf")}]}),
+        (["experiment", "--spec"], {"certify": [{"kind": "weak", "d": "5"}]}),
+        (["experiment", "--spec"], {"certify": [{"kind": "pair", "d": "-3"}]}),
     ], ids=["ns-not-a-list", "cell-not-integers", "certify-not-a-list",
             "detect-task-not-an-object", "output-not-an-object", "triples-not-a-list",
             "sizes-not-a-list", "sizes-too-short", "block-is-a-list", "auxiliary-is-a-list",
@@ -285,7 +287,8 @@ class TestCli:
             "csv-not-a-string", "hypergraph-dir-not-a-string", "samples-not-an-integer",
             "samples-zero", "restarts-a-string", "seed-a-float", "unknown-mode",
             "unknown-kind", "unknown-pattern", "clique-without-k", "k-a-boolean",
-            "d-a-list", "d-zero-denominator", "d-not-a-number", "d-infinite"])
+            "d-a-list", "d-zero-denominator", "d-not-a-number", "d-infinite",
+            "d-above-one", "d-negative"])
     def test_malformed_json_exit_code(self, tmp_path, capsys, argv, payload):
         if argv[0] == "experiment":
             payload = spec_dict(tmp_path, **payload)
