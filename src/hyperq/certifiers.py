@@ -12,9 +12,9 @@ subsets per step and unpacking only a block that beats the best so far; the
 witness is the maximizer of least Gray rank, the first one a single-toggle
 Gray walk meets.  The pair and bipartite certifiers share one sign-split
 engine: for each subset of the enumerated side the best set on the other
-side is every column whose residual has the winning sign.  No exact walk
-loads numpy; only the sign-split search does.  Heuristic modes report
-certified lower bounds on the true maximum.
+side is every column whose residual has the winning sign; its search
+climbs on masks with one bit per column.  Heuristic modes report certified
+lower bounds on the true maximum.
 """
 
 from __future__ import annotations
@@ -25,20 +25,17 @@ import sys
 from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .core import CapExceeded, Hypergraph3, Hypergraph4, iter_bits, pack_rows, row_bytes
 from .hashing import subseed
 from .multipartite import MultipartiteGraph, count_triangles_mp
 
-if TYPE_CHECKING:
-    import numpy as np
-
 WEAK_EXACT_HARD_CAP = 24
 PAIR_EXACT_HARD_CAP = 20
-# search mode holds an n x C(n, 2) int64 matrix, which grows as 4 n^3 bytes:
-# at n = 200 it takes 32 MB (90 MB peak while it is unpacked) and the default
-# 32 restarts take 46 s of CPU on a 2-vCPU Xeon VM
+# search mode holds n holder masks and n + 3 level masks of C(n, 2) bits,
+# about 1 MB at n = 200, where the default 32 restarts take about 6.5 s of
+# CPU on a 2-vCPU Xeon VM (tournament3, d = 1/4)
 PAIR_SEARCH_HARD_CAP = 200
 BIPARTITE_EXACT_HARD_CAP = 24
 # steepest-toggle steps per restart of the weak and of the sign-split searches
@@ -403,14 +400,6 @@ def _xyz_improve(h: Hypergraph3, masks: list, best: int, p: int, q: int,
     return masks, best, improved
 
 
-def _sign_split_value(deg: np.ndarray, size, p: int, q: int):
-    """max(pos, neg) of the residuals r = q*deg - p*size along the last axis,
-    pos and neg being the sums of the positive and of the negated negative
-    entries: |r| sums to pos + neg and r to pos - neg."""
-    r = deg * q - p * size
-    return (abs(r).sum(axis=-1) + abs(r.sum(axis=-1))) // 2
-
-
 def _sign_split_deviation(kind: str, d: Fraction, columns: Sequence[int], k: int,
                           norm: int, mode: str, restarts: int,
                           seed: int) -> DeviationReport:
@@ -511,45 +500,75 @@ def _sign_split_exact(columns: Sequence[int], k: int, p: int, q: int) -> tuple[i
 def _sign_split_search(columns: Sequence[int], k: int, p: int, q: int,
                        restarts: int, seed: int) -> tuple[int, int]:
     """Best sign-split value of ``restarts`` seeded steepest-toggle climbs over
-    row sets, and the set reaching it first."""
-    # only the search climbs use numpy, so no other command pays for loading it
-    import numpy as np
+    row sets, and the set reaching it first.
 
+    Masks hold one bit per column: ``holders[v]`` the columns holding row v,
+    and ``ge[h + 1]`` those meeting the set S in at least h rows, whose
+    residual is r = q h - p |S|.  Toggling row v with sign g (1 to enter)
+    moves every r by -g p, summed over the columns from the level counts,
+    and the r of v's holders by a further g q: with s the new size,
+    t = ceil(p s / q) and a = t - (g > 0), a holder's |r| moves by g q above
+    level a, by -g q below it and by g (q (2t - 1) - 2 p s) at it.  Values
+    are doubled, sum |r| + |sum r|; ``move_val`` ends as the final set's.
+    """
     cols = len(columns)
-    # every residual sum is below 2 * cols * k * q, and q and p * k must fit
-    # even with no rows or columns: past int64, use exact Python ints
-    dtype = object if 2 * max(cols, 1) * max(k, 1) * q >= 2 ** 63 else np.int64
     width = (k + 7) // 8
-    packed = np.frombuffer(row_bytes(columns, width), dtype=np.uint8).reshape(cols, width)
-    rows = np.unpackbits(packed, axis=1, count=k, bitorder="little").T.astype(dtype, order="C")
-    best = 0
-    best_mask = 0
+    raw = row_bytes(columns, width)
+    # digits[i] maps a byte to the digit of its bit i; column c sits at bit
+    # cols - 1 - c of every mask, as only counts are read
+    digits = [bytes(b"01"[byte >> i & 1] for byte in range(256)) for i in range(8)]
+    holders = [int(raw[v >> 3::width].translate(digits[v & 7]) or b"0", 2) for v in range(k)]
+    held = [hv.bit_count() for hv in holders]
+
+    def shift(ge: list, v: int, sign: int) -> None:
+        """Move the holders of row v one level up (sign 1) or down."""
+        hv = holders[v]
+        if sign > 0:
+            for j in range(k + 1, 1, -1):
+                ge[j] |= ge[j - 1] & hv
+        else:
+            for j in range(2, k + 2):
+                ge[j] &= ~hv | ge[j + 1]
+
+    best = best_mask = 0
     for r in range(restarts):
-        rng = random.Random(subseed(seed, r))
-        mask = rng.getrandbits(k) & ((1 << k) - 1)
-        deg = rows[list(iter_bits(mask))].sum(axis=0)
+        mask = random.Random(subseed(seed, r)).getrandbits(k) & ((1 << k) - 1)
+        ge = [(1 << cols) - 1] * 2 + [0] * (k + 1)
+        for v in iter_bits(mask):
+            shift(ge, v, 1)
         size = mask.bit_count()
-        cur = int(_sign_split_value(deg, size, p, q))
+        total = q * sum(held[v] for v in iter_bits(mask)) - p * size * cols
         for _ in range(SIGN_SPLIT_SEARCH_STEPS):
-            move = None
-            move_val = cur
+            pops = [g.bit_count() for g in ge]
+            # spread[g + 1] sums |q h - p (|S| + g)| over the columns, read in [0, k]
+            spread = [sum((pops[h + 1] - pops[h + 2]) * abs(q * h - p * s)
+                          for h in range(size + 1)) for s in (size - 1, size, size + 1)]
+            toggles = {}
+            for sign in (-1, 1):
+                s = size + sign
+                t = -(-p * s // q)
+                toggles[sign] = (spread[sign + 1], ge[t + (sign < 0)], ge[t + 1 + (sign < 0)],
+                                 sign * (q * (2 * t - 1) - 2 * p * s))
+            move, move_val = None, spread[1] + abs(total)
             for v in range(k):
                 sign = -1 if mask >> v & 1 else 1
-                val = _sign_split_value(deg + sign * rows[v], size + sign, p, q)
+                base, at_least, above, edge = toggles[sign]
+                upper = (holders[v] & above).bit_count()
+                mid = (holders[v] & at_least).bit_count() - upper
+                val = (base + sign * q * (2 * upper + mid - held[v]) + edge * mid
+                       + abs(total + sign * (q * held[v] - p * cols)))
                 if val > move_val:
-                    move_val = int(val)
-                    move = v
+                    move, move_val = v, val
             if move is None:
                 break
             sign = -1 if mask >> move & 1 else 1
-            deg += sign * rows[move]
+            shift(ge, move, sign)
+            total += sign * (q * held[move] - p * cols)
             size += sign
             mask ^= 1 << move
-            cur = move_val
-        if cur > best:
-            best = cur
-            best_mask = mask
-    return best, best_mask
+        if move_val > best:
+            best, best_mask = move_val, mask
+    return best // 2, best_mask
 
 
 def pair_deviation(h: Hypergraph3, d=None, mode: str = "exact",

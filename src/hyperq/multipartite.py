@@ -7,6 +7,7 @@ explorer.
 from __future__ import annotations
 
 import random
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -528,27 +529,45 @@ def write_multipartite(g: MultipartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fields(line: str) -> list[str]:
+    """The fields of a line: the runs between spaces and tabs."""
+    return re.findall(r"[^ \t]+", line)
+
+
+def _digits(fields: Sequence[str]) -> bool:
+    return all(f.isascii() and f.isdigit() for f in fields)
+
+
 def read_multipartite(text: str) -> MultipartiteGraph:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("mp"):
+    """Parse ``write_multipartite``'s format, with lines ended by LF, CRLF
+    or CR and fields separated by runs of spaces or tabs; every field but
+    the header's leading ``mp`` is ASCII digits."""
+    lines = re.split(r"\r\n|\r|\n", text)
+    if lines[-1] == "":
+        lines.pop()
+    head = _fields(lines[0]) if lines else []
+    if not head or head[0] != "mp":
         raise ParseError("line 1: expected 'mp' header")
-    head = lines[0].split()
     try:
+        if len(head) < 2 or not _digits(head[1:]):
+            raise ValueError
         m = int(head[1])
         sizes = [int(x) for x in head[2:]]
-    except (IndexError, ValueError):
+    except ValueError:
         raise ParseError("line 1: header must be 'mp <m> <sizes...>'") from None
     if len(sizes) != m:
         raise ParseError("line 1: expected %d part sizes" % m)
     g = MultipartiteGraph(sizes)
     for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split()
+        parts = _fields(line)
         if len(parts) != 4:
             raise ParseError("line %d: expected '<i> <a> <j> <b>'" % ln)
         try:
+            if not _digits(parts):
+                raise ValueError
             i, a, j, b = (int(x) for x in parts)
         except ValueError:
-            raise ParseError("line %d: fields must be integers" % ln) from None
+            raise ParseError("line %d: fields must be integers of ASCII digits" % ln) from None
         if not (0 <= i < m and 0 <= j < m) or i >= j:
             raise ParseError("line %d: need part indices with i < j" % ln)
         if not (0 <= a < sizes[i] and 0 <= b < sizes[j]):

@@ -1,11 +1,13 @@
 """Reference rules and fixture builders shared by the test modules."""
 
+import random
 import re
 from fractions import Fraction
 
+from hyperq.certifiers import SIGN_SPLIT_SEARCH_STEPS
 from hyperq.constructions import Tournament
 from hyperq.core import Hypergraph3, Hypergraph4, ParseError
-from hyperq.hashing import TAG_AUX_TRIPLE, bernoulli
+from hyperq.hashing import TAG_AUX_TRIPLE, bernoulli, subseed
 from hyperq.multipartite import AuxiliaryHypergraph
 
 
@@ -129,3 +131,33 @@ def sign_split_reference(columns, k: int, d: Fraction):
     sign = 1 if sum(r) >= 0 else -1
     members = tuple(v for v in range(k) if best_mask >> v & 1)
     return Fraction(best, q), (members, tuple(c for c, v in enumerate(r) if v * sign > 0))
+
+
+def sign_split_search_reference(columns, k: int, d: Fraction, restarts: int, seed: int):
+    """The sign-split search by brute force: from each seeded start, a climb
+    whose every step recounts the residuals of every single-row toggle and
+    takes the strictly best, the least row on ties; the best value over the
+    restarts (numerator over d's denominator) and the first set reaching it."""
+    p, q = d.numerator, d.denominator
+
+    def value(mask):
+        r = [q * (col & mask).bit_count() - p * mask.bit_count() for col in columns]
+        return max(sum(v for v in r if v > 0), -sum(v for v in r if v < 0))
+
+    best, best_mask = 0, 0
+    for i in range(restarts):
+        mask = random.Random(subseed(seed, i)).getrandbits(k) & ((1 << k) - 1)
+        cur = value(mask)
+        for _ in range(SIGN_SPLIT_SEARCH_STEPS):
+            move, move_val = None, cur
+            for v in range(k):
+                val = value(mask ^ 1 << v)
+                if val > move_val:
+                    move, move_val = v, val
+            if move is None:
+                break
+            mask ^= 1 << move
+            cur = move_val
+        if cur > best:
+            best, best_mask = cur, mask
+    return best, best_mask

@@ -50,7 +50,13 @@ from hyperq.multipartite import (
 )
 from hyperq.hashing import subseed
 from hyperq.oracles import enumerate_pair_deviation, naive_bipartite_deviation
-from helpers import gen_random_auxiliary, has_triple, read_lines, sign_split_reference
+from helpers import (
+    gen_random_auxiliary,
+    has_triple,
+    read_lines,
+    sign_split_reference,
+    sign_split_search_reference,
+)
 
 
 def random_graph(n, p, rng):
@@ -323,6 +329,60 @@ def test_sign_split_tables_within_budget():
         tracemalloc.stop()
     assert rep.trials == {"subsets": 1 << 12}
     assert peak <= 2 * certifiers._TABLE_BYTES
+
+
+# the densities of the search duel besides random p/q, whose fields pass 2^63
+SEARCH_DENSITIES = [Fraction(0), Fraction(1), Fraction(1, 10 ** 20),
+                    Fraction(10 ** 20 - 1, 10 ** 20)]
+
+
+@st.composite
+def sign_split_search_inputs(draw):
+    """Up to 14 rows and 60 columns, some of them empty and some repeated."""
+    k = draw(st.integers(0, 14))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    columns = []
+    for _ in range(draw(st.integers(0, 60))):
+        pick = rng.random()
+        if pick < 0.1:
+            columns.append(0)
+        elif pick < 0.25 and columns:
+            columns.append(rng.choice(columns))
+        else:
+            columns.append(sum(1 << r for r in range(k) if rng.random() < density))
+    q = draw(st.integers(1, 10 ** 19))
+    d = draw(st.one_of(st.sampled_from(SEARCH_DENSITIES),
+                       st.integers(0, q).map(lambda a: Fraction(a, q))))
+    return columns, k, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(sign_split_search_inputs(), st.integers(0, 4), st.integers(0, 10 ** 6))
+def test_sign_split_search_vs_reference(instance, restarts, seed):
+    columns, k, d = instance
+    got = certifiers._sign_split_search(columns, k, d.numerator, d.denominator, restarts, seed)
+    assert got == sign_split_search_reference(columns, k, d, restarts, seed)
+
+
+def test_pair_search_memory():
+    """The search keeps k holder masks and k + 3 level masks of C(n, 2)
+    bits, about 0.1 MB at n = 100, so its traced peak stays under 2 MB."""
+    # a search that loaded numpy would trace the import, not its own arrays:
+    # load it first, where installed
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        pass
+    h = gen_tournament_3hg(100, 0)
+    tracemalloc.start()
+    try:
+        rep = pair_deviation(h, "1/4", mode="search", restarts=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.trials == {"restarts": 2}
+    assert peak < 2 * 10 ** 6
 
 
 def reference_xyz(h, d, samples, seed, improve_steps, disjoint):

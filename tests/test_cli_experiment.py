@@ -9,6 +9,7 @@ import pytest
 
 import hyperq
 from hyperq.cli import main
+from hyperq.constructions import PATTERN_K_CAP
 from hyperq.core import read_hypergraph
 from hyperq.experiment import ExperimentSpec, run_experiment, worker_count
 
@@ -136,6 +137,17 @@ class TestCli:
                      "--mode", "search"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err == ["refused: pair deviation search refused for n=201 > cap 200"]
+
+    @pytest.mark.parametrize("construction", ["colouring-kk", "sk-free"])
+    def test_pattern_k_cap_refused(self, tmp_path, capsys, construction):
+        out = tmp_path / "g.hg"
+        args = ["generate", "--construction", construction, "--n", "6", "--out", str(out)]
+        assert main(args + ["--k", str(PATTERN_K_CAP)]) == 0
+        capsys.readouterr()
+        assert main(args + ["--k", str(PATTERN_K_CAP + 1)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["refused: pattern table refused for k=%d > cap %d"
+                       % (PATTERN_K_CAP + 1, PATTERN_K_CAP)]
 
     @pytest.mark.parametrize("header", [
         "mp 65" + " 0" * 65,
@@ -374,22 +386,22 @@ from hyperq.multipartite import gen_random_multipartite
 weak_deviation(Hypergraph3.complete(15), mode="exact")
 pair_deviation(Hypergraph3.complete(9), mode="exact")
 bipartite_regularity_deviation(gen_random_multipartite([9, 20], 1, 2, 0), mode="exact")
-numpy_after_exact = "numpy" in sys.modules
-pair_deviation(Hypergraph3.empty(4), mode="search")
-print(json.dumps([loaded, missing, numpy_after_exact, "numpy" in sys.modules]))
+pair_deviation(Hypergraph3.complete(9), mode="search")
+bipartite_regularity_deviation(gen_random_multipartite([9, 20], 1, 2, 0), mode="search")
+print(json.dumps([loaded, missing, "numpy" in sys.modules]))
 """
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
-    """Importing the CLI loads no numpy, process pool or verify suite (only
-    the commands that use them do), but every module the CLI dispatches to.
-    The exact weak, pair and bipartite certifications load no numpy; a pair
-    search does."""
+    """Importing the CLI loads no process pool or verify suite (only the
+    commands that use them do), but every module the CLI dispatches to.
+    Nothing loads numpy: neither the import nor the exact weak, pair and
+    bipartite walks nor the pair and bipartite searches."""
     src = os.path.dirname(os.path.dirname(hyperq.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout
-    loaded, missing, numpy_after_exact, numpy_after_search = json.loads(out)
+    loaded, missing, numpy_loaded = json.loads(out)
     assert loaded == [] and missing == []
-    assert not numpy_after_exact and numpy_after_search
+    assert not numpy_loaded

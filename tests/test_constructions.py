@@ -1,9 +1,12 @@
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 
-from hyperq.core import Hypergraph3
+from hyperq import constructions
+from hyperq.core import CapExceeded, Hypergraph3
 from hyperq.constructions import (
+    PATTERN_K_CAP,
     PairColouring,
     Tournament,
     TripleOrientation,
@@ -64,6 +67,16 @@ def test_tournament_edges_are_cyclic_triples():
         arcs = (out[x] >> y & 1) + (out[y] >> z & 1) + (out[z] >> x & 1)
         cyclic = arcs in (0, 3)  # out-degrees 1,1,1 within the triple
         assert h.has_edge(x, y, z) == cyclic
+
+
+@pytest.mark.parametrize("make", [gen_colouring_kk_free, gen_sk_free])
+def test_pattern_k_cap(make):
+    """k = PATTERN_K_CAP builds its table; one past it is refused before the
+    colouring or the table is built."""
+    assert make(6, PATTERN_K_CAP, 1).n == 6
+    with mock.patch.object(constructions, "PairColouring", side_effect=AssertionError), \
+            pytest.raises(CapExceeded, match="k=%d > cap %d" % (PATTERN_K_CAP + 1, PATTERN_K_CAP)):
+        make(6, PATTERN_K_CAP + 1, 1)
 
 
 def test_colouring_k3_empty():

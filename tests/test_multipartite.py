@@ -258,8 +258,27 @@ class TestSerialization:
         ("mp 2 3 3\n1 0 0 0\n", "i < j"),
         ("mp 2 3 3\n0 5 1 0\n", "out of range"),
         ("mp 2 3 3\n0 0 1 0\n0 0 1 0\n", "duplicate"),
+        ("mpx 2 1 1\n", "'mp' header"),
+        ("", "'mp' header"),
+        ("mp\n", "header must be"),
+        ("mp +2 1 1\n", "header must be"),
+        ("mp 2 1 \u0661\n", "header must be"),
+        ("mp 2 1 1\n+0 0 1 0\n", "ASCII digits"),
+        ("mp 2 1 1\n0 0 1_0 0\n", "ASCII digits"),
+        ("mp 2 1 1\n0 0 1 \u0660\n", "ASCII digits"),
+        ("mp 2 1 1\n0 -0 1 0\n", "ASCII digits"),
+        ("mp 2 1 1\n0\x0c0 1 0\n", "expected '<i> <a> <j> <b>'"),
+        ("mp 2 1 1\n0 %s 1 0\n" % ("1" * 5000), "ASCII digits"),
     ])
     def test_errors(self, text, fragment):
         with pytest.raises(ParseError) as err:
             read_multipartite(text)
         assert fragment in str(err.value)
+
+    def test_layouts(self):
+        """Runs of spaces or tabs between fields, and LF, CRLF or CR line
+        endings, read as the canonical text does."""
+        text = "mp 2 1 2\n0 0 1 1\n"
+        for variant in ("mp\t2  1 2\r\n 0 0 1\t1 \r\n", "mp 2 1 2\r0 0 1 1",
+                        "mp 2 01 2\n0 0 1 1\n"):
+            assert write_multipartite(read_multipartite(variant)) == text
