@@ -68,7 +68,7 @@ class DeviationReport:
 
 
 def _as_fraction(value, default: Fraction) -> Fraction:
-    """``value`` as a density in [0, 1] (a float to nine digits of its
+    """``value`` as a fraction in [0, 1] (a float to nine digits of its
     denominator), or ``default`` when it is None."""
     if value is None:
         return default
@@ -81,7 +81,7 @@ def _as_fraction(value, default: Fraction) -> Fraction:
     if isinstance(value, float):
         d = d.limit_denominator(10 ** 9)
     if not 0 <= d <= 1:
-        raise ValueError("density %s is outside [0, 1]" % (value,))
+        raise ValueError("%s is outside [0, 1]" % (value,))
     return d
 
 

@@ -35,6 +35,7 @@ from .multipartite import (
 )
 from .oracles import (
     enumerate_pair_deviation,
+    naive_best_triangle_free_ratio,
     naive_count_k4_minus,
     naive_weak_deviation,
 )
@@ -241,16 +242,21 @@ def check_multipartite_tightness(level: str) -> tuple[bool, str]:
     prof = mean_square_profile(g)
     if any(r != Fraction(1, 4) for r in prof.ratios.values()):
         problems.append("half_split ratio differs from exactly 1/4")
-    runs = ([(3, 12, 200, 300), (4, 8, 20, 200), (5, 12, 4, 150)]
-            if level == "full" else [(3, 8, 10, 120), (2, 4, 4, 200)])
-    for m, s, restarts, moves in runs:
-        res = explore_extremal(m, s, restarts=restarts, seed=7, moves=moves)
-        if not res.triangle_free:
-            problems.append("explorer(%d,%d) reported non-certified graph" % (m, s))
-        if m > 2 and res.min_ratio < Fraction(1, 4):
-            problems.append("explorer(%d,%d) min ratio %s < 1/4" % (m, s, res.min_ratio))
+    best = naive_best_triangle_free_ratio(3, 2)
+    if best != mean_square_profile(half_split(3, 2)).min_ratio():
+        problems.append("best triangle-free ratio on 3 parts of 2 is %s, not the "
+                        "half-split's" % best)
+    shapes = [(3, 12), (4, 8), (5, 12), (8, 64)] if level == "full" else [(3, 8), (5, 4)]
+    for m, s in shapes:
+        res = explore_extremal(m, s, seed=7)
+        if res.graph.rows != half_split(m, s).rows or res.accepted_moves:
+            problems.append("explorer(%d,%d) left the half-split" % (m, s))
+    res = explore_extremal(2, 4, restarts=4, seed=7, moves=200)
+    if res.min_ratio != 1:
+        problems.append("explorer(2,4) stopped at ratio %s, not 1" % res.min_ratio)
     return not problems, "; ".join(problems) or \
-        "half_split exact 1/4 and triangle-free; explorer never below baseline"
+        "half_split exact 1/4, triangle-free and best possible on 3 parts of 2; " \
+        "explorer ends there for m >= 3 and at ratio 1 for m = 2"
 
 
 def check_cauchy_schwarz_step(level: str) -> tuple[bool, str]:

@@ -48,13 +48,6 @@ from .multipartite import (
 )
 
 
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % text) from None
-
-
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator,
@@ -129,9 +122,9 @@ def cmd_detect(args) -> int:
     if args.pattern == "k4minus":
         witness = find_k4_minus(h, ordered=args.ordered)
     elif args.pattern == "clique":
-        witness = find_clique3(h, args.k or 4)
+        witness = find_clique3(h, 4 if args.k is None else args.k)
     elif args.pattern == "sk":
-        witness = find_sk(h, args.k or 3)
+        witness = find_sk(h, 3 if args.k is None else args.k)
     elif args.pattern == "custom":
         if not args.pattern_file:
             raise ValueError("custom detection needs --pattern-file")
@@ -172,11 +165,16 @@ def _read_block(path: str) -> TripartiteTriples:
 def _read_auxiliary(path: str) -> AuxiliaryHypergraph:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
-        sizes = {tuple(int(x) for x in key.split(",")): int(v)
+        m = data["m"]
+        sizes = {tuple(int(x) for x in key.split(",")): v
                  for key, v in data["class_sizes"].items()}
         blocks = {tuple(int(x) for x in key.split(",")): [tuple(t) for t in triples]
                   for key, triples in data.get("blocks", {}).items()}
-        return AuxiliaryHypergraph(int(data["m"]), sizes, blocks)
+        for value in (m, *sizes.values()):
+            if type(value) is not int or value < 0:
+                raise ValueError("m and the class sizes must be nonnegative integers,"
+                                 " not %r" % (value,))
+        return AuxiliaryHypergraph(m, sizes, blocks)
     except (TypeError, AttributeError) as exc:
         raise ValueError("malformed auxiliary system: %s" % exc) from None
 
@@ -197,20 +195,19 @@ def cmd_multipartite(args) -> int:
             sys.stdout.write(text)
         return 0
     if op == "explore":
-        eps = parse_fraction(args.epsilon) if args.epsilon else None
-        res = explore_extremal(args.m, args.s, eps_target=eps,
+        res = explore_extremal(args.m, args.s, eps_target=_as_fraction(args.epsilon, None),
                                restarts=args.restarts, seed=args.seed)
         if args.out:
             Path(args.out).write_text(write_multipartite(res.graph), encoding="utf-8")
+        # the explorer only returns triangle-free graphs
         _write_report(args.report, {
             "schema_version": 1, "op": op, "m": args.m, "s": args.s,
-            "min_ratio": res.min_ratio, "triangle_free": res.triangle_free,
-            "restarts": res.restarts, "accepted_moves": res.accepted_moves})
+            "min_ratio": res.min_ratio, "triangle_free": True,
+            "restarts": args.restarts, "accepted_moves": res.accepted_moves})
         return 0
     if op == "project":
-        block = _read_block(args.infile)
-        eps = parse_fraction(args.epsilon) if args.epsilon else Fraction(0)
-        rep = project_auxiliary(block, eps)
+        rep = project_auxiliary(_read_block(args.infile),
+                                _as_fraction(args.epsilon, Fraction(0)))
         _write_report(args.report, {"schema_version": 1, "op": op, "report": rep})
         return 0
     if op == "threetriples":
@@ -225,8 +222,7 @@ def cmd_multipartite(args) -> int:
         return 0
     g = read_multipartite(Path(args.infile).read_text(encoding="utf-8"))
     if op == "profile":
-        eps = parse_fraction(args.epsilon) if args.epsilon else Fraction(0)
-        prof = mean_square_profile(g, epsilon=eps)
+        prof = mean_square_profile(g, epsilon=_as_fraction(args.epsilon, Fraction(0)))
         payload = {"schema_version": 1, "op": op, "sizes": list(g.sizes),
                    "ratios": {"%d,%d" % k: v for k, v in prof.ratios.items()},
                    "satisfied": {"%d,%d" % k: v for k, v in prof.satisfied.items()},
@@ -242,9 +238,8 @@ def cmd_multipartite(args) -> int:
     if op == "diagnostics":
         if not args.delta:
             raise ValueError("diagnostics needs --delta")
-        delta = parse_fraction(args.delta)
-        eps = parse_fraction(args.epsilon) if args.epsilon else None
-        diag = proof_diagnostics(g, delta, eps)
+        diag = proof_diagnostics(g, _as_fraction(args.delta, None),
+                                 _as_fraction(args.epsilon, None))
         payload = {"schema_version": 1, "op": op, "r_max": diag.r_max,
                    "q_sizes": {"%d,%d" % k: list(v) for k, v in diag.q_sizes.items()},
                    "r_value": {"%d,%d" % k: v for k, v in diag.r_value.items()},

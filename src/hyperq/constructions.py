@@ -26,6 +26,35 @@ RED, BLUE, GREEN = 0, 1, 2
 # in 0.3 s (colouring-kk) and 1.2 s (sk-free) of CPU on a 2-vCPU Xeon VM; at
 # k = 100, 0.94M patterns take 93 MB
 PATTERN_K_CAP = 64
+# construction -> (least n, greatest n, least k, or None where k is not read)
+LIMITS = {
+    "tournament3": (4, N3_CAP, None),
+    "colouring-kk": (0, N3_CAP, 3),
+    "party6": (0, N3_CAP, None),
+    "rainbow27": (0, N3_CAP, None),
+    "sk-free": (0, N3_CAP, 4),
+    "oriented4": (5, N4_CAP, None),
+    "leader-tan": (5, N4_CAP, None),
+}
+
+
+def check_construction(name: str, n: int, k: int | None) -> None:
+    """Refuse an (n, k) that construction ``name`` cannot build, before any
+    of it is built: CapExceeded for a k above ``PATTERN_K_CAP``, ValueError
+    for any other k or n out of range and for a k that is not an integer."""
+    least, most, k_least = LIMITS[name]
+    if not least <= n <= most:
+        raise ValueError("n=%d outside [%d, %d]" % (n, least, most))
+    if k is not None and type(k) is not int:
+        raise ValueError("k must be an integer, not %r" % (k,))
+    if k_least is None:
+        return
+    if k is None:
+        raise ValueError("construction %r requires k" % name)
+    if k < k_least:
+        raise ValueError("k must be at least %d" % k_least)
+    if k > PATTERN_K_CAP:
+        raise CapExceeded("pattern table refused for k=%d > cap %d" % (k, PATTERN_K_CAP))
 
 
 class PairColouring:
@@ -168,8 +197,7 @@ def hypergraph_from_pair_pattern(colouring: PairColouring,
 
 def gen_tournament_3hg(n: int, seed: int) -> Hypergraph3:
     """Cyclic triangles of a seeded random tournament, as a 3-uniform hypergraph."""
-    if not 4 <= n <= N3_CAP:
-        raise ValueError("n=%d outside [4, %d]" % (n, N3_CAP))
+    check_construction("tournament3", n, None)
     t = Tournament(n, seed)
     out = t.out
     full = (1 << n) - 1
@@ -185,13 +213,6 @@ def gen_tournament_3hg(n: int, seed: int) -> Hypergraph3:
     return Hypergraph3(n, rows, orientation=t)
 
 
-def _refuse_large_k(k: int) -> None:
-    """Refuse a pattern table above ``PATTERN_K_CAP`` before anything of it
-    or of its colouring is built."""
-    if k > PATTERN_K_CAP:
-        raise CapExceeded("pattern table refused for k=%d > cap %d" % (k, PATTERN_K_CAP))
-
-
 def colouring_kk_patterns(k: int) -> set[tuple[int, int, int]]:
     """Patterns over k-2 colours where the two pairs at the smallest vertex
     of the triple receive different colours."""
@@ -204,11 +225,7 @@ def colouring_kk_patterns(k: int) -> set[tuple[int, int, int]]:
 def gen_colouring_kk_free(n: int, k: int, seed: int) -> Hypergraph3:
     """Pairs get one of k-2 colours; {x<y<z} is an edge iff the colours of
     {x,y} and {x,z} differ.  Spans no complete 3-uniform clique on k vertices."""
-    if k < 3:
-        raise ValueError("k must be at least 3")
-    if not 0 <= n <= N3_CAP:
-        raise ValueError("n=%d outside [0, %d]" % (n, N3_CAP))
-    _refuse_large_k(k)
+    check_construction("colouring-kk", n, k)
     if k == 3:
         # a single colour never satisfies the disagreement rule
         h = Hypergraph3.empty(n)
@@ -226,8 +243,7 @@ def party_of_six_patterns() -> set[tuple[int, int, int]]:
 def gen_party_of_six(n: int, seed: int) -> Hypergraph3:
     """Two pair colours; a triple is an edge iff its pairs are not monochromatic.
     Spans no complete 3-uniform hypergraph on six vertices."""
-    if not 0 <= n <= N3_CAP:
-        raise ValueError("n=%d outside [0, %d]" % (n, N3_CAP))
+    check_construction("party6", n, None)
     colouring = PairColouring(n, 2, seed)
     return hypergraph_from_pair_pattern(colouring, party_of_six_patterns())
 
@@ -235,8 +251,7 @@ def gen_party_of_six(n: int, seed: int) -> Hypergraph3:
 def gen_rainbow_1_27(n: int, seed: int) -> Hypergraph3:
     """Three pair colours; {i<j<k} is an edge iff the ordered pattern is
     exactly (red, blue, green).  Density concentrates near 1/27."""
-    if not 0 <= n <= N3_CAP:
-        raise ValueError("n=%d outside [0, %d]" % (n, N3_CAP))
+    check_construction("rainbow27", n, None)
     colouring = PairColouring(n, 3, seed)
     return hypergraph_from_pair_pattern(colouring, {(RED, BLUE, GREEN)})
 
@@ -265,9 +280,7 @@ def sk_free_patterns(k: int) -> set[tuple[int, int, int]]:
 def gen_sk_free(n: int, k: int, seed: int) -> Hypergraph3:
     """Pattern-table construction on k-1 pair colours; no vertex has a clique
     of size k in its link graph, so no star with k leaves appears."""
-    if not 0 <= n <= N3_CAP:
-        raise ValueError("n=%d outside [0, %d]" % (n, N3_CAP))
-    _refuse_large_k(k)
+    check_construction("sk-free", n, k)
     colouring = PairColouring(n, k - 1, seed)
     return hypergraph_from_pair_pattern(colouring, sk_free_patterns(k))
 
@@ -354,16 +367,14 @@ def quad_hypergraph_from_orientation(orient: TripleOrientation) -> Hypergraph4:
 def gen_oriented_4hg(n: int, seed: int) -> Hypergraph4:
     """Opposite-traversal hypergraph of a seeded uniform triple orientation;
     density concentrates near 1/8."""
-    if not 5 <= n <= N4_CAP:
-        raise ValueError("n=%d outside [5, %d]" % (n, N4_CAP))
+    check_construction("oriented4", n, None)
     return quad_hypergraph_from_orientation(TripleOrientation.seeded(n, seed))
 
 
 def gen_leader_tan(n: int, seed: int) -> Hypergraph4:
     """Opposite-traversal hypergraph of the triple orientation derived from a
     seeded tournament by the odd-agreement rule; density concentrates near 1/4."""
-    if not 5 <= n <= N4_CAP:
-        raise ValueError("n=%d outside [5, %d]" % (n, N4_CAP))
+    check_construction("leader-tan", n, None)
     t = Tournament(n, seed)
     h = quad_hypergraph_from_orientation(TripleOrientation.from_tournament(t))
     return h
@@ -380,18 +391,12 @@ def gen_random_3hg(n: int, density_num: int, density_den: int, seed: int) -> Hyp
     return Hypergraph3.from_edges(n, edges)
 
 
-def _require_k(k: int | None, what: str) -> int:
-    if k is None:
-        raise ValueError("construction %r requires k" % what)
-    return k
-
-
 CONSTRUCTIONS = {
     "tournament3": lambda n, k, seed: gen_tournament_3hg(n, seed),
-    "colouring-kk": lambda n, k, seed: gen_colouring_kk_free(n, _require_k(k, "colouring-kk"), seed),
+    "colouring-kk": gen_colouring_kk_free,
     "party6": lambda n, k, seed: gen_party_of_six(n, seed),
     "rainbow27": lambda n, k, seed: gen_rainbow_1_27(n, seed),
-    "sk-free": lambda n, k, seed: gen_sk_free(n, _require_k(k, "sk-free"), seed),
+    "sk-free": gen_sk_free,
     "oriented4": lambda n, k, seed: gen_oriented_4hg(n, seed),
     "leader-tan": lambda n, k, seed: gen_leader_tan(n, seed),
 }

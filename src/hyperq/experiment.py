@@ -26,7 +26,7 @@ from .certifiers import (
     weak_deviation,
     xyz_deviation,
 )
-from .constructions import CONSTRUCTIONS
+from .constructions import CONSTRUCTIONS, check_construction
 from .core import write_hypergraph
 from .detectors import count_k4_minus, find_clique3, find_f4, find_k4_minus, find_sk
 
@@ -90,6 +90,9 @@ class ExperimentSpec:
         for path in (spec.csv_path, spec.json_path, spec.hypergraph_dir):
             if not isinstance(path, (str, type(None))):
                 raise ValueError("output paths must be strings, not %r" % (path,))
+        # refuse what generate would, with its exit code, before any cell runs
+        for n in sorted({n for n, _ in spec.cells}):
+            check_construction(construction, n, spec.k)
         for task in spec.certify:
             _check_task(task, "kind", ("weak", "xyz", "pair", "quad"))
             try:  # the cells read d as the certifiers do

@@ -110,3 +110,27 @@ def naive_bipartite_deviation(g: MultipartiteGraph, d2: Fraction,
             if val > best:
                 best = val
     return Fraction(best, q)
+
+
+def naive_best_triangle_free_ratio(m: int, s: int) -> Fraction:
+    """Largest minimum mean-square degree ratio over every triangle-free
+    graph on m parts of s vertices, listing all 2^(C(m,2) s^2) of them.
+    A ratio sums deg_j(x)^2 over x in part i and divides by s^3."""
+    vertices = [(i, a) for i in range(m) for a in range(s)]
+    slots = [(x, y) for x, y in combinations(vertices, 2) if x[0] != y[0]]
+    if len(slots) > 16:
+        raise ValueError("naive graph enumeration supports at most 16 cross pairs")
+    best = None
+    for mask in range(1 << len(slots)):
+        edges = {frozenset(slots[t]) for t in range(len(slots)) if mask >> t & 1}
+        if any({frozenset((x, y)), frozenset((x, z)), frozenset((y, z))} <= edges
+               for x, y, z in combinations(vertices, 3)):
+            continue
+        def degree(x, j):
+            return sum(1 for b in range(s) if frozenset((x, (j, b))) in edges)
+
+        ratio = min(Fraction(sum(degree((i, a), j) ** 2 for a in range(s)), s ** 3)
+                    for i in range(m) for j in range(m) if i != j)
+        if best is None or ratio > best:
+            best = ratio
+    return best

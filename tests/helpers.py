@@ -8,7 +8,12 @@ from hyperq.certifiers import SIGN_SPLIT_SEARCH_STEPS
 from hyperq.constructions import Tournament
 from hyperq.core import Hypergraph3, Hypergraph4, ParseError
 from hyperq.hashing import TAG_AUX_TRIPLE, bernoulli, subseed
-from hyperq.multipartite import AuxiliaryHypergraph
+from hyperq.multipartite import (
+    AuxiliaryHypergraph,
+    MultipartiteGraph,
+    find_triangle_mp,
+    half_split,
+)
 
 
 def tournament_seed(n: int, accept) -> int:
@@ -161,3 +166,96 @@ def sign_split_search_reference(columns, k: int, d: Fraction, restarts: int, see
         if cur > best:
             best, best_mask = cur, mask
     return best, best_mask
+
+
+def _remove_edge(g: MultipartiteGraph, i: int, a: int, j: int, b: int) -> None:
+    g.rows[(i, j)][a] &= ~(1 << b)
+    g.rows[(j, i)][b] &= ~(1 << a)
+
+
+def _creates_triangle(g: MultipartiteGraph, i: int, a: int, j: int, b: int) -> bool:
+    for k in range(g.m):
+        if k != i and k != j and g.rows[(i, k)][a] & g.rows[(j, k)][b]:
+            return True
+    return False
+
+
+def _edge_at(g: MultipartiteGraph, r: int) -> tuple[int, int, int, int]:
+    """``list(g.iter_edges())[r]``, found from row bit counts."""
+    for i in range(g.m):
+        for j in range(i + 1, g.m):
+            for a, row in enumerate(g.rows[(i, j)]):
+                count = row.bit_count()
+                if r < count:
+                    for _ in range(r):
+                        row &= row - 1
+                    return (i, a, j, (row & -row).bit_length() - 1)
+                r -= count
+    raise IndexError("edge index out of range")
+
+
+def explore_reference(m: int, s: int, eps_target: Fraction | None = None,
+                      restarts: int = 32, seed: int = 0, moves: int = 400):
+    """The insert-and-swap climb that ``explore_extremal`` settles in closed
+    form, run move by move: from the half-split, insert a random missing
+    cross edge, first swapping out a random edge when the insertion closes a
+    triangle; keep the move when the minimum square sum rises, or stays
+    level on a seeded coin.  Returns (graph, min ratio, accepted moves)."""
+    base = half_split(m, s)
+    norm = s * s * s  # all parts share size s, so ratios share one denominator
+
+    def sq_sums(g: MultipartiteGraph) -> dict:
+        return {key: sum(r.bit_count() ** 2 for r in rows)
+                for key, rows in g.rows.items()}
+
+    best_graph = base
+    best_min = min(sq_sums(base).values())
+    accepted_total = 0
+    for restart in range(restarts):
+        rng = random.Random(subseed(seed, restart))
+        g = MultipartiteGraph(base.sizes)
+        g.rows = {key: list(val) for key, val in base.rows.items()}
+        sums = sq_sums(g)
+        cur_min = min(sums.values())
+        for _ in range(moves):
+            i, j = rng.sample(range(m), 2)
+            if i > j:
+                i, j = j, i
+            a = rng.randrange(s)
+            b = rng.randrange(s)
+            if g.has_edge(i, a, j, b):
+                continue
+            removed = None
+            if _creates_triangle(g, i, a, j, b):
+                total = sum(row.bit_count() for (p, q), rows in g.rows.items() if p < q
+                            for row in rows)
+                removed = _edge_at(g, rng.randrange(total))
+                _remove_edge(g, *removed)
+                if _creates_triangle(g, i, a, j, b):
+                    g.add_edge(*removed)
+                    continue
+            g.add_edge(i, a, j, b)
+            touched = {(i, j), (j, i)}
+            if removed:
+                ri, _, rj, _ = removed
+                touched |= {(ri, rj), (rj, ri)}
+            old = {key: sums[key] for key in touched}
+            for key in touched:
+                sums[key] = sum(r.bit_count() ** 2 for r in g.rows[key])
+            new_min = min(sums.values())
+            if new_min > cur_min or (new_min == cur_min and rng.random() < 0.5):
+                cur_min = new_min
+                accepted_total += 1
+            else:
+                _remove_edge(g, i, a, j, b)
+                if removed:
+                    g.add_edge(*removed)
+                sums.update(old)
+            if eps_target is not None and Fraction(cur_min, norm) >= Fraction(1, 4) + eps_target:
+                break
+        if cur_min > best_min:
+            best_min = cur_min
+            best_graph = g
+    if find_triangle_mp(best_graph) is not None:
+        raise RuntimeError("explorer produced a graph with a triangle")
+    return best_graph, Fraction(best_min, norm), accepted_total

@@ -65,11 +65,11 @@ class TestExperiment:
         assert result.to_csv().count("\n") == 1
 
     def test_cell_failure_recorded_not_fatal(self, tmp_path):
-        data = spec_dict(tmp_path, construction="colouring-kk", output={})
-        data.pop("k", None)  # colouring-kk requires k; cells must fail gracefully
+        # n = 24 and 30 are above the exact pair cap; cells must fail gracefully
+        data = spec_dict(tmp_path, output={}, certify=[{"kind": "pair", "mode": "exact"}])
         result = run_experiment(ExperimentSpec.from_dict(data))
         assert len(result.rows) == 4
-        assert all("requires k" in row["error"] for row in result.rows)
+        assert all(row["error"].startswith("CapExceeded") for row in result.rows)
 
     @pytest.mark.parametrize("threads,jobs,cpus,expected", [
         (1, 4, 2, 1), (2, 4, 2, 2), (5000, 4, 2, 2), (5000, 3, 64, 3),
@@ -219,10 +219,17 @@ class TestCli:
         ["certify", "--kind", "bipartite", "--in", "{no_parts}"],
         ["multipartite", "--op", "profile", "--in", "{one_part}"],
         ["multipartite", "--op", "profile", "--in", "{no_parts}"],
+        ["detect", "--pattern", "clique", "--in", "{hg}", "--k", "0"],
+        ["detect", "--pattern", "clique", "--in", "{hg}", "--k", "2"],
+        ["detect", "--pattern", "sk", "--in", "{hg}", "--k", "0"],
+        ["detect", "--pattern", "sk", "--in", "{hg}", "--k", "2"],
+        ["multipartite", "--op", "profile", "--in", "{two_parts}", "--epsilon", "-5"],
+        ["multipartite", "--op", "diagnostics", "--in", "{two_parts}", "--delta", "1/0"],
     ], ids=["zero-denominator", "density-above-one", "negative-density",
             "explore-without-m", "halfsplit-without-s", "profile-without-in",
             "spec-is-a-list", "bipartite-one-part", "bipartite-no-parts",
-            "profile-one-part", "profile-no-parts"])
+            "profile-one-part", "profile-no-parts", "clique-k-zero", "clique-k-two",
+            "sk-k-zero", "sk-k-two", "epsilon-negative", "delta-zero-denominator"])
     def test_malformed_input_exit_code(self, tmp_path, capsys, argv):
         hg = tmp_path / "h.hg"
         hg.write_text("3 4 1\n0 1 2\n")
@@ -232,8 +239,10 @@ class TestCli:
         one_part.write_text("mp 1 3\n")
         no_parts = tmp_path / "none.mp"
         no_parts.write_text("mp 0\n")
+        two_parts = tmp_path / "two.mp"
+        two_parts.write_text("mp 2 2 2\n0 0 1 1\n")
         argv = [a.format(hg=hg, list_spec=list_spec, one_part=one_part,
-                         no_parts=no_parts) for a in argv]
+                         no_parts=no_parts, two_parts=two_parts) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
@@ -292,6 +301,26 @@ class TestCli:
         (["experiment", "--spec"], {"certify": [{"kind": "weak", "d": float("inf")}]}),
         (["experiment", "--spec"], {"certify": [{"kind": "weak", "d": "5"}]}),
         (["experiment", "--spec"], {"certify": [{"kind": "pair", "d": "-3"}]}),
+        (["multipartite", "--op", "project", "--in"], {"sizes": "abc", "triples": []}),
+        (["multipartite", "--op", "project", "--in"], {"sizes": [3, 3.0, 3], "triples": []}),
+        (["multipartite", "--op", "project", "--in"], {"sizes": [True, 3, 3], "triples": []}),
+        (["multipartite", "--op", "project", "--in"], {"sizes": [3, -1, 3], "triples": []}),
+        (["multipartite", "--op", "project", "--in"],
+         {"sizes": [1e8, 1e8, 1e8], "triples": [[0, 0, 0]]}),
+        (["multipartite", "--op", "project", "--in"], {"sizes": [3, 3, 3], "triples": [[0, 1.5, 0]]}),
+        (["multipartite", "--op", "project", "--in"], {"sizes": [3, 3, 3], "triples": [[0, 1.0, 0]]}),
+        (["multipartite", "--op", "project", "--in"], {"sizes": [3, 3, 3], "triples": [[False, 0, 0]]}),
+        (["multipartite", "--op", "threetriples", "--in"],
+         {"m": 2.5, "class_sizes": {"0,1": 2, "0,2": 2, "1,2": 2}}),
+        (["multipartite", "--op", "threetriples", "--in"], {"m": -2, "class_sizes": {}}),
+        (["multipartite", "--op", "threetriples", "--in"],
+         {"m": 3, "class_sizes": {"0,1": 2.5, "0,2": 2, "1,2": 2}}),
+        (["multipartite", "--op", "threetriples", "--in"],
+         {"m": 3, "class_sizes": {"0,1": -1, "0,2": 2, "1,2": 2}}),
+        (["experiment", "--spec"], {"construction": "sk-free"}),
+        (["experiment", "--spec"], {"k": "x"}),
+        (["experiment", "--spec"], {"construction": "colouring-kk", "k": 4.5}),
+        (["experiment", "--spec"], {"ns": [5000]}),
     ], ids=["ns-not-a-list", "cell-not-integers", "certify-not-a-list",
             "detect-task-not-an-object", "output-not-an-object", "triples-not-a-list",
             "sizes-not-a-list", "sizes-too-short", "block-is-a-list", "auxiliary-is-a-list",
@@ -300,7 +329,11 @@ class TestCli:
             "samples-zero", "restarts-a-string", "seed-a-float", "unknown-mode",
             "unknown-kind", "unknown-pattern", "clique-without-k", "k-a-boolean",
             "d-a-list", "d-zero-denominator", "d-not-a-number", "d-infinite",
-            "d-above-one", "d-negative"])
+            "d-above-one", "d-negative", "sizes-a-string", "size-a-float",
+            "size-a-boolean", "size-negative", "sizes-huge-floats", "triple-entry-a-float",
+            "triple-entry-an-integral-float", "triple-entry-a-boolean", "m-a-float",
+            "m-negative", "class-size-a-float", "class-size-negative", "sk-free-without-k",
+            "k-a-string", "k-a-float", "n-above-cap"])
     def test_malformed_json_exit_code(self, tmp_path, capsys, argv, payload):
         if argv[0] == "experiment":
             payload = spec_dict(tmp_path, **payload)
@@ -309,6 +342,34 @@ class TestCli:
         assert main(argv + [str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_huge_block_refused(self, tmp_path, capsys):
+        """A class above the vertex cap is refused before anything is built."""
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps({"sizes": [10 ** 8] * 3, "triples": [[0, 0, 0]]}))
+        assert main(["multipartite", "--op", "project", "--in", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("refused: ")
+
+    @pytest.mark.parametrize("construction,n,k", [
+        ("sk-free", 6, None), ("sk-free", 6, PATTERN_K_CAP + 1), ("colouring-kk", 6, 2),
+        ("tournament3", 5000, None), ("tournament3", 3, None), ("oriented4", 600, None),
+    ])
+    def test_spec_refused_like_generate(self, tmp_path, capsys, construction, n, k):
+        """A spec whose cells generate would refuse is refused with generate's
+        exit code before any cell runs."""
+        args = ["generate", "--construction", construction, "--n", str(n)]
+        code = main(args + ([] if k is None else ["--k", str(k)]))
+        assert code in (2, 3)
+        data = spec_dict(tmp_path, construction=construction, ns=[n], seeds=[0])
+        if k is not None:
+            data["k"] = k
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["experiment", "--spec", str(spec_path)]) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_negative_restarts_refused(self, tmp_path, capsys):
         assert main(["multipartite", "--op", "explore", "--m", "3", "--s", "4",
@@ -338,9 +399,8 @@ class TestCli:
         assert data["rows"][0]["n"] == 20
 
     def test_experiment_cli_cell_failure_exit_one(self, tmp_path):
-        data = spec_dict(tmp_path, construction="colouring-kk", ns=[15],
-                         seeds=[0], output={})
-        data.pop("k", None)
+        data = spec_dict(tmp_path, ns=[21], seeds=[0], output={},
+                         certify=[{"kind": "pair", "mode": "exact"}])
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(data))
         assert main(["experiment", "--spec", str(spec_path)]) == 1

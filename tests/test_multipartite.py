@@ -1,11 +1,9 @@
 import hashlib
 from fractions import Fraction
-from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperq import multipartite
 from hyperq.core import CapExceeded, ParseError
 from hyperq.multipartite import (
     MP_MAX_PARTS,
@@ -26,7 +24,11 @@ from hyperq.multipartite import (
     read_multipartite,
     write_multipartite,
 )
-from helpers import gen_random_auxiliary, has_triple
+import helpers
+from helpers import explore_reference, gen_random_auxiliary, has_triple
+
+# explore_extremal(3, 12, restarts=40, seed=0), written out
+GOLDEN_GRAPH = "a448cfc45e3de39425b550aeb253f54e567ef2864111afa8ef061f427bcc86dc"
 
 
 def test_pair_density():
@@ -184,7 +186,6 @@ class TestExplorer:
     def test_never_below_baseline(self):
         res = explore_extremal(3, 8, restarts=8, seed=3, moves=120)
         assert res.min_ratio >= Fraction(1, 4)
-        assert res.triangle_free
         assert count_triangles_mp(res.graph) == 0
 
     def test_bipartite_reaches_complete(self):
@@ -195,40 +196,43 @@ class TestExplorer:
         with pytest.raises(CapExceeded):
             explore_extremal(9, 8)
 
-    def test_golden(self, monkeypatch):
-        # recorded before the edge pick stopped listing edges: the result, and
-        # every edge the swaps removed, in order
-        removed = []
-        remove = MultipartiteGraph.remove_edge
-
-        def logged(self, *edge):
-            removed.append(edge)
-            remove(self, *edge)
-
-        monkeypatch.setattr(MultipartiteGraph, "remove_edge", logged)
+    def test_golden(self):
         res = explore_extremal(3, 12, restarts=40, seed=0)
         text = write_multipartite(res.graph)
-        assert hashlib.sha256(text.encode()).hexdigest() == \
-            "a448cfc45e3de39425b550aeb253f54e567ef2864111afa8ef061f427bcc86dc"
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_GRAPH
         assert (res.min_ratio, res.accepted_moves) == (Fraction(1, 4), 0)
+
+    def test_reference_golden(self, monkeypatch):
+        """The reference climb ends where the explorer's golden does, after
+        removing the 8,088 edges, in order, that the climb's swaps and
+        rejections removed when the explorer still ran it."""
+        removed = []
+        remove = helpers._remove_edge
+
+        def logged(g, *edge):
+            removed.append(edge)
+            remove(g, *edge)
+
+        monkeypatch.setattr(helpers, "_remove_edge", logged)
+        graph, ratio, accepted = explore_reference(3, 12, restarts=40, seed=0)
+        text = write_multipartite(graph)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_GRAPH
+        assert (ratio, accepted) == (Fraction(1, 4), 0)
         assert len(removed) == 8088
         assert hashlib.sha256(repr(removed).encode()).hexdigest() == \
             "a2a791985aa5c0cbc00f40cab630a1c6aa1c541c4a02fad924251f39995d4fd6"
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_edge_at_matches_edge_list(self, data):
-        sizes = data.draw(st.lists(st.integers(0, 5), min_size=2, max_size=4))
-        g = MultipartiteGraph(sizes)
-        for i, j in combinations(range(len(sizes)), 2):
-            for a, b in product(range(sizes[i]), range(sizes[j])):
-                if data.draw(st.booleans()):
-                    g.add_edge(i, a, j, b)
-        edges = list(g.iter_edges())
-        for r in range(len(edges)):
-            assert multipartite._edge_at(g, r) == edges[r]
-        with pytest.raises(IndexError):
-            multipartite._edge_at(g, len(edges))
+    @settings(max_examples=120, deadline=None)
+    @given(m=st.integers(2, 7), s=st.integers(1, 8).map(lambda h: 2 * h),
+           restarts=st.integers(0, 6), moves=st.integers(0, 400),
+           eps=st.one_of(st.none(), st.just(Fraction(0)),
+                         st.fractions(-1, 1, max_denominator=64)),
+           seed=st.integers(0, 2 ** 32))
+    def test_matches_reference(self, m, s, restarts, moves, eps, seed):
+        res = explore_extremal(m, s, eps, restarts, seed, moves)
+        graph, ratio, accepted = explore_reference(m, s, eps, restarts, seed, moves)
+        assert write_multipartite(res.graph) == write_multipartite(graph)
+        assert (res.min_ratio, res.accepted_moves) == (ratio, accepted)
 
 
 class TestCaps:
