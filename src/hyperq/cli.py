@@ -22,7 +22,7 @@ from .certifiers import (
     weak_deviation,
     xyz_deviation,
 )
-from .constructions import CONSTRUCTIONS
+from .constructions import CONSTRUCTIONS, arity
 from .core import CapExceeded, Hypergraph3, Hypergraph4, ParseError, read_hypergraph, write_hypergraph
 from .detectors import (
     check_vanishing_condition,
@@ -55,7 +55,8 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {",".join(map(str, k)) if isinstance(k, tuple) else str(k): _jsonable(v)
+                for k, v in obj.items()}
     if hasattr(obj, "__dataclass_fields__"):
         return {f: _jsonable(getattr(obj, f)) for f in obj.__dataclass_fields__}
     return obj
@@ -87,9 +88,8 @@ def cmd_generate(args) -> int:
 def _read_input(path: str, task: str) -> Hypergraph3 | Hypergraph4:
     """The hypergraph a certify kind or detect pattern reads, of its arity."""
     h = read_hypergraph(Path(path).read_text(encoding="utf-8"))
-    arity = 4 if task in ("quad", "f4") else 3
-    if not isinstance(h, Hypergraph3 if arity == 3 else Hypergraph4):
-        raise ValueError("%s needs a %d-uniform input" % (task, arity))
+    if not isinstance(h, Hypergraph3 if arity(task) == 3 else Hypergraph4):
+        raise ValueError("%s needs a %d-uniform input" % (task, arity(task)))
     return h
 
 
@@ -137,17 +137,13 @@ def cmd_detect(args) -> int:
     elif args.pattern == "vanishing":
         w = check_vanishing_condition(h)
         payload = {"schema_version": 1, "input": args.infile,
-                   "pattern": args.pattern, "found": w is not None,
-                   "witness": ({"order": list(w.order),
-                                "colours": {"%d,%d" % k: v
-                                            for k, v in w.colours.items()}}
-                               if w else None)}
+                   "pattern": args.pattern, "found": w is not None, "witness": w}
         _write_report(args.report, payload)
         return 0
     else:  # f4
         witness = find_f4(h)
     payload = {"schema_version": 1, "input": args.infile, "pattern": args.pattern,
-               "found": witness is not None, "result": _jsonable(witness), **extra}
+               "found": witness is not None, "result": witness, **extra}
     _write_report(args.report, payload)
     return 0
 
@@ -216,7 +212,7 @@ def cmd_multipartite(args) -> int:
         payload = {"schema_version": 1, "op": op, "found": cfg is not None}
         if cfg:
             payload["indices"] = list(cfg.indices)
-            payload["vertices"] = {"%d,%d" % k: v for k, v in cfg.vertices.items()}
+            payload["vertices"] = cfg.vertices
             payload["apex_extreme"] = cfg.apex_extreme
         _write_report(args.report, payload)
         return 0
@@ -224,8 +220,7 @@ def cmd_multipartite(args) -> int:
     if op == "profile":
         prof = mean_square_profile(g, epsilon=_as_fraction(args.epsilon, Fraction(0)))
         payload = {"schema_version": 1, "op": op, "sizes": list(g.sizes),
-                   "ratios": {"%d,%d" % k: v for k, v in prof.ratios.items()},
-                   "satisfied": {"%d,%d" % k: v for k, v in prof.satisfied.items()},
+                   "ratios": prof.ratios, "satisfied": prof.satisfied,
                    "min_ratio": prof.min_ratio()}
         _write_report(args.report, payload)
         return 0
@@ -233,7 +228,7 @@ def cmd_multipartite(args) -> int:
         tri = find_triangle_mp(g)
         _write_report(args.report, {"schema_version": 1, "op": op,
                                     "found": tri is not None,
-                                    "triangle": _jsonable(tri)})
+                                    "triangle": tri})
         return 0
     if op == "diagnostics":
         if not args.delta:
@@ -241,9 +236,8 @@ def cmd_multipartite(args) -> int:
         diag = proof_diagnostics(g, _as_fraction(args.delta, None),
                                  _as_fraction(args.epsilon, None))
         payload = {"schema_version": 1, "op": op, "r_max": diag.r_max,
-                   "q_sizes": {"%d,%d" % k: list(v) for k, v in diag.q_sizes.items()},
-                   "r_value": {"%d,%d" % k: v for k, v in diag.r_value.items()},
-                   "claim_violations": _jsonable(diag.claim_violations)}
+                   "q_sizes": diag.q_sizes, "r_value": diag.r_value,
+                   "claim_violations": diag.claim_violations}
         _write_report(args.report, payload)
         return 0
     raise ValueError("unknown multipartite op %r" % op)

@@ -37,6 +37,15 @@ LIMITS = {
     "leader-tan": (5, N4_CAP, None),
 }
 
+# the certify kinds, detect patterns and constructions on 4-uniform
+# hypergraphs; every other one is on 3-uniform hypergraphs
+FOUR_UNIFORM = frozenset({"quad", "f4", "oriented4", "leader-tan"})
+
+
+def arity(name: str) -> int:
+    """Uniformity of a construction's output or of a task's input."""
+    return 4 if name in FOUR_UNIFORM else 3
+
 
 def check_construction(name: str, n: int, k: int | None) -> None:
     """Refuse an (n, k) that construction ``name`` cannot build, before any

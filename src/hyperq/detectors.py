@@ -104,32 +104,30 @@ def find_clique_graph(g: Graph, k: int):
     return _least_clique((1 << g.n) - 1, k, lambda chosen, v, above: above & rows[v])
 
 
+def _least_apex(h: Hypergraph3, kind: str, found) -> Witness | None:
+    """Least (sorted vertices, apex) over the apexes a, where ``found(a, link)``
+    lists what was found (a vertex tuple, or None) in a's link graph."""
+    best = min(((tuple(sorted((a,) + other)), a)
+                for a in range(h.n) for other in found(a, h.link_graph(a))
+                if other is not None), default=None)
+    if best is None:
+        return None
+    vertices, apex = best
+    return Witness(kind, vertices, apex, _apex_position(vertices, apex))
+
+
 def find_k4_minus(h: Hypergraph3, ordered: bool = False) -> Witness | None:
     """Least 4-set spanning three edges through one apex vertex.
 
     In ordered mode only witnesses whose apex is the smallest or largest of
     the four vertices qualify.
     """
+    if not ordered:
+        return _least_apex(h, "k4minus", lambda a, link: (find_triangle_graph(link),))
     full = (1 << h.n) - 1
-    best: tuple[tuple[int, ...], int] | None = None
-    for a in range(h.n):
-        link = h.link_graph(a)
-        if ordered:
-            masks = (full >> (a + 1) << (a + 1), (1 << a) - 1)
-        else:
-            masks = (None,)
-        for mask in masks:
-            tri = find_triangle_graph(link, mask)
-            if tri is None:
-                continue
-            vertices = tuple(sorted((a,) + tri))
-            cand = (vertices, a)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        return None
-    vertices, apex = best
-    return Witness("k4minus", vertices, apex, _apex_position(vertices, apex))
+    return _least_apex(h, "k4minus", lambda a, link: (
+        find_triangle_graph(link, full >> (a + 1) << (a + 1)),
+        find_triangle_graph(link, (1 << a) - 1)))
 
 
 def count_k4_minus(h: Hypergraph3) -> int:
@@ -159,19 +157,7 @@ def find_sk(h: Hypergraph3, k: int) -> Witness | None:
     """Least apex star: a vertex whose link graph contains a k-clique."""
     if k < 3:
         raise ValueError("k must be at least 3")
-    best: tuple[tuple[int, ...], int] | None = None
-    for a in range(h.n):
-        clique = find_clique_graph(h.link_graph(a), k)
-        if clique is None:
-            continue
-        vertices = tuple(sorted((a,) + clique))
-        cand = (vertices, a)
-        if best is None or cand < best:
-            best = cand
-    if best is None:
-        return None
-    vertices, apex = best
-    return Witness("sk", vertices, apex, _apex_position(vertices, apex))
+    return _least_apex(h, "sk", lambda a, link: (find_clique_graph(link, k),))
 
 
 def find_f4(h: Hypergraph4) -> Witness | None:
@@ -267,27 +253,14 @@ def check_vanishing_condition(pattern: Hypergraph3) -> VanishingWitness | None:
     edges = pattern.edges()
     for perm in permutations(range(f)):
         position = {v: i for i, v in enumerate(perm)}
-        colours: dict[tuple[int, int], int] = {}
-        ok = True
-        for edge in edges:
-            by_pos = sorted(edge, key=position.__getitem__)
-            forced = (((by_pos[0], by_pos[1]), 0),
-                      ((by_pos[0], by_pos[2]), 1),
-                      ((by_pos[1], by_pos[2]), 2))
-            for (u, v), colour in forced:
-                key = (u, v) if u < v else (v, u)
-                prev = colours.get(key)
-                if prev is None:
-                    colours[key] = colour
-                elif prev != colour:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for u in range(f):
-                for v in range(u + 1, f):
-                    colours.setdefault((u, v), 0)
+        # (pair, colour) for the red, blue and green pair of every edge
+        forced = [(tuple(sorted(pair)), colour) for edge in edges
+                  for colour, pair in enumerate(
+                      combinations(sorted(edge, key=position.__getitem__), 2))]
+        colours = dict(forced)
+        if all(colours[pair] == colour for pair, colour in forced):
+            for pair in combinations(range(f), 2):
+                colours.setdefault(pair, 0)
             return VanishingWitness(perm, colours)
     return None
 
@@ -350,45 +323,18 @@ def is_linear(pattern: Hypergraph3) -> bool:
                for e1, e2 in combinations(edges, 2))
 
 
-def _iso_three_edge(edges1: list[tuple[int, ...]], edges2: list[tuple[int, ...]]) -> bool:
-    """Isomorphism test specialised to hypergraphs given by <= 3 edges."""
-    if len(edges1) != len(edges2):
-        return False
-    verts1 = sorted({v for e in edges1 for v in e})
-    verts2 = sorted({v for e in edges2 for v in e})
-    if len(verts1) != len(verts2):
-        return False
-    sets2 = [set(e) for e in edges2]
-
-    def assign(idx: int, mapping: dict) -> bool:
-        if idx == len(edges1):
-            return True
-        target = sets2[order[idx]]
-        source = edges1[idx]
-        fixed = [(v, mapping[v]) for v in source if v in mapping]
-        if any(img not in target for _, img in fixed):
-            return False
-        free = [v for v in source if v not in mapping]
-        pool = sorted(target - {img for _, img in fixed})
-        used = set(mapping.values())
-        for perm in permutations(pool, len(free)):
-            if any(p in used for p in perm):
-                continue
-            new = dict(mapping)
-            new.update(zip(free, perm))
-            if assign(idx + 1, new):
-                return True
-        return False
-
-    for order in permutations(range(len(edges2))):
-        if assign(0, {}):
-            return True
-    return False
-
-
 def three_edge_isomorphism_types() -> list[Hypergraph3]:
     """All isomorphism types of 3-uniform hypergraphs with exactly three
-    edges, each on a compacted vertex set 0..f-1."""
+    edges, each on a compacted vertex set 0..f-1.
+
+    A vertex is told apart only by which edges hold it, so once the edges are
+    put in an order, the number of vertices in each Venn region of the three
+    edges fixes the hypergraph up to relabelling: an isomorphism maps each
+    region onto the region of the image edges, and matching region sizes
+    give one, region by region.  The least over the 3! orders of the sorted
+    membership vectors is therefore a complete invariant.  Each type is the
+    first of its class in sorted order.
+    """
     first = (0, 1, 2)
 
     def extensions(existing: int) -> Iterator[tuple[int, ...]]:
@@ -411,22 +357,11 @@ def three_edge_isomorphism_types() -> list[Hypergraph3]:
             edges = tuple(sorted(tuple(sorted(relabel[v] for v in e)) for e in edges))
             raw.add(edges)
 
-    types: list[tuple] = []
-    buckets: dict[tuple, list[tuple]] = {}
+    types: dict[tuple, tuple] = {}
     for edges in sorted(raw):
-        degree: dict[int, int] = {}
-        for e in edges:
-            for v in e:
-                degree[v] = degree.get(v, 0) + 1
-        overlap = tuple(sorted(len(set(a) & set(b))
-                               for a, b in combinations(edges, 2)))
-        key = (tuple(sorted(degree.values())), overlap)
-        known = buckets.setdefault(key, [])
-        if not any(_iso_three_edge(list(edges), list(other)) for other in known):
-            known.append(edges)
-            types.append(edges)
-    result = []
-    for edges in types:
-        f = max(v for e in edges for v in e) + 1
-        result.append(Hypergraph3.from_edges(f, edges))
-    return result
+        verts = {v for e in edges for v in e}
+        key = min(tuple(sorted(tuple(v in e for e in order) for v in verts))
+                  for order in permutations(edges))
+        types.setdefault(key, edges)
+    return [Hypergraph3.from_edges(max(map(max, edges)) + 1, edges)
+            for edges in types.values()]

@@ -26,7 +26,7 @@ from .certifiers import (
     weak_deviation,
     xyz_deviation,
 )
-from .constructions import CONSTRUCTIONS, check_construction
+from .constructions import CONSTRUCTIONS, arity, check_construction
 from .core import write_hypergraph
 from .detectors import count_k4_minus, find_clique3, find_f4, find_k4_minus, find_sk
 
@@ -76,9 +76,9 @@ class ExperimentSpec:
         # belongs or a list where an object does, raises one of these
         try:
             if "cells" in data:
-                cells = [(int(n), int(s)) for n, s in data["cells"]]
+                cells = [(n, s) for n, s in data["cells"]]
             else:
-                cells = [(int(n), int(s)) for n in data["ns"] for s in data["seeds"]]
+                cells = [(n, s) for n in data["ns"] for s in data["seeds"]]
             out = data.get("output", {})
             spec = cls(construction=construction, cells=cells,
                        k=data.get("k"), certify=list(data.get("certify", [])),
@@ -87,6 +87,9 @@ class ExperimentSpec:
                        hypergraph_dir=out.get("hypergraph_dir"))
         except (TypeError, AttributeError) as exc:
             raise ValueError("malformed experiment spec: %s" % exc) from None
+        for value in (v for cell in cells for v in cell):
+            if type(value) is not int:
+                raise ValueError("cell sizes and seeds must be integers, not %r" % (value,))
         for path in (spec.csv_path, spec.json_path, spec.hypergraph_dir):
             if not isinstance(path, (str, type(None))):
                 raise ValueError("output paths must be strings, not %r" % (path,))
@@ -102,6 +105,10 @@ class ExperimentSpec:
                                  " in [0, 1]" % (task,)) from None
         for task in spec.detect:
             _check_task(task, "pattern", ("k4minus", "clique", "sk", "f4"))
+        for name in [t["kind"] for t in spec.certify] + [t["pattern"] for t in spec.detect]:
+            if arity(name) != arity(construction):
+                raise ValueError("%s needs a %d-uniform input, and %s is %d-uniform"
+                                 % (name, arity(name), construction, arity(construction)))
         cols = spec.task_columns()
         if len(cols) != len(set(cols)):
             raise ValueError("tasks produce duplicate report columns: %r" % cols)
@@ -157,9 +164,8 @@ def _run_detect(h, task: dict):
     return int(find_f4(h) is not None)
 
 
-def run_cell(spec_data: dict, n: int, seed: int) -> dict:
+def run_cell(spec: ExperimentSpec, n: int, seed: int) -> dict:
     """Execute one sweep cell; failures land in the row, never raise."""
-    spec = ExperimentSpec.from_dict(spec_data)
     row: dict = {"schema_version": CSV_SCHEMA_VERSION,
                  "construction": spec.construction, "n": n,
                  "k": spec.k if spec.k is not None else "",
@@ -232,14 +238,7 @@ def _usable_cpus() -> int:
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     """Run every cell (optionally in a process pool) and sort the rows by
     (construction, n, k, seed) for order-independent output."""
-    spec_data = {
-        "construction": spec.construction, "k": spec.k,
-        "cells": [list(c) for c in spec.cells],
-        "certify": spec.certify, "detect": spec.detect,
-        "output": {"csv": spec.csv_path, "json": spec.json_path,
-                   "hypergraph_dir": spec.hypergraph_dir},
-    }
-    jobs = [(spec_data, n, seed) for n, seed in spec.cells]
+    jobs = [(spec, n, seed) for n, seed in spec.cells]
     workers = worker_count(threads, len(jobs), _usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

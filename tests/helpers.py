@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import permutations
 
 from hyperq.certifiers import SIGN_SPLIT_SEARCH_STEPS
 from hyperq.constructions import Tournament
@@ -259,3 +260,36 @@ def explore_reference(m: int, s: int, eps_target: Fraction | None = None,
     if find_triangle_mp(best_graph) is not None:
         raise RuntimeError("explorer produced a graph with a triangle")
     return best_graph, Fraction(best_min, norm), accepted_total
+
+
+def vanishing_reference(pattern: Hypergraph3):
+    """The vanishing-condition search with a conflict check per forced pair:
+    (order, colours) for the first enumeration whose forced colouring has no
+    conflict, with uncovered pairs red, or None."""
+    f = pattern.n
+    edges = pattern.edges()
+    for perm in permutations(range(f)):
+        position = {v: i for i, v in enumerate(perm)}
+        colours: dict[tuple[int, int], int] = {}
+        ok = True
+        for edge in edges:
+            by_pos = sorted(edge, key=position.__getitem__)
+            forced = (((by_pos[0], by_pos[1]), 0),
+                      ((by_pos[0], by_pos[2]), 1),
+                      ((by_pos[1], by_pos[2]), 2))
+            for (u, v), colour in forced:
+                key = (u, v) if u < v else (v, u)
+                prev = colours.get(key)
+                if prev is None:
+                    colours[key] = colour
+                elif prev != colour:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            for u in range(f):
+                for v in range(u + 1, f):
+                    colours.setdefault((u, v), 0)
+            return perm, colours
+    return None

@@ -38,6 +38,8 @@ from hyperq.detectors import (
     find_clique3,
     find_clique_graph,
     find_f4,
+    find_k4_minus,
+    find_sk,
     find_triangle_graph,
 )
 from hyperq.multipartite import (
@@ -56,6 +58,7 @@ from helpers import (
     read_lines,
     sign_split_reference,
     sign_split_search_reference,
+    vanishing_reference,
 )
 
 
@@ -648,6 +651,40 @@ def test_clique3_vs_brute(h, k):
     assert (None if found is None else found.vertices) == brute
 
 
+def brute_least_apex(h, k, ordered=False):
+    """First (vertices, apex), vertices lexicographic then apex ascending,
+    where the apex makes an edge with every two of the other k vertices."""
+    for vertices in combinations(range(h.n), k + 1):
+        for apex in vertices:
+            if ordered and apex not in (vertices[0], vertices[-1]):
+                continue
+            others = [v for v in vertices if v != apex]
+            if all(h.has_edge(*sorted((apex, u, w))) for u, w in combinations(others, 2)):
+                return vertices, apex
+    return None
+
+
+@st.composite
+def apex_hypergraphs(draw):
+    n = draw(st.integers(0, 9))
+    density = draw(st.sampled_from([0.1, 0.25, 0.4, 0.6, 0.8]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    return Hypergraph3.from_edges(
+        n, [t for t in combinations(range(n), 3) if rng.random() < density])
+
+
+@settings(max_examples=200, deadline=None)
+@given(apex_hypergraphs())
+def test_least_apex_vs_brute(h):
+    """Which witness the apex searches return, not only whether one exists."""
+    found = {"k4minus": find_k4_minus(h), "k4minus_ordered": find_k4_minus(h, ordered=True),
+             "sk3": find_sk(h, 3), "sk4": find_sk(h, 4)}
+    want = {"k4minus": brute_least_apex(h, 3), "k4minus_ordered": brute_least_apex(h, 3, True),
+            "sk3": brute_least_apex(h, 3), "sk4": brute_least_apex(h, 4)}
+    for name, w in found.items():
+        assert (None if w is None else (w.vertices, w.apex)) == want[name], name
+
+
 @st.composite
 def small_multipartite(draw):
     sizes = draw(st.lists(st.integers(0, 4), max_size=5))
@@ -754,6 +791,25 @@ def test_vanishing_vs_full_brute():
         pattern = Hypergraph3.from_edges(4, edges)
         assert (check_vanishing_condition(pattern) is not None) == \
             brute_vanishing(pattern)
+
+
+@st.composite
+def vanishing_patterns(draw):
+    f = draw(st.integers(0, 6))
+    triples = list(combinations(range(f), 3))
+    keep = draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
+    return Hypergraph3.from_edges(f, [t for t, k in zip(triples, keep) if k])
+
+
+@settings(max_examples=300, deadline=None)
+@given(vanishing_patterns())
+def test_vanishing_vs_reference(pattern):
+    """Same enumeration and the same colours, in the same dict order, as the
+    search that checks each forced pair for a conflict as it goes."""
+    w = check_vanishing_condition(pattern)
+    ref = vanishing_reference(pattern)
+    assert (None if w is None else (w.order, list(w.colours.items()))) == \
+        (None if ref is None else (ref[0], list(ref[1].items())))
 
 
 def brute_three_triples(aux):

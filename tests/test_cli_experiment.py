@@ -321,6 +321,10 @@ class TestCli:
         (["experiment", "--spec"], {"k": "x"}),
         (["experiment", "--spec"], {"construction": "colouring-kk", "k": 4.5}),
         (["experiment", "--spec"], {"ns": [5000]}),
+        (["experiment", "--spec"], {"ns": [10.9], "seeds": [0]}),
+        (["experiment", "--spec"], {"ns": [12], "seeds": [True]}),
+        (["experiment", "--spec"], {"ns": ["12"]}),
+        (["experiment", "--spec"], {"cells": [[12, 1.0]]}),
     ], ids=["ns-not-a-list", "cell-not-integers", "certify-not-a-list",
             "detect-task-not-an-object", "output-not-an-object", "triples-not-a-list",
             "sizes-not-a-list", "sizes-too-short", "block-is-a-list", "auxiliary-is-a-list",
@@ -333,7 +337,8 @@ class TestCli:
             "size-a-boolean", "size-negative", "sizes-huge-floats", "triple-entry-a-float",
             "triple-entry-an-integral-float", "triple-entry-a-boolean", "m-a-float",
             "m-negative", "class-size-a-float", "class-size-negative", "sk-free-without-k",
-            "k-a-string", "k-a-float", "n-above-cap"])
+            "k-a-string", "k-a-float", "n-above-cap", "n-a-float", "seed-a-boolean",
+            "n-a-string", "cell-seed-a-float"])
     def test_malformed_json_exit_code(self, tmp_path, capsys, argv, payload):
         if argv[0] == "experiment":
             payload = spec_dict(tmp_path, **payload)
@@ -370,6 +375,34 @@ class TestCli:
         assert main(["experiment", "--spec", str(spec_path)]) == code
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not (tmp_path / "rows.csv").exists()
+
+    @pytest.mark.parametrize("construction,certify,detect,task,arity", [
+        ("tournament3", [], [{"pattern": "f4"}], "f4", 4),
+        ("tournament3", [{"kind": "quad"}], [], "quad", 4),
+        ("oriented4", [{"kind": "weak"}], [], "weak", 3),
+        ("oriented4", [], [{"pattern": "k4minus"}], "k4minus", 3),
+        ("leader-tan", [], [{"pattern": "sk", "k": 3}], "sk", 3),
+    ])
+    def test_spec_wrong_arity_refused(self, tmp_path, capsys, construction, certify,
+                                      detect, task, arity):
+        """A task on the other arity is refused as the CLI refuses it, before
+        any cell runs."""
+        data = spec_dict(tmp_path, construction=construction, ns=[8], seeds=[0],
+                         certify=certify, detect=detect)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(data))
+        assert main(["experiment", "--spec", str(spec_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: %s needs a %d-uniform input" % (task, arity))
+        assert not (tmp_path / "rows.csv").exists()
+
+    def test_spec_four_uniform_tasks_run(self, tmp_path):
+        data = spec_dict(tmp_path, construction="oriented4", ns=[8], seeds=[0], output={},
+                         certify=[{"kind": "quad", "samples": 5}], detect=[{"pattern": "f4"}])
+        result = run_experiment(ExperimentSpec.from_dict(data))
+        assert [row["error"] for row in result.rows] == [""]
+        assert result.spec.columns()[-2:] == ["eta_quad", "f4_found"]
 
     def test_negative_restarts_refused(self, tmp_path, capsys):
         assert main(["multipartite", "--op", "explore", "--m", "3", "--s", "4",

@@ -231,6 +231,24 @@ class TestCensus:
         assert sorted(t.n for t in types) == [4, 5, 5, 5, 6, 6, 6, 7, 7, 7, 8, 9]
         assert all(t.edge_count == 3 for t in types)
 
+    def test_golden_edge_lists(self):
+        """The twelve types, in order, each the first of its class in sorted
+        order."""
+        assert [t.edges() for t in three_edge_isomorphism_types()] == [
+            [(0, 1, 2), (0, 1, 3), (0, 1, 4)],
+            [(0, 1, 2), (0, 1, 3), (0, 2, 3)],
+            [(0, 1, 2), (0, 1, 3), (0, 2, 4)],
+            [(0, 1, 2), (0, 1, 3), (0, 4, 5)],
+            [(0, 1, 2), (0, 1, 3), (2, 3, 4)],
+            [(0, 1, 2), (0, 1, 3), (2, 4, 5)],
+            [(0, 1, 2), (0, 1, 3), (4, 5, 6)],
+            [(0, 1, 2), (0, 3, 4), (0, 5, 6)],
+            [(0, 1, 2), (0, 3, 4), (1, 3, 5)],
+            [(0, 1, 2), (0, 3, 4), (1, 5, 6)],
+            [(0, 1, 2), (0, 3, 4), (5, 6, 7)],
+            [(0, 1, 2), (3, 4, 5), (6, 7, 8)],
+        ]
+
     def test_contains_apex_pattern_and_disjoint_triple(self):
         types = three_edge_isomorphism_types()
         assert any(t.n == 4 for t in types)
