@@ -22,7 +22,7 @@ from .certifiers import (
     weak_deviation,
     xyz_deviation,
 )
-from .constructions import CONSTRUCTIONS, arity
+from .constructions import CONSTRUCTIONS, arity, check_construction
 from .core import CapExceeded, Hypergraph3, Hypergraph4, ParseError, read_hypergraph, write_hypergraph
 from .detectors import (
     check_vanishing_condition,
@@ -71,8 +71,8 @@ def _write_report(path: str | None, payload: dict) -> None:
 
 
 def cmd_generate(args) -> int:
-    gen = CONSTRUCTIONS[args.construction]
-    h = gen(args.n, args.k, args.seed)
+    check_construction(args.construction, args.n, args.k)
+    h = CONSTRUCTIONS[args.construction](args.n, args.k, args.seed)
     text = write_hypergraph(h)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -50,13 +50,16 @@ def arity(name: str) -> int:
 def check_construction(name: str, n: int, k: int | None) -> None:
     """Refuse an (n, k) that construction ``name`` cannot build, before any
     of it is built: CapExceeded for a k above ``PATTERN_K_CAP``, ValueError
-    for any other k or n out of range and for a k that is not an integer."""
+    for any other k or n out of range, for a k that is not an integer and for
+    any k where the construction reads none."""
     least, most, k_least = LIMITS[name]
     if not least <= n <= most:
         raise ValueError("n=%d outside [%d, %d]" % (n, least, most))
     if k is not None and type(k) is not int:
         raise ValueError("k must be an integer, not %r" % (k,))
     if k_least is None:
+        if k is not None:
+            raise ValueError("construction %r takes no k" % name)
         return
     if k is None:
         raise ValueError("construction %r requires k" % name)
@@ -391,12 +394,11 @@ def gen_leader_tan(n: int, seed: int) -> Hypergraph4:
 
 def gen_random_3hg(n: int, density_num: int, density_den: int, seed: int) -> Hypergraph3:
     """Uniform random 3-uniform hypergraph: each triple is an edge
-    independently with probability num/den.  Probe and test plumbing."""
-    if not 0 <= n <= N3_CAP:
-        raise ValueError("n=%d outside [0, %d]" % (n, N3_CAP))
-    edges = [(x, y, z)
+    independently with probability num/den.  Probe and test plumbing;
+    ``from_edges`` checks n before it draws a triple."""
+    edges = ((x, y, z)
              for x in range(n) for y in range(x + 1, n) for z in range(y + 1, n)
-             if bernoulli(density_num, density_den, seed, TAG_RANDOM_TRIPLE, x, y, z)]
+             if bernoulli(density_num, density_den, seed, TAG_RANDOM_TRIPLE, x, y, z))
     return Hypergraph3.from_edges(n, edges)
 
 

@@ -14,7 +14,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator
 
 N3_CAP = 4096
@@ -117,70 +117,122 @@ class DensityReport:
         return cls(edge_count, slots, frac, float(frac))
 
 
-class Hypergraph3:
-    """A 3-uniform hypergraph backed by per-pair link rows.
+class _PairRows:
+    """Both arities: one row per pair {u < v}, at ``_rows[_base[u] + v - u - 1]``,
+    holding the link of the pair.  Each subclass sets its ``arity``, the
+    ``cap`` on n, and ``_BITS``, the bits an edge sets over the rows.  A
+    construction keeps the ``colouring`` or ``orientation`` it was built from."""
 
-    ``link_row(u, v)`` is the bitmask of vertices w with {u, v, w} an edge.
-    The sorted edge list is derived from the rows on demand.
-    """
+    __slots__ = ("n", "_rows", "_base", "edge_count", "colouring", "orientation",
+                 "_packed")
 
-    __slots__ = ("n", "_rows", "_base", "edge_count", "colouring", "orientation", "_packed")
-
-    def __init__(self, n: int, rows: list[int], colouring=None, orientation=None):
-        if not 0 <= n <= N3_CAP:
-            raise ValueError("n=%d outside supported range [0, %d]" % (n, N3_CAP))
+    def __init__(self, n: int, rows: list, colouring=None, orientation=None):
+        self._check_n(n)
         if len(rows) != n * (n - 1) // 2:
-            raise ValueError("expected %d link rows, got %d" % (n * (n - 1) // 2, len(rows)))
+            raise ValueError("expected %d pair rows, got %d" % (n * (n - 1) // 2, len(rows)))
         self.n = n
         self._rows = rows
         self._base = _pair_base(n)
-        bits = sum(r.bit_count() for r in rows)
-        if bits % 3:
-            raise ValueError("inconsistent link rows: total bit count not divisible by 3")
-        self.edge_count = bits // 3
+        bits = sum(map(int.bit_count, rows if self.arity == 3 else chain.from_iterable(rows)))
+        if bits % self._BITS:
+            raise ValueError("pair rows hold %d bits, not a multiple of %d" % (bits, self._BITS))
+        self.edge_count = bits // self._BITS
         self.colouring = colouring
         self.orientation = orientation
         self._packed: list[int] | None = None
 
     @classmethod
-    def empty(cls, n: int) -> "Hypergraph3":
-        return cls(n, [0] * (n * (n - 1) // 2))
+    def _check_n(cls, n: int) -> None:
+        if not 0 <= n <= cls.cap:
+            raise ValueError("n=%d outside supported range [0, %d]" % (n, cls.cap))
 
     @classmethod
-    def complete(cls, n: int) -> "Hypergraph3":
-        full = (1 << n) - 1
-        rows = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                rows.append(full & ~(1 << u) & ~(1 << v))
+    def _blank_rows(cls, n: int) -> list:
+        size = n * (n - 1) // 2
+        return [0] * size if cls.arity == 3 else [[0] * n for _ in range(size)]
+
+    @classmethod
+    def empty(cls, n: int):
+        return cls.from_edges(n, ())
+
+    @classmethod
+    def complete(cls, n: int):
+        return cls.from_edges(n, combinations(range(n), cls.arity))
+
+    @classmethod
+    def from_edges(cls, n: int, edges: Iterable[Iterable[int]]):
+        """The hypergraph on 0..n-1 of ``edges``, each given in any vertex
+        order; refuses an edge of the wrong size, out of range or repeated."""
+        cls._check_n(n)
+        rows, base = cls._blank_rows(n), _pair_base(n)
+        cls._insert(rows, base, [1 << v for v in range(n)], cls._checked(edges, n, rows, base))
         return cls(n, rows)
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Iterable[int]]) -> "Hypergraph3":
-        if not 0 <= n <= N3_CAP:
-            raise ValueError("n=%d outside supported range [0, %d]" % (n, N3_CAP))
-        base = _pair_base(n)
-        rows = [0] * (n * (n - 1) // 2)
-        for edge in edges:
-            x, y, z = triple = tuple(sorted(edge))
-            if x == y or y == z:
-                raise ValueError("edge %r has repeated vertices" % (triple,))
-            if x < 0 or z >= n:
-                raise ValueError("edge %r out of range [0, %d)" % (triple, n))
-            if rows[base[x] + y - x - 1] >> z & 1:
-                raise ValueError("duplicate edge %r" % (triple,))
-            rows[base[x] + y - x - 1] |= 1 << z
-            rows[base[x] + z - x - 1] |= 1 << y
-            rows[base[y] + z - y - 1] |= 1 << x
-        return cls(n, rows)
+    def _refusal(cls, e: tuple[int, ...], n: int) -> ValueError:
+        """Why ``from_edges`` refuses the sorted edge ``e``."""
+        if len(e) != cls.arity or len(set(e)) != cls.arity:
+            return ValueError("edge %r must have %d distinct vertices" % (e, cls.arity))
+        if e[0] < 0 or e[-1] >= n:
+            return ValueError("edge %r out of range [0, %d)" % (e, n))
+        return ValueError("duplicate edge %r" % (e,))
 
-    def link_row(self, u: int, v: int) -> int:
-        """Bitmask of vertices completing an edge with the pair {u, v}."""
+    def _pair_row(self, u: int, v: int):
+        """The row of the pair {u, v}, given in either order."""
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError("bad pair (%r, %r)" % (u, v))
         if u > v:
             u, v = v, u
         return self._rows[self._base[u] + v - u - 1]
+
+    def iter_edges(self) -> Iterator[tuple[int, ...]]:
+        """Edges as sorted tuples, in lexicographic order."""
+        last = [(w,) for w in range(self.n)]
+        for prefix, mask in self._walk():
+            for w in iter_bits(mask):
+                yield prefix + last[w]
+
+    def edges(self) -> list[tuple[int, ...]]:
+        return list(self.iter_edges())
+
+    def density(self) -> DensityReport:
+        return DensityReport.of(self.edge_count, self.n, self.arity)
+
+
+class Hypergraph3(_PairRows):
+    """A 3-uniform hypergraph: the row of {u, v} is ``link_row(u, v)``, the
+    bitmask of vertices w with {u, v, w} an edge."""
+
+    __slots__ = ()
+    arity, cap, _BITS = 3, N3_CAP, 3
+    link_row = _PairRows._pair_row
+
+    @classmethod
+    def _checked(cls, edges, n: int, rows: list[int], base: list[int]):
+        """``edges`` as sorted triples, checked against the rows so far."""
+        for edge in edges:
+            e = tuple(sorted(edge))
+            if (len(e) != 3 or not 0 <= e[0] < e[1] < e[2] < n
+                    or rows[base[e[0]] + e[1] - e[0] - 1] >> e[2] & 1):
+                raise cls._refusal(e, n)
+            yield e
+
+    @staticmethod
+    def _insert(rows: list[int], base: list[int], bit: list[int], edges) -> None:
+        """Add the sorted triples ``edges``, which must be new, to ``rows``."""
+        for x, y, z in edges:
+            rows[base[x] + y - x - 1] |= bit[z]
+            rows[base[x] + z - x - 1] |= bit[y]
+            rows[base[y] + z - y - 1] |= bit[x]
+
+    def _walk(self) -> Iterator[tuple[tuple[int, int], int]]:
+        """Each pair u < v, in order, with its nonzero mask of w > v making an edge."""
+        rows, base, n = self._rows, self._base, self.n
+        for u in range(n):
+            for v, row in enumerate(rows[base[u]:base[u] + n - u - 1], u + 1):
+                row = row >> (v + 1) << (v + 1)
+                if row:
+                    yield (u, v), row
 
     def link_rows(self, v: int) -> list[int]:
         """``link_row(v, w)`` for every w, indexed by w, with 0 at w = v."""
@@ -192,21 +244,6 @@ class Hypergraph3:
 
     def has_edge(self, x: int, y: int, z: int) -> bool:
         return bool(self.link_row(x, y) >> z & 1)
-
-    def iter_edges(self) -> Iterator[tuple[int, int, int]]:
-        """Edges as sorted triples, in lexicographic order."""
-        base = self._base
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                row = self._rows[base[u] + v - u - 1] >> (v + 1) << (v + 1)
-                for w in iter_bits(row):
-                    yield (u, v, w)
-
-    def edges(self) -> list[tuple[int, int, int]]:
-        return list(self.iter_edges())
-
-    def density(self) -> DensityReport:
-        return DensityReport.of(self.edge_count, self.n, 3)
 
     def _packed_links(self) -> list[int]:
         """``pack_rows(link_rows(v), (n + 7) // 8)`` for every vertex v, built
@@ -237,94 +274,62 @@ class Hypergraph3:
         return Graph(self.n, self.link_rows(a))
 
 
-class Hypergraph4:
-    """A 4-uniform hypergraph backed by per-pair link graphs.
+class Hypergraph4(_PairRows):
+    """A 4-uniform hypergraph: the row of {u, v} is ``pair_rows(u, v)``, the
+    adjacency rows of its link graph, so ``pair_rows(u, v)[x]`` is the bitmask
+    of vertices y with {u, v, x, y} an edge: two bits in each of six pairs."""
 
-    ``pair_rows(u, v)[x]`` is the bitmask of vertices y with {u, v, x, y} an
-    edge, so each pair carries the adjacency rows of its link graph.  The
-    rows are the source of truth; ``count_ordered_quadruples`` derives a
-    packed view of them.
-    """
-
-    __slots__ = ("n", "_rows", "_base", "edge_count", "orientation", "_packed")
-
-    def __init__(self, n: int, rows: list[list[int]], orientation=None):
-        if not 0 <= n <= N4_CAP:
-            raise ValueError("n=%d outside supported range [0, %d]" % (n, N4_CAP))
-        if len(rows) != n * (n - 1) // 2:
-            raise ValueError("expected %d pair rows" % (n * (n - 1) // 2))
-        self.n = n
-        self._rows = rows
-        self._base = _pair_base(n)
-        bits = sum(r.bit_count() for pair in rows for r in pair)
-        if bits % 12:
-            raise ValueError("inconsistent pair rows: total bit count not divisible by 12")
-        self.edge_count = bits // 12
-        self.orientation = orientation
-        self._packed: list[int] | None = None
+    __slots__ = ()
+    arity, cap, _BITS = 4, N4_CAP, 12
+    pair_rows = _PairRows._pair_row
 
     @classmethod
-    def empty(cls, n: int) -> "Hypergraph4":
-        return cls(n, [[0] * n for _ in range(n * (n - 1) // 2)])
-
-    @classmethod
-    def complete(cls, n: int) -> "Hypergraph4":
-        full = (1 << n) - 1
-        rows = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                other = full & ~(1 << u) & ~(1 << v)
-                pair = [other & ~(1 << x) if other >> x & 1 else 0 for x in range(n)]
-                rows.append(pair)
-        return cls(n, rows)
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Iterable[int]]) -> "Hypergraph4":
-        if not 0 <= n <= N4_CAP:
-            raise ValueError("n=%d outside supported range [0, %d]" % (n, N4_CAP))
-        base = _pair_base(n)
-        rows = [[0] * n for _ in range(n * (n - 1) // 2)]
+    def _checked(cls, edges, n: int, rows: list[list[int]], base: list[int]):
+        """``edges`` as sorted quadruples, checked against the rows so far."""
         for edge in edges:
-            quad = tuple(sorted(edge))
-            if len(set(quad)) != 4:
-                raise ValueError("edge %r must have 4 distinct vertices" % (tuple(edge),))
-            if quad[0] < 0 or quad[3] >= n:
-                raise ValueError("edge %r out of range [0, %d)" % (quad, n))
-            a, b, c, d = quad
-            if rows[base[a] + b - a - 1][c] >> d & 1:
-                raise ValueError("duplicate edge %r" % (quad,))
-            for (u, v), (x, y) in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)),
-                                   ((b, c), (a, d)), ((b, d), (a, c)), ((c, d), (a, b))):
-                pair = rows[base[u] + v - u - 1]
-                pair[x] |= 1 << y
-                pair[y] |= 1 << x
-        return cls(n, rows)
+            e = tuple(sorted(edge))
+            if (len(e) != 4 or not 0 <= e[0] < e[1] < e[2] < e[3] < n
+                    or rows[base[e[0]] + e[1] - e[0] - 1][e[2]] >> e[3] & 1):
+                raise cls._refusal(e, n)
+            yield e
 
-    def pair_rows(self, u: int, v: int) -> list[int]:
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError("bad pair (%r, %r)" % (u, v))
-        if u > v:
-            u, v = v, u
-        return self._rows[self._base[u] + v - u - 1]
+    @staticmethod
+    def _insert(rows: list[list[int]], base: list[int], bit: list[int], edges) -> None:
+        """Add the sorted quadruples ``edges``, which must be new, to ``rows``:
+        the six pairs of each edge, unrolled."""
+        for a, b, c, d in edges:
+            above_a, above_b = base[a] - a - 1, base[b] - b - 1
+            pair = rows[above_a + b]
+            pair[c] |= bit[d]
+            pair[d] |= bit[c]
+            pair = rows[above_a + c]
+            pair[b] |= bit[d]
+            pair[d] |= bit[b]
+            pair = rows[above_a + d]
+            pair[b] |= bit[c]
+            pair[c] |= bit[b]
+            pair = rows[above_b + c]
+            pair[a] |= bit[d]
+            pair[d] |= bit[a]
+            pair = rows[above_b + d]
+            pair[a] |= bit[c]
+            pair[c] |= bit[a]
+            pair = rows[base[c] + d - c - 1]
+            pair[a] |= bit[b]
+            pair[b] |= bit[a]
+
+    def _walk(self) -> Iterator[tuple[tuple[int, int, int], int]]:
+        """Each a < b < c, in order, with its nonzero mask of d > c making an edge."""
+        rows, base, n = self._rows, self._base, self.n
+        for a in range(n):
+            for b, pair in enumerate(rows[base[a]:base[a] + n - a - 1], a + 1):
+                for c, row in enumerate(pair[b + 1:], b + 1):
+                    row = row >> (c + 1) << (c + 1)
+                    if row:
+                        yield (a, b, c), row
 
     def has_edge(self, a: int, b: int, c: int, d: int) -> bool:
         return bool(self.pair_rows(a, b)[c] >> d & 1)
-
-    def iter_edges(self) -> Iterator[tuple[int, int, int, int]]:
-        """Edges as sorted quadruples, in lexicographic order."""
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                pair = self.pair_rows(a, b)
-                for c in range(b + 1, self.n):
-                    row = pair[c] >> (c + 1) << (c + 1)
-                    for d in iter_bits(row):
-                        yield (a, b, c, d)
-
-    def edges(self) -> list[tuple[int, int, int, int]]:
-        return list(self.iter_edges())
-
-    def density(self) -> DensityReport:
-        return DensityReport.of(self.edge_count, self.n, 4)
 
     def count_ordered_quadruples(self, u1, u2, u3, u4) -> int:
         """Ordered tuples in U1 x U2 x U3 x U4 whose vertex set is an edge.
@@ -356,26 +361,12 @@ class Hypergraph4:
 
 def write_hypergraph(h: Hypergraph3 | Hypergraph4) -> str:
     """Serialize to the text format: "<arity> <n> <m>" then sorted edge lines."""
-    n, rows, base = h.n, h._rows, h._base
-    names = [str(v) for v in range(n)]
-    if isinstance(h, Hypergraph3):
-        lines = ["3 %d %d" % (n, h.edge_count)]
-        for u in range(n):
-            for v in range(u + 1, n):
-                row = rows[base[u] + v - u - 1] >> (v + 1) << (v + 1)
-                if row:
-                    prefix = "%d %d " % (u, v)
-                    lines.extend([prefix + names[w] for w in iter_bits(row)])
-    else:
-        lines = ["4 %d %d" % (n, h.edge_count)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                pair = rows[base[a] + b - a - 1]
-                for c in range(b + 1, n):
-                    row = pair[c] >> (c + 1) << (c + 1)
-                    if row:
-                        prefix = "%d %d %d " % (a, b, c)
-                        lines.extend([prefix + names[d] for d in iter_bits(row)])
+    names = [str(v) for v in range(h.n)]
+    head = "%d " * (h.arity - 1)
+    lines = ["%d %d %d" % (h.arity, h.n, h.edge_count)]
+    for prefix, mask in h._walk():
+        start = head % prefix
+        lines.extend([start + names[w] for w in iter_bits(mask)])
     return "\n".join(lines) + "\n"
 
 
@@ -455,9 +446,8 @@ def read_hypergraph(text: str) -> Hypergraph3 | Hypergraph4:
     if lines != m + 1:
         raise ParseError("line %d: expected %d edge lines, found %d"
                          % (lines + 1, m, lines - 1))
-    cap = N3_CAP if arity == 3 else N4_CAP
-    if n > cap:
-        raise ValueError("n=%d outside supported range [0, %d]" % (n, cap))
+    cls = Hypergraph3 if arity == 3 else Hypergraph4
+    cls._check_n(n)
     if " 0" in text:
         text = _ZEROS_AFTER_SPACE.sub(" ", text)
     if "\n0" in text:
@@ -466,12 +456,7 @@ def read_hypergraph(text: str) -> Hypergraph3 | Hypergraph4:
     block_re = _CANONICAL_BLOCK[arity]
     # looking names up both converts and range-checks
     names = {str(v): v for v in range(n)}
-    base = _pair_base(n)
-    bit = [1 << v for v in range(n)]
-    if arity == 3:
-        rows = [0] * (n * (n - 1) // 2)
-    else:
-        rows = [[0] * n for _ in range(n * (n - 1) // 2)]
+    base, bit, rows = _pair_base(n), [1 << v for v in range(n)], cls._blank_rows(n)
     prev: tuple[int, ...] = (-1,)
     while pos < size:
         end = text.find("\n", pos + _BLOCK_CHARS) + 1 or size
@@ -491,31 +476,5 @@ def read_hypergraph(text: str) -> Hypergraph3 | Hypergraph4:
             raise _block_error(block, line, arity, names, prev) from None
         prev = edges[-1]
         pos = end
-        if arity == 3:
-            for x, y, z in edges:
-                rows[base[x] + y - x - 1] |= bit[z]
-                rows[base[x] + z - x - 1] |= bit[y]
-                rows[base[y] + z - y - 1] |= bit[x]
-        else:
-            # the six pairs of each edge, unrolled
-            for a, b, c, d in edges:
-                above_a, above_b = base[a] - a - 1, base[b] - b - 1
-                pair = rows[above_a + b]
-                pair[c] |= bit[d]
-                pair[d] |= bit[c]
-                pair = rows[above_a + c]
-                pair[b] |= bit[d]
-                pair[d] |= bit[b]
-                pair = rows[above_a + d]
-                pair[b] |= bit[c]
-                pair[c] |= bit[b]
-                pair = rows[above_b + c]
-                pair[a] |= bit[d]
-                pair[d] |= bit[a]
-                pair = rows[above_b + d]
-                pair[a] |= bit[c]
-                pair[c] |= bit[a]
-                pair = rows[base[c] + d - c - 1]
-                pair[a] |= bit[b]
-                pair[b] |= bit[a]
-    return Hypergraph3(n, rows) if arity == 3 else Hypergraph4(n, rows)
+        cls._insert(rows, base, bit, edges)
+    return cls(n, rows)

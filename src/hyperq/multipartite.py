@@ -24,6 +24,9 @@ from .hashing import TAG_AUX_TRIPLE, TAG_MP_EDGE, bernoulli, subseed
 # 21 MB traced, and its ``flatten`` view 2.4 MB more
 MP_MAX_PARTS = 64
 MP_MAX_VERTICES = N3_CAP
+# the paper's density threshold: the half-split's least mean-square ratio,
+# which the hypotheses ask to exceed by epsilon
+THRESHOLD = Fraction(1, 4)
 
 
 class MultipartiteGraph:
@@ -141,10 +144,9 @@ class MeanSquareProfile:
 
     sizes: tuple[int, ...]
     ratios: dict  # (i, j) -> Fraction, sum of d_j(x)^2 over |V_i||V_j|^2
-    threshold: Fraction
     epsilon: Fraction
-    satisfied: dict  # (i, j) with i < j -> ratio >= threshold + epsilon
-    margins: dict  # (i, j) with i < j -> ratio - (threshold + epsilon)
+    satisfied: dict  # (i, j) with i < j -> ratio >= THRESHOLD + epsilon
+    margins: dict  # (i, j) with i < j -> ratio - (THRESHOLD + epsilon)
 
     def min_ratio(self) -> Fraction:
         if not self.ratios:
@@ -153,10 +155,9 @@ class MeanSquareProfile:
 
 
 def mean_square_profile(g: MultipartiteGraph,
-                        threshold: Fraction = Fraction(1, 4),
                         epsilon: Fraction = Fraction(0)) -> MeanSquareProfile:
     """Exact ratio sum d_j(x)^2 / (|V_i| |V_j|^2) for all ordered pairs, and
-    the threshold verdict for each pair i < j."""
+    the verdict at ``THRESHOLD + epsilon`` for each pair i < j."""
     if any(s == 0 for s in g.sizes):
         raise ValueError("profile needs nonempty parts")
     ratios = {}
@@ -166,10 +167,10 @@ def mean_square_profile(g: MultipartiteGraph,
                 continue
             sq = sum(r.bit_count() ** 2 for r in g.rows[(i, j)])
             ratios[(i, j)] = Fraction(sq, g.sizes[i] * g.sizes[j] ** 2)
-    satisfied = {(i, j): ratios[(i, j)] >= threshold + epsilon
+    satisfied = {(i, j): ratios[(i, j)] >= THRESHOLD + epsilon
                  for i in range(g.m) for j in range(i + 1, g.m)}
-    margins = {key: ratios[key] - (threshold + epsilon) for key in satisfied}
-    return MeanSquareProfile(g.sizes, ratios, threshold, epsilon, satisfied, margins)
+    margins = {key: ratios[key] - (THRESHOLD + epsilon) for key in satisfied}
+    return MeanSquareProfile(g.sizes, ratios, epsilon, satisfied, margins)
 
 
 def _parts_mask(offsets: list[int], parts) -> int:
@@ -239,7 +240,7 @@ def proof_diagnostics(g: MultipartiteGraph, delta: Fraction,
     hypothesis = {}
     violations = []
     if epsilon is not None:
-        hypothesis = mean_square_profile(g, Fraction(1, 4), epsilon).satisfied
+        hypothesis = mean_square_profile(g, epsilon).satisfied
         if epsilon >= 2 * delta + delta * delta:
             violations = [(i, j) for (i, j), holds in hypothesis.items()
                           if holds and q_sizes[(i, j)][0] < delta * g.sizes[i]]
@@ -310,7 +311,7 @@ def project_auxiliary(block: TripartiteTriples, epsilon: Fraction) -> Projection
     for a, b, c in block.triples:
         left_adj[b] |= 1 << a
         right_adj[b] |= 1 << c
-    thr = Fraction(1, 4) + epsilon
+    thr = THRESHOLD + epsilon
     sum_left = sum(r.bit_count() ** 2 for r in left_adj)
     sum_right = sum(r.bit_count() ** 2 for r in right_adj)
     left_holds = sum_left >= thr * (l1 * l1 * l2)
@@ -454,12 +455,12 @@ def explore_extremal(m: int, s: int, eps_target: Fraction | None = None,
         raise ValueError("restarts must be nonnegative, got %d" % restarts)
     if m > 8 or s > 64:
         raise CapExceeded("explorer budget is m <= 8, s <= 64")
-    best, best_ratio, accepted = half_split(m, s), Fraction(1, 4), 0
+    best, best_ratio, accepted = half_split(m, s), THRESHOLD, 0
     if m > 2:
         return ExploreResult(best, best_ratio, accepted)
     for restart in range(restarts):
         rng = random.Random(subseed(seed, restart))
-        g, ratio = half_split(2, s), Fraction(1, 4)
+        g, ratio = half_split(2, s), THRESHOLD
         for _ in range(moves):
             rng.sample(range(2), 2)
             a, b = rng.randrange(s), rng.randrange(s)
@@ -468,7 +469,7 @@ def explore_extremal(m: int, s: int, eps_target: Fraction | None = None,
             g.add_edge(0, a, 1, b)
             accepted += 1
             ratio = mean_square_profile(g).min_ratio()
-            if eps_target is not None and ratio >= Fraction(1, 4) + eps_target:
+            if eps_target is not None and ratio >= THRESHOLD + eps_target:
                 break
         if ratio > best_ratio:
             best, best_ratio = g, ratio

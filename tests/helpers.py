@@ -3,7 +3,7 @@
 import random
 import re
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from hyperq.certifiers import SIGN_SPLIT_SEARCH_STEPS
 from hyperq.constructions import Tournament
@@ -60,6 +60,29 @@ def has_triple(aux: AuxiliaryHypergraph, vertices: dict) -> bool:
     blk = aux.blocks.get((i, j, k))
     want = (vertices[(i, j)], vertices[(i, k)], vertices[(j, k)])
     return blk is not None and want in blk.triples
+
+
+def naive_pair_rows(n: int, arity: int, edges) -> list:
+    """The pair rows of ``edges`` (vertex collections), one pair and one
+    vertex at a time: the reference for ``from_edges``.  A 3-uniform row is
+    the mask of w with {u, v, w} an edge, a 4-uniform one the list over x of
+    the masks of y with {u, v, x, y} an edge."""
+    kept = {frozenset(e) for e in edges}
+    if arity == 3:
+        return [sum(1 << w for w in range(n) if frozenset((u, v, w)) in kept)
+                for u, v in combinations(range(n), 2)]
+    return [[sum(1 << y for y in range(n) if frozenset((u, v, x, y)) in kept)
+             for x in range(n)]
+            for u, v in combinations(range(n), 2)]
+
+
+def naive_text(n: int, arity: int, edges) -> str:
+    """The text format of ``edges`` written one "%d" field at a time: the
+    reference for ``write_hypergraph``."""
+    lines = ["%d %d %d" % (arity, n, len(edges))]
+    for edge in sorted(tuple(sorted(e)) for e in edges):
+        lines.append(" ".join("%d" % v for v in edge))
+    return "".join(line + "\n" for line in lines)
 
 
 def read_lines(text: str):

@@ -356,6 +356,30 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("refused: ")
 
+    @pytest.mark.parametrize("construction", ["tournament3", "party6", "rainbow27",
+                                              "oriented4", "leader-tan"])
+    def test_generate_refuses_unread_k(self, tmp_path, capsys, construction):
+        """generate refuses a k that the construction does not read."""
+        out = tmp_path / "g.hg"
+        assert main(["generate", "--construction", construction, "--n", "6", "--k", "5",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: construction %r takes no k" % construction]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("construction", ["tournament3", "oriented4"])
+    def test_spec_refuses_unread_k(self, tmp_path, capsys, construction):
+        """A spec with a k that its construction does not read is refused
+        before any cell runs, rather than writing that k into every row."""
+        data = spec_dict(tmp_path, construction=construction, ns=[8], seeds=[0],
+                         certify=[], detect=[], k=9)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(data))
+        assert main(["experiment", "--spec", str(spec_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: construction %r takes no k" % construction]
+        assert not (tmp_path / "rows.csv").exists()
+
     @pytest.mark.parametrize("construction,n,k", [
         ("sk-free", 6, None), ("sk-free", 6, PATTERN_K_CAP + 1), ("colouring-kk", 6, 2),
         ("tournament3", 5000, None), ("tournament3", 3, None), ("oriented4", 600, None),

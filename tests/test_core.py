@@ -14,7 +14,7 @@ from hyperq.core import (
     write_hypergraph,
 )
 from hyperq.constructions import gen_oriented_4hg, gen_random_3hg, gen_tournament_3hg
-from helpers import tournament_seed
+from helpers import naive_pair_rows, naive_text, tournament_seed
 
 
 def edges_within(h, u):
@@ -276,6 +276,54 @@ class TestFromEdges:
         with pytest.raises(ValueError) as err:
             cls.from_edges(5, [first, tuple(range(1, len(first) + 1)), again])
         assert str(err.value) == "duplicate edge %r" % (first,)
+
+    @pytest.mark.parametrize("cls,edge,message", [
+        (Hypergraph3, (0, 1), "edge (0, 1) must have 3 distinct vertices"),
+        (Hypergraph3, (3, 0, 1, 2), "edge (0, 1, 2, 3) must have 3 distinct vertices"),
+        (Hypergraph3, (2, 0, 2), "edge (0, 2, 2) must have 3 distinct vertices"),
+        (Hypergraph3, (4, 0, 5), "edge (0, 4, 5) out of range [0, 5)"),
+        (Hypergraph4, (2, 0, 1), "edge (0, 1, 2) must have 4 distinct vertices"),
+        (Hypergraph4, (4, 0, 1, 2, 3), "edge (0, 1, 2, 3, 4) must have 4 distinct vertices"),
+        (Hypergraph4, (1, 3, 1, 0), "edge (0, 1, 1, 3) must have 4 distinct vertices"),
+        (Hypergraph4, (-1, 0, 1, 2), "edge (-1, 0, 1, 2) out of range [0, 5)"),
+    ], ids=["3-short", "3-long", "3-repeat", "3-range", "4-short", "4-long", "4-repeat",
+            "4-range"])
+    def test_bad_edge_named_with_arity(self, cls, edge, message):
+        with pytest.raises(ValueError) as err:
+            cls.from_edges(5, [edge])
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("cls,n,count", [
+        (Hypergraph3, 0, 0), (Hypergraph3, 2, 0), (Hypergraph3, 3, 1), (Hypergraph3, 6, 20),
+        (Hypergraph3, 15, 455), (Hypergraph4, 3, 0), (Hypergraph4, 4, 1),
+        (Hypergraph4, 7, 35), (Hypergraph4, 15, 1365),
+    ])
+    def test_complete_and_empty_edge_counts(self, cls, n, count):
+        full, empty = cls.complete(n), cls.empty(n)
+        assert (full.edge_count, len(full.edges())) == (count, count)
+        assert (empty.edge_count, empty.edges()) == (0, [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([3, 4]), st.integers(0, 10), st.data())
+    def test_pair_row_model_duels_naive(self, arity, n, data):
+        """Edges in shuffled order and vertex order: ``from_edges`` builds the
+        naive rows, ``iter_edges`` lists the sorted edges, and the text of
+        ``write_hypergraph`` is the naive text and reads back to the rows."""
+        tuples = list(combinations(range(n), arity))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(tuples), max_size=len(tuples)))
+        edges = [t for t, k in zip(tuples, keep) if k]
+        rng = data.draw(st.randoms(use_true_random=False))
+        given_edges = [rng.sample(e, arity) for e in edges]
+        rng.shuffle(given_edges)
+        cls = Hypergraph3 if arity == 3 else Hypergraph4
+        h = cls.from_edges(n, given_edges)
+        assert h._rows == naive_pair_rows(n, arity, given_edges)
+        assert list(h.iter_edges()) == edges
+        assert h.edge_count == len(edges)
+        text = write_hypergraph(h)
+        assert text == naive_text(n, arity, given_edges)
+        again = read_hypergraph(text)
+        assert type(again) is cls and again._rows == h._rows
 
 
 class TestHypergraph4:
