@@ -27,9 +27,17 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .core import CapExceeded, Hypergraph3, Hypergraph4, iter_bits, pack_rows, row_bytes
+from . import multipartite
+from .core import (
+    CapExceeded,
+    Hypergraph3,
+    Hypergraph4,
+    _as_fraction,
+    iter_bits,
+    pack_rows,
+    row_bytes,
+)
 from .hashing import subseed
-from .multipartite import MultipartiteGraph, count_triangles_mp
 
 WEAK_EXACT_HARD_CAP = 24
 PAIR_EXACT_HARD_CAP = 20
@@ -65,24 +73,6 @@ class DeviationReport:
     witness: tuple
     method: str
     trials: dict = field(default_factory=dict)
-
-
-def _as_fraction(value, default: Fraction) -> Fraction:
-    """``value`` as a fraction in [0, 1] (a float to nine digits of its
-    denominator), or ``default`` when it is None."""
-    if value is None:
-        return default
-    if not isinstance(value, (Fraction, int, str, float)):
-        raise ValueError("cannot interpret %r as a density" % (value,))
-    try:
-        d = Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % (value,)) from None
-    if isinstance(value, float):
-        d = d.limit_denominator(10 ** 9)
-    if not 0 <= d <= 1:
-        raise ValueError("%s is outside [0, 1]" % (value,))
-    return d
 
 
 def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
@@ -625,7 +615,7 @@ def quad_vertex_deviation(h: Hypergraph4, d=None, samples: int = 100,
                            {"samples": samples, "improve_steps": 0})
 
 
-def bipartite_regularity_deviation(g: MultipartiteGraph, d2=None,
+def bipartite_regularity_deviation(g: multipartite.MultipartiteGraph, d2=None,
                                    mode: str = "exact",
                                    parts: tuple[int, int] = (0, 1),
                                    restarts: int = 32, seed: int = 0) -> DeviationReport:
@@ -667,7 +657,7 @@ class TriangleBoundReport:
     per_pair_delta: tuple
 
 
-def triangle_bound_check(g: MultipartiteGraph, d2,
+def triangle_bound_check(g: multipartite.MultipartiteGraph, d2,
                          parts: tuple[int, int, int] = (0, 1, 2),
                          enum_side: int = 16) -> TriangleBoundReport:
     """Compare the exact triangle count with d2^3 + 3*delta2_hat (scaled by
@@ -686,14 +676,14 @@ def triangle_bound_check(g: MultipartiteGraph, d2,
         deltas.append(Fraction(rep.max_deviation, rep.normalizer)
                       if rep.normalizer else Fraction(0))
     delta_hat = max(deltas)
-    count = count_triangles_mp(g, parts)
+    count = multipartite.count_triangles_mp(g, parts)
     volume = g.sizes[i] * g.sizes[j] * g.sizes[k]
     bound = (d2 ** 3) * volume + 3 * delta_hat * volume
     return TriangleBoundReport(count, d2, delta_hat, bound, count <= bound,
                                tuple(deltas))
 
 
-def relative_density(h: Hypergraph3, g: MultipartiteGraph,
+def relative_density(h: Hypergraph3, g: multipartite.MultipartiteGraph,
                      part_vertices: Sequence[Sequence[int]],
                      parts: tuple[int, int, int] = (0, 1, 2)) -> Fraction:
     """Fraction of the tripartite graph's triangles that are hyperedges.

@@ -13,39 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
-from .certifiers import (
-    _as_fraction,
-    bipartite_regularity_deviation,
-    pair_deviation,
-    quad_vertex_deviation,
-    weak_deviation,
-    xyz_deviation,
-)
-from .constructions import CONSTRUCTIONS, arity, check_construction
-from .core import CapExceeded, Hypergraph3, Hypergraph4, ParseError, read_hypergraph, write_hypergraph
-from .detectors import (
-    check_vanishing_condition,
-    embed_small,
-    find_clique3,
-    find_f4,
-    find_k4_minus,
-    find_sk,
-)
-from .experiment import ExperimentSpec, run_experiment
-from .multipartite import (
-    AuxiliaryHypergraph,
-    TripartiteTriples,
-    explore_extremal,
-    find_three_triples,
-    find_triangle_mp,
-    half_split,
-    mean_square_profile,
-    project_auxiliary,
-    proof_diagnostics,
-    read_multipartite,
-    write_multipartite,
-)
+from . import __version__, certifiers, constructions, core, detectors, experiment, multipartite
 
 
 def _jsonable(obj):
@@ -71,9 +39,9 @@ def _write_report(path: str | None, payload: dict) -> None:
 
 
 def cmd_generate(args) -> int:
-    check_construction(args.construction, args.n, args.k)
-    h = CONSTRUCTIONS[args.construction](args.n, args.k, args.seed)
-    text = write_hypergraph(h)
+    core.check_construction(args.construction, args.n, args.k)
+    h = constructions.CONSTRUCTIONS[args.construction](args.n, args.k, args.seed)
+    text = core.write_hypergraph(h)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -85,30 +53,30 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _read_input(path: str, task: str) -> Hypergraph3 | Hypergraph4:
+def _read_input(path: str, task: str) -> core.Hypergraph3 | core.Hypergraph4:
     """The hypergraph a certify kind or detect pattern reads, of its arity."""
-    h = read_hypergraph(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(h, Hypergraph3 if arity(task) == 3 else Hypergraph4):
-        raise ValueError("%s needs a %d-uniform input" % (task, arity(task)))
+    h = core.read_hypergraph(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(h, core.Hypergraph3 if core.arity(task) == 3 else core.Hypergraph4):
+        raise ValueError("%s needs a %d-uniform input" % (task, core.arity(task)))
     return h
 
 
 def cmd_certify(args) -> int:
-    d = _as_fraction(args.d, None) if args.d else None
+    d = core._as_fraction(args.d, None) if args.d else None
     if args.kind == "bipartite":
-        g = read_multipartite(Path(args.infile).read_text(encoding="utf-8"))
-        rep = bipartite_regularity_deviation(g, d, mode=args.mode, seed=args.seed)
+        g = multipartite.read_multipartite(Path(args.infile).read_text(encoding="utf-8"))
+        rep = certifiers.bipartite_regularity_deviation(g, d, mode=args.mode, seed=args.seed)
         meta = {"parts": list(g.sizes[:2])}
     else:
         h = _read_input(args.infile, args.kind)
         if args.kind == "weak":
-            rep = weak_deviation(h, d, mode=args.mode, seed=args.seed)
+            rep = certifiers.weak_deviation(h, d, mode=args.mode, seed=args.seed)
         elif args.kind == "xyz":
-            rep = xyz_deviation(h, d, samples=args.samples, seed=args.seed)
+            rep = certifiers.xyz_deviation(h, d, samples=args.samples, seed=args.seed)
         elif args.kind == "pair":
-            rep = pair_deviation(h, d, mode=args.mode, seed=args.seed)
+            rep = certifiers.pair_deviation(h, d, mode=args.mode, seed=args.seed)
         else:
-            rep = quad_vertex_deviation(h, d, samples=args.samples, seed=args.seed)
+            rep = certifiers.quad_vertex_deviation(h, d, samples=args.samples, seed=args.seed)
         meta = {"n": h.n, "edges": h.edge_count}
     payload = {"schema_version": 1, "input": args.infile, "kind": args.kind,
                "instance": meta, "report": rep}
@@ -120,28 +88,28 @@ def cmd_detect(args) -> int:
     h = _read_input(args.infile, args.pattern)
     extra = {}
     if args.pattern == "k4minus":
-        witness = find_k4_minus(h, ordered=args.ordered)
+        witness = detectors.find_k4_minus(h, ordered=args.ordered)
     elif args.pattern == "clique":
-        witness = find_clique3(h, 4 if args.k is None else args.k)
+        witness = detectors.find_clique3(h, 4 if args.k is None else args.k)
     elif args.pattern == "sk":
-        witness = find_sk(h, 3 if args.k is None else args.k)
+        witness = detectors.find_sk(h, 3 if args.k is None else args.k)
     elif args.pattern == "custom":
         if not args.pattern_file:
             raise ValueError("custom detection needs --pattern-file")
-        pat = read_hypergraph(Path(args.pattern_file).read_text(encoding="utf-8"))
-        if not isinstance(pat, Hypergraph3):
+        pat = core.read_hypergraph(Path(args.pattern_file).read_text(encoding="utf-8"))
+        if not isinstance(pat, core.Hypergraph3):
             raise ValueError("custom embedding works on 3-uniform inputs")
-        image = embed_small(pat, h, ordered=args.ordered)
+        image = detectors.embed_small(pat, h, ordered=args.ordered)
         extra["embedding"] = list(image) if image is not None else None
         witness = image
     elif args.pattern == "vanishing":
-        w = check_vanishing_condition(h)
+        w = detectors.check_vanishing_condition(h)
         payload = {"schema_version": 1, "input": args.infile,
                    "pattern": args.pattern, "found": w is not None, "witness": w}
         _write_report(args.report, payload)
         return 0
     else:  # f4
-        witness = find_f4(h)
+        witness = detectors.find_f4(h)
     payload = {"schema_version": 1, "input": args.infile, "pattern": args.pattern,
                "found": witness is not None, "result": witness, **extra}
     _write_report(args.report, payload)
@@ -150,15 +118,16 @@ def cmd_detect(args) -> int:
 
 # a field of the wrong JSON type (a number where a list belongs, a list where
 # an object does) raises one of the caught errors while the model is built
-def _read_block(path: str) -> TripartiteTriples:
+def _read_block(path: str) -> multipartite.TripartiteTriples:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
-        return TripartiteTriples(tuple(data["sizes"]), [tuple(t) for t in data["triples"]])
+        return multipartite.TripartiteTriples(tuple(data["sizes"]),
+                                              [tuple(t) for t in data["triples"]])
     except (TypeError, IndexError) as exc:
         raise ValueError("malformed block: %s" % exc) from None
 
 
-def _read_auxiliary(path: str) -> AuxiliaryHypergraph:
+def _read_auxiliary(path: str) -> multipartite.AuxiliaryHypergraph:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
         m = data["m"]
@@ -170,7 +139,7 @@ def _read_auxiliary(path: str) -> AuxiliaryHypergraph:
             if type(value) is not int or value < 0:
                 raise ValueError("m and the class sizes must be nonnegative integers,"
                                  " not %r" % (value,))
-        return AuxiliaryHypergraph(m, sizes, blocks)
+        return multipartite.AuxiliaryHypergraph(m, sizes, blocks)
     except (TypeError, AttributeError) as exc:
         raise ValueError("malformed auxiliary system: %s" % exc) from None
 
@@ -183,18 +152,19 @@ def cmd_multipartite(args) -> int:
     elif not args.infile:
         raise ValueError("%s needs --in" % op)
     if op == "halfsplit":
-        g = half_split(args.m, args.s)
-        text = write_multipartite(g)
+        g = multipartite.half_split(args.m, args.s)
+        text = multipartite.write_multipartite(g)
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
         return 0
     if op == "explore":
-        res = explore_extremal(args.m, args.s, eps_target=_as_fraction(args.epsilon, None),
-                               restarts=args.restarts, seed=args.seed)
+        res = multipartite.explore_extremal(
+            args.m, args.s, eps_target=core._as_fraction(args.epsilon, None),
+            restarts=args.restarts, seed=args.seed)
         if args.out:
-            Path(args.out).write_text(write_multipartite(res.graph), encoding="utf-8")
+            Path(args.out).write_text(multipartite.write_multipartite(res.graph), encoding="utf-8")
         # the explorer only returns triangle-free graphs
         _write_report(args.report, {
             "schema_version": 1, "op": op, "m": args.m, "s": args.s,
@@ -202,13 +172,13 @@ def cmd_multipartite(args) -> int:
             "restarts": args.restarts, "accepted_moves": res.accepted_moves})
         return 0
     if op == "project":
-        rep = project_auxiliary(_read_block(args.infile),
-                                _as_fraction(args.epsilon, Fraction(0)))
+        rep = multipartite.project_auxiliary(_read_block(args.infile),
+                                             core._as_fraction(args.epsilon, Fraction(0)))
         _write_report(args.report, {"schema_version": 1, "op": op, "report": rep})
         return 0
     if op == "threetriples":
         aux = _read_auxiliary(args.infile)
-        cfg = find_three_triples(aux)
+        cfg = multipartite.find_three_triples(aux)
         payload = {"schema_version": 1, "op": op, "found": cfg is not None}
         if cfg:
             payload["indices"] = list(cfg.indices)
@@ -216,16 +186,17 @@ def cmd_multipartite(args) -> int:
             payload["apex_extreme"] = cfg.apex_extreme
         _write_report(args.report, payload)
         return 0
-    g = read_multipartite(Path(args.infile).read_text(encoding="utf-8"))
+    g = multipartite.read_multipartite(Path(args.infile).read_text(encoding="utf-8"))
     if op == "profile":
-        prof = mean_square_profile(g, epsilon=_as_fraction(args.epsilon, Fraction(0)))
+        prof = multipartite.mean_square_profile(
+            g, epsilon=core._as_fraction(args.epsilon, Fraction(0)))
         payload = {"schema_version": 1, "op": op, "sizes": list(g.sizes),
                    "ratios": prof.ratios, "satisfied": prof.satisfied,
                    "min_ratio": prof.min_ratio()}
         _write_report(args.report, payload)
         return 0
     if op == "triangle":
-        tri = find_triangle_mp(g)
+        tri = multipartite.find_triangle_mp(g)
         _write_report(args.report, {"schema_version": 1, "op": op,
                                     "found": tri is not None,
                                     "triangle": tri})
@@ -233,8 +204,8 @@ def cmd_multipartite(args) -> int:
     if op == "diagnostics":
         if not args.delta:
             raise ValueError("diagnostics needs --delta")
-        diag = proof_diagnostics(g, _as_fraction(args.delta, None),
-                                 _as_fraction(args.epsilon, None))
+        diag = multipartite.proof_diagnostics(g, core._as_fraction(args.delta, None),
+                                              core._as_fraction(args.epsilon, None))
         payload = {"schema_version": 1, "op": op, "r_max": diag.r_max,
                    "q_sizes": diag.q_sizes, "r_value": diag.r_value,
                    "claim_violations": diag.claim_violations}
@@ -244,8 +215,8 @@ def cmd_multipartite(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    spec = ExperimentSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
-    result = run_experiment(spec, threads=args.threads)
+    spec = experiment.ExperimentSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
+    result = experiment.run_experiment(spec, threads=args.threads)
     if not spec.csv_path and not spec.json_path:
         if args.format == "json":
             sys.stdout.write(result.to_json())
@@ -283,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", parents=[seeded],
                        help="emit a seeded construction")
-    p.add_argument("--construction", required=True, choices=sorted(CONSTRUCTIONS))
+    p.add_argument("--construction", required=True, choices=sorted(core.LIMITS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", default=None)
@@ -342,10 +313,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapExceeded as exc:
+    except core.CapExceeded as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return 3
-    except (ParseError, ValueError, OSError, KeyError) as exc:
+    except (core.ParseError, ValueError, OSError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

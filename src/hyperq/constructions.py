@@ -10,7 +10,19 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import N3_CAP, N4_CAP, CapExceeded, Hypergraph3, Hypergraph4, _pair_base
+# the construction limits live in core, which every command runs;
+# FOUR_UNIFORM, LIMITS and arity are re-exported here
+from .core import (
+    FOUR_UNIFORM,
+    LIMITS,
+    N4_CAP,
+    PATTERN_K_CAP,
+    Hypergraph3,
+    Hypergraph4,
+    _pair_base,
+    arity,
+    check_construction,
+)
 from .hashing import (
     TAG_PAIR_COLOUR,
     TAG_RANDOM_TRIPLE,
@@ -21,52 +33,6 @@ from .hashing import (
 )
 
 RED, BLUE, GREEN = 0, 1, 2
-# largest k of the colouring-kk and sk-free pattern tables, which grow as
-# k^3: at k = 64 they hold about 235,000 patterns, traced at 23 MB and built
-# in 0.3 s (colouring-kk) and 1.2 s (sk-free) of CPU on a 2-vCPU Xeon VM; at
-# k = 100, 0.94M patterns take 93 MB
-PATTERN_K_CAP = 64
-# construction -> (least n, greatest n, least k, or None where k is not read)
-LIMITS = {
-    "tournament3": (4, N3_CAP, None),
-    "colouring-kk": (0, N3_CAP, 3),
-    "party6": (0, N3_CAP, None),
-    "rainbow27": (0, N3_CAP, None),
-    "sk-free": (0, N3_CAP, 4),
-    "oriented4": (5, N4_CAP, None),
-    "leader-tan": (5, N4_CAP, None),
-}
-
-# the certify kinds, detect patterns and constructions on 4-uniform
-# hypergraphs; every other one is on 3-uniform hypergraphs
-FOUR_UNIFORM = frozenset({"quad", "f4", "oriented4", "leader-tan"})
-
-
-def arity(name: str) -> int:
-    """Uniformity of a construction's output or of a task's input."""
-    return 4 if name in FOUR_UNIFORM else 3
-
-
-def check_construction(name: str, n: int, k: int | None) -> None:
-    """Refuse an (n, k) that construction ``name`` cannot build, before any
-    of it is built: CapExceeded for a k above ``PATTERN_K_CAP``, ValueError
-    for any other k or n out of range, for a k that is not an integer and for
-    any k where the construction reads none."""
-    least, most, k_least = LIMITS[name]
-    if not least <= n <= most:
-        raise ValueError("n=%d outside [%d, %d]" % (n, least, most))
-    if k is not None and type(k) is not int:
-        raise ValueError("k must be an integer, not %r" % (k,))
-    if k_least is None:
-        if k is not None:
-            raise ValueError("construction %r takes no k" % name)
-        return
-    if k is None:
-        raise ValueError("construction %r requires k" % name)
-    if k < k_least:
-        raise ValueError("k must be at least %d" % k_least)
-    if k > PATTERN_K_CAP:
-        raise CapExceeded("pattern table refused for k=%d > cap %d" % (k, PATTERN_K_CAP))
 
 
 class PairColouring:

@@ -5,6 +5,9 @@ and quadruple membership is held in per-pair bitset rows (Python ints), which
 make link lookups, subset counting and pattern scans cheap; sorted edge lists
 are derived lazily from the rows rather than stored.  All objects are treated
 as immutable once constructed.
+
+It also holds what every command parses with, so that parsing executes no
+other module: the density reader and the limits of each construction.
 """
 
 from __future__ import annotations
@@ -27,6 +30,72 @@ class CapExceeded(Exception):
 
 class ParseError(ValueError):
     """Malformed serialized input; message carries a 1-based line number."""
+
+
+def _as_fraction(value, default: Fraction) -> Fraction:
+    """``value`` as a fraction in [0, 1] (a float to nine digits of its
+    denominator), or ``default`` when it is None."""
+    if value is None:
+        return default
+    if not isinstance(value, (Fraction, int, str, float)):
+        raise ValueError("cannot interpret %r as a density" % (value,))
+    try:
+        d = Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (value,)) from None
+    if isinstance(value, float):
+        d = d.limit_denominator(10 ** 9)
+    if not 0 <= d <= 1:
+        raise ValueError("%s is outside [0, 1]" % (value,))
+    return d
+
+
+# largest k of the colouring-kk and sk-free pattern tables of constructions,
+# which grow as k^3: at k = 64 they hold about 235,000 patterns, traced at
+# 23 MB and built in 0.3 s (colouring-kk) and 1.2 s (sk-free) of CPU on a
+# 2-vCPU Xeon VM; at k = 100, 0.94M patterns take 93 MB
+PATTERN_K_CAP = 64
+# construction -> (least n, greatest n, least k, or None where k is not read)
+LIMITS = {
+    "tournament3": (4, N3_CAP, None),
+    "colouring-kk": (0, N3_CAP, 3),
+    "party6": (0, N3_CAP, None),
+    "rainbow27": (0, N3_CAP, None),
+    "sk-free": (0, N3_CAP, 4),
+    "oriented4": (5, N4_CAP, None),
+    "leader-tan": (5, N4_CAP, None),
+}
+
+# the certify kinds, detect patterns and constructions on 4-uniform
+# hypergraphs; every other one is on 3-uniform hypergraphs
+FOUR_UNIFORM = frozenset({"quad", "f4", "oriented4", "leader-tan"})
+
+
+def arity(name: str) -> int:
+    """Uniformity of a construction's output or of a task's input."""
+    return 4 if name in FOUR_UNIFORM else 3
+
+
+def check_construction(name: str, n: int, k: int | None) -> None:
+    """Refuse an (n, k) that construction ``name`` cannot build, before any
+    of it is built: CapExceeded for a k above ``PATTERN_K_CAP``, ValueError
+    for any other k or n out of range, for a k that is not an integer and for
+    any k where the construction reads none."""
+    least, most, k_least = LIMITS[name]
+    if not least <= n <= most:
+        raise ValueError("n=%d outside [%d, %d]" % (n, least, most))
+    if k is not None and type(k) is not int:
+        raise ValueError("k must be an integer, not %r" % (k,))
+    if k_least is None:
+        if k is not None:
+            raise ValueError("construction %r takes no k" % name)
+        return
+    if k is None:
+        raise ValueError("construction %r requires k" % name)
+    if k < k_least:
+        raise ValueError("k must be at least %d" % k_least)
+    if k > PATTERN_K_CAP:
+        raise CapExceeded("pattern table refused for k=%d > cap %d" % (k, PATTERN_K_CAP))
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -185,6 +254,17 @@ class _PairRows:
             u, v = v, u
         return self._rows[self._base[u] + v - u - 1]
 
+    def has_edge(self, *edge: int) -> bool:
+        """Whether ``edge``, ``arity`` distinct vertices of 0..n-1 in any
+        order, is an edge; refuses any other tuple."""
+        if (len(edge) != self.arity or len(set(edge)) != self.arity
+                or not all(0 <= v < self.n for v in edge)):
+            raise ValueError("bad tuple %r for n=%d" % (edge, self.n))
+        row = self._pair_row(edge[0], edge[1])
+        if self.arity == 4:
+            row = row[edge[2]]
+        return bool(row >> edge[-1] & 1)
+
     def iter_edges(self) -> Iterator[tuple[int, ...]]:
         """Edges as sorted tuples, in lexicographic order."""
         last = [(w,) for w in range(self.n)]
@@ -241,9 +321,6 @@ class Hypergraph3(_PairRows):
         rows, base = self._rows, self._base
         return ([rows[base[w] + v - w - 1] for w in range(v)] + [0]
                 + rows[base[v]:base[v] + self.n - v - 1])
-
-    def has_edge(self, x: int, y: int, z: int) -> bool:
-        return bool(self.link_row(x, y) >> z & 1)
 
     def _packed_links(self) -> list[int]:
         """``pack_rows(link_rows(v), (n + 7) // 8)`` for every vertex v, built
@@ -327,9 +404,6 @@ class Hypergraph4(_PairRows):
                     row = row >> (c + 1) << (c + 1)
                     if row:
                         yield (a, b, c), row
-
-    def has_edge(self, a: int, b: int, c: int, d: int) -> bool:
-        return bool(self.pair_rows(a, b)[c] >> d & 1)
 
     def count_ordered_quadruples(self, u1, u2, u3, u4) -> int:
         """Ordered tuples in U1 x U2 x U3 x U4 whose vertex set is an edge.

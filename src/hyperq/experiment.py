@@ -19,15 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .certifiers import (
-    _as_fraction,
-    pair_deviation,
-    quad_vertex_deviation,
-    weak_deviation,
-    xyz_deviation,
-)
-from .constructions import CONSTRUCTIONS, arity, check_construction
-from .core import write_hypergraph
+from .certifiers import pair_deviation, quad_vertex_deviation, weak_deviation, xyz_deviation
+from .constructions import CONSTRUCTIONS
+from .core import _as_fraction, arity, check_construction, write_hypergraph
 from .detectors import count_k4_minus, find_clique3, find_f4, find_k4_minus, find_sk
 
 CSV_SCHEMA_VERSION = 1

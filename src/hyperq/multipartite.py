@@ -16,8 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
+from . import detectors
 from .core import N3_CAP, CapExceeded, Graph, ParseError, iter_bits
-from .detectors import count_triangles_graph, find_triangle_graph
 from .hashing import TAG_AUX_TRIPLE, TAG_MP_EDGE, bernoulli, subseed
 
 # a complete graph on 64 parts of 64 vertices holds 63 * 4096 row ints, about
@@ -182,10 +182,10 @@ def find_triangle_mp(g: MultipartiteGraph):
     flat, offsets = g.flatten()
     # no part has inner edges, so every flat triangle spans three parts: one
     # scan of the whole graph settles whether any part triple holds one
-    if find_triangle_graph(flat) is None:
+    if detectors.find_triangle_graph(flat) is None:
         return None
     for parts in combinations(range(g.m), 3):
-        tri = find_triangle_graph(flat, _parts_mask(offsets, parts))
+        tri = detectors.find_triangle_graph(flat, _parts_mask(offsets, parts))
         if tri is not None:
             return tuple((p, x - offsets[p]) for p, x in zip(parts, tri))
     return None
@@ -194,7 +194,8 @@ def find_triangle_mp(g: MultipartiteGraph):
 def count_triangles_mp(g: MultipartiteGraph, parts: tuple[int, int, int] | None = None) -> int:
     """Exact triangle count, optionally restricted to one part triple."""
     flat, offsets = g.flatten()
-    return count_triangles_graph(flat, None if parts is None else _parts_mask(offsets, parts))
+    mask = None if parts is None else _parts_mask(offsets, parts)
+    return detectors.count_triangles_graph(flat, mask)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 import math
 import re
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -292,6 +292,26 @@ class TestFromEdges:
         with pytest.raises(ValueError) as err:
             cls.from_edges(5, [edge])
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("cls,edge", [(Hypergraph3, (0, 1, 4)), (Hypergraph4, (0, 1, 2, 4))])
+    def test_has_edge_in_any_vertex_order(self, cls, edge):
+        h = cls.from_edges(5, [edge])
+        assert all(h.has_edge(*p) for p in permutations(edge))
+        assert not h.has_edge(*edge[:-1], 3)
+
+    @pytest.mark.parametrize("cls,query", [
+        (Hypergraph3, (0, 1, -1)), (Hypergraph3, (0, 1, 5)), (Hypergraph3, (-1, 0, 1)),
+        (Hypergraph3, (0, 1, 1)), (Hypergraph3, (0, 1)),
+        (Hypergraph4, (0, 1, -1, 2)), (Hypergraph4, (0, 1, 2, 5)), (Hypergraph4, (0, 5, 1, 2)),
+        (Hypergraph4, (0, 1, 2, 2)), (Hypergraph4, (0, 1, 2)),
+    ], ids=["3-negative", "3-last-high", "3-first-negative", "3-repeat", "3-short",
+            "4-negative", "4-last-high", "4-second-high", "4-repeat", "4-short"])
+    def test_has_edge_refuses_a_bad_tuple(self, cls, query):
+        """A vertex outside [0, n) never wraps around to the end of a row and
+        never reads a row past n; a repeated vertex is no tuple of an edge."""
+        h = cls.from_edges(5, [(0, 1, 4) if cls is Hypergraph3 else (0, 1, 2, 4)])
+        with pytest.raises(ValueError, match=re.escape("bad tuple %r for n=5" % (query,))):
+            h.has_edge(*query)
 
     @pytest.mark.parametrize("cls,n,count", [
         (Hypergraph3, 0, 0), (Hypergraph3, 2, 0), (Hypergraph3, 3, 1), (Hypergraph3, 6, 20),
