@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
-from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -32,10 +30,12 @@ from .core import (
     CapExceeded,
     Hypergraph3,
     Hypergraph4,
+    _PLACES,
     _as_fraction,
     iter_bits,
     pack_rows,
     row_bytes,
+    vertex_mask,
 )
 from .hashing import subseed
 
@@ -175,16 +175,16 @@ def _weak_exact(links: list[list[int]], p: int, q: int) -> tuple[int, int]:
     w = ((2 * max(math.comb(n, 3), 1) * q).bit_length() + 7) // 8
     b = 8 * w - 1
     low = min(n, _BLOCK_ENTRIES.bit_length() - 1)
-    ones = _pack_fields([1] * (1 << low), w)
+    ones = pack_rows([1] * (1 << low), w)
     signs = ones << b
     e_low = [0]
     for a in range(low):
         e_low += [e + c for e, c in zip(e_low, _subset_edge_counts(links[a], a))]
     # q * (e(A) + sum over b in B of l_b(A))
-    run = q * _pack_fields(e_low, w)
-    ell = [q * _pack_fields(_subset_edge_counts(links[v], low), w) for v in range(low, n)]
-    members = [_pack_fields([c >> a & 1 for c in range(1 << low)], w) for a in range(low)]
-    c3, c2, c1 = (p * _pack_fields([math.comb(c.bit_count(), t) for c in range(1 << low)], w)
+    run = q * pack_rows(e_low, w)
+    ell = [q * pack_rows(_subset_edge_counts(links[v], low), w) for v in range(low, n)]
+    members = [pack_rows([c >> a & 1 for c in range(1 << low)], w) for a in range(low)]
+    c3, c2, c1 = (p * pack_rows([math.comb(c.bit_count(), t) for c in range(1 << low)], w)
                   for t in (3, 2, 1))
     # 2^b - p * C(|A| + s, 3) in field A, for each s
     shifts = [signs - c3 - s * c2 - math.comb(s, 2) * c1 - p * math.comb(s, 3) * ones
@@ -211,23 +211,6 @@ def _weak_exact(links: list[list[int]], p: int, q: int) -> tuple[int, int]:
     return _exact_walk(n, low, w, block)
 
 
-# unpacked, byte i of a field of at most 8 bytes sits in byte _PLACES[i] of
-# an 8-byte native slot, the other bytes staying 0
-_PLACES = [i if sys.byteorder == "little" else 7 - i for i in range(8)]
-
-
-def _pack_fields(table: Sequence[int], w: int) -> int:
-    """One int holding ``table[f]``, in [0, 2^(8w)), in the w bytes from
-    byte w * f: the inverse of ``_exact_walk``'s unpacking."""
-    if w > 8:
-        return pack_rows(table, w)
-    raw = array("Q", table).tobytes()
-    fields = bytearray(w * len(table))
-    for i in range(w):
-        fields[i::w] = raw[_PLACES[i]::8]
-    return int.from_bytes(fields, "little")
-
-
 def _exact_walk(k: int, low: int, w: int, block) -> tuple[int, int]:
     """Largest value over all sets of k rows, and the set of least Gray
     rank reaching it.
@@ -241,7 +224,7 @@ def _exact_walk(k: int, low: int, w: int, block) -> tuple[int, int]:
     An odd block meets the sets A in reverse order of their even Gray rank.
     """
     b = 8 * w - 1
-    ones = _pack_fields([1] * (1 << low), w)
+    ones = pack_rows([1] * (1 << low), w)
     signs = ones << b
     cut = signs - ones
     # rank[A] is the Gray rank of A in an even block
@@ -444,7 +427,7 @@ def _sign_split_exact(columns: Sequence[int], k: int, p: int, q: int) -> tuple[i
     low = min(k, _BLOCK_ENTRIES.bit_length() - 1)
     while low and (min(cols, 1 << low) + 1) * w << low > _TABLE_BYTES:
         low -= 1
-    ones = _pack_fields([1] * (1 << low), w)
+    ones = pack_rows([1] * (1 << low), w)
     # doubling: the fields of the sets with row a copy those without it and
     # add row a's x, and the tables of the columns sharing a prefix are one
     tables = {0: 1 << b}
@@ -630,7 +613,7 @@ def bipartite_regularity_deviation(g: multipartite.MultipartiteGraph, d2=None,
     if i == j or not (0 <= i < g.m and 0 <= j < g.m):
         raise ValueError("bipartite deviation needs two parts, the graph has %d" % g.m)
     d2 = _as_fraction(d2, g.pair_density(i, j))
-    return _bipartite_deviation(g.rows[(j, i)], g.sizes[i], d2, mode, restarts, seed)
+    return _bipartite_deviation(g.part_rows(j, i), g.sizes[i], d2, mode, restarts, seed)
 
 
 def _bipartite_deviation(columns: Sequence[int], nx: int, d2: Fraction, mode: str,
@@ -669,7 +652,7 @@ def triangle_bound_check(g: multipartite.MultipartiteGraph, d2,
     deltas = []
     low = (1 << enum_side) - 1
     for (a, b) in ((i, j), (i, k), (j, k)):
-        columns = [col & low for col in g.rows[(b, a)]]
+        columns = [col & low for col in g.part_rows(b, a)]
         rep = _bipartite_deviation(columns, min(g.sizes[a], enum_side), d2,
                                    "exact", 0, 0)
         # a pair with an empty side has no edges and deviates by 0
@@ -689,14 +672,17 @@ def relative_density(h: Hypergraph3, g: multipartite.MultipartiteGraph,
     """Fraction of the tripartite graph's triangles that are hyperedges.
 
     ``part_vertices[t]`` lists the hypergraph vertices behind the local
-    indices of part ``parts[t]``.  Returns 0 when there are no triangles.
+    indices of part ``parts[t]``, distinct vertices of 0..h.n-1.  Returns 0
+    when there are no triangles.
     """
     i, j, k = parts
-    vi, vj, vk = (list(part_vertices[0]), list(part_vertices[1]),
-                  list(part_vertices[2]))
+    vi, vj, vk = map(list, part_vertices)
     if (len(vi), len(vj), len(vk)) != (g.sizes[i], g.sizes[j], g.sizes[k]):
         raise ValueError("part vertex lists must match the part sizes")
-    rows_ij, rows_ik, rows_jk = g.rows[(i, j)], g.rows[(i, k)], g.rows[(j, k)]
+    listed = vi + vj + vk
+    if vertex_mask(listed, h.n).bit_count() < len(listed):
+        raise ValueError("vertex %r listed twice" % next(v for v in listed if listed.count(v) > 1))
+    rows_ij, rows_ik, rows_jk = g.part_rows(i, j), g.part_rows(i, k), g.part_rows(j, k)
     triangles = 0
     matched = 0
     for a in range(g.sizes[i]):

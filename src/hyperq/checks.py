@@ -249,7 +249,7 @@ def check_multipartite_tightness(level: str) -> tuple[bool, str]:
     shapes = [(3, 12), (4, 8), (5, 12), (8, 64)] if level == "full" else [(3, 8), (5, 4)]
     for m, s in shapes:
         res = explore_extremal(m, s, seed=7)
-        if res.graph.rows != half_split(m, s).rows or res.accepted_moves:
+        if res.graph.graph.rows != half_split(m, s).graph.rows or res.accepted_moves:
             problems.append("explorer(%d,%d) left the half-split" % (m, s))
     res = explore_extremal(2, 4, restarts=4, seed=7, moves=200)
     if res.min_ratio != 1:

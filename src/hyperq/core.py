@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
@@ -126,9 +128,21 @@ def row_bytes(rows: Iterable[int], width: int) -> bytes:
     return b"".join(r.to_bytes(width, "little") for r in rows)
 
 
+# unpacked, byte i of a field of at most 8 bytes sits in byte _PLACES[i] of
+# an 8-byte native slot, the other bytes staying 0
+_PLACES = [i if sys.byteorder == "little" else 7 - i for i in range(8)]
+
+
 def pack_rows(rows: Iterable[int], width: int) -> int:
-    """One int holding ``rows[x]`` at bit ``8 * width * x``."""
-    return int.from_bytes(row_bytes(rows, width), "little")
+    """One int holding ``rows[x]``, in [0, 2^(8 width)), at bit ``8 * width * x``;
+    rows of at most 8 bytes pass through native 8-byte slots."""
+    if width > 8:
+        return int.from_bytes(row_bytes(rows, width), "little")
+    raw = array("Q", rows).tobytes()
+    fields = bytearray(width * (len(raw) >> 3))
+    for i in range(width):
+        fields[i::width] = raw[_PLACES[i]::8]
+    return int.from_bytes(fields, "little")
 
 
 def probe(outer: int, inner: int, width: int) -> int:
@@ -156,13 +170,17 @@ class Graph:
         self.n = n
         self.rows = rows if rows is not None else [0] * n
 
-    def add_edge(self, u: int, v: int) -> None:
+    def _check(self, u: int, v: int) -> None:
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError("bad edge (%r, %r)" % (u, v))
+
+    def add_edge(self, u: int, v: int) -> None:
+        self._check(u, v)
         self.rows[u] |= 1 << v
         self.rows[v] |= 1 << u
 
     def has_edge(self, u: int, v: int) -> bool:
+        self._check(u, v)
         return bool(self.rows[u] >> v & 1)
 
     @property

@@ -13,15 +13,15 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 from . import detectors
 from .core import N3_CAP, CapExceeded, Graph, ParseError, iter_bits
 from .hashing import TAG_AUX_TRIPLE, TAG_MP_EDGE, bernoulli, subseed
 
-# a complete graph on 64 parts of 64 vertices holds 63 * 4096 row ints, about
-# 21 MB traced, and its ``flatten`` view 2.4 MB more
+# a complete graph on 64 parts of 64 vertices holds 4096 row ints of 4096
+# bits, about 2.4 MB traced
 MP_MAX_PARTS = 64
 MP_MAX_VERTICES = N3_CAP
 # the paper's density threshold: the half-split's least mean-square ratio,
@@ -30,74 +30,77 @@ THRESHOLD = Fraction(1, 4)
 
 
 class MultipartiteGraph:
-    """Graph on vertex parts V_0..V_{m-1} with edges only between parts.
-
-    ``rows[(i, j)][a]`` is the bitmask over part j of the neighbours of
-    vertex a of part i; both directions are stored.
+    """Graph on vertex parts V_0..V_{m-1} with edges only between parts, held
+    as one ``Graph`` in which vertex a of part i is ``offsets[i] + a``;
+    ``offsets`` has m + 1 entries, the last one the vertex count.  No part has
+    inner edges, so a clique of ``graph`` meets each part at most once.
     """
 
-    __slots__ = ("sizes", "rows")
+    __slots__ = ("sizes", "offsets", "graph")
 
     def __init__(self, sizes: Sequence[int]):
         self.sizes = tuple(sizes)
         if any(s < 0 for s in self.sizes):
             raise ValueError("part sizes must be nonnegative")
-        m = len(self.sizes)
-        if m > MP_MAX_PARTS:
+        if len(self.sizes) > MP_MAX_PARTS:
             raise CapExceeded("multipartite graphs support m <= %d parts" % MP_MAX_PARTS)
         if sum(self.sizes) > MP_MAX_VERTICES:
             raise CapExceeded("multipartite graphs support at most %d vertices"
                               % MP_MAX_VERTICES)
-        self.rows = {(i, j): [0] * self.sizes[i]
-                     for i in range(m) for j in range(m) if i != j}
+        offsets = [0]
+        for s in self.sizes:
+            offsets.append(offsets[-1] + s)
+        self.offsets = offsets
+        self.graph = Graph(offsets[-1])
 
     @property
     def m(self) -> int:
         return len(self.sizes)
 
-    def _check(self, i: int, a: int) -> None:
-        if not (0 <= i < self.m and 0 <= a < self.sizes[i]):
-            raise ValueError("no vertex %d in part %d" % (a, i))
+    def _pair(self, i: int, a: int, j: int, b: int) -> tuple[int, int]:
+        """The vertices of ``graph`` behind vertex a of part i and vertex b of
+        part j, refused unless both exist and the parts differ."""
+        for part, v in ((i, a), (j, b)):
+            if not (0 <= part < self.m and 0 <= v < self.sizes[part]):
+                raise ValueError("no vertex %r in part %r" % (v, part))
+        if i == j:
+            raise ValueError("vertices %r and %r both lie in part %r" % (a, b, i))
+        return self.offsets[i] + a, self.offsets[j] + b
 
     def add_edge(self, i: int, a: int, j: int, b: int) -> None:
-        if i == j:
-            raise ValueError("edges inside a part are not allowed")
-        self._check(i, a)
-        self._check(j, b)
-        self.rows[(i, j)][a] |= 1 << b
-        self.rows[(j, i)][b] |= 1 << a
+        self.graph.add_edge(*self._pair(i, a, j, b))
 
     def has_edge(self, i: int, a: int, j: int, b: int) -> bool:
-        return bool(self.rows[(i, j)][a] >> b & 1)
+        return self.graph.has_edge(*self._pair(i, a, j, b))
+
+    def part_rows(self, i: int, j: int) -> list[int]:
+        """``part_rows(i, j)[a]`` is the mask over part j of the neighbours of
+        vertex a of part i."""
+        if i == j or not (0 <= i < self.m and 0 <= j < self.m):
+            raise ValueError("no pair of distinct parts (%r, %r) among %d" % (i, j, self.m))
+        low, high = self.offsets[j], self.offsets[j + 1]
+        rows = self.graph.rows[self.offsets[i]:self.offsets[i + 1]]
+        # an int operation takes time in the bits it reads: shifting first
+        # reads those from ``low`` up, masking first those below ``high``
+        if low + high > self.offsets[-1]:
+            mask = (1 << high - low) - 1
+            return [r >> low & mask for r in rows]
+        mask = (1 << high) - (1 << low)
+        return [(r & mask) >> low for r in rows]
 
     def pair_density(self, i: int, j: int) -> Fraction:
         """Edges between parts i and j over |V_i||V_j|; 0 if either is empty."""
+        edges = sum(r.bit_count() for r in self.part_rows(i, j))
         slots = self.sizes[i] * self.sizes[j]
-        edges = sum(r.bit_count() for r in self.rows[(i, j)])
         return Fraction(edges, slots) if slots else Fraction(0)
 
     def iter_edges(self) -> Iterator[tuple[int, int, int, int]]:
         """Edges as (i, a, j, b) with i < j, in lexicographic order."""
         for i in range(self.m):
             for j in range(i + 1, self.m):
-                part = self.rows[(i, j)]
-                for a in range(self.sizes[i]):
-                    for b in iter_bits(part[a]):
+                for a, row in enumerate(self.part_rows(i, j)):
+                    for b in iter_bits(row):
                         yield (i, a, j, b)
-
-    def flatten(self) -> tuple[Graph, list[int]]:
-        """This graph as one ``Graph`` in which vertex a of part i is
-        ``offsets[i] + a``; ``offsets`` has m + 1 entries, the last one the
-        vertex count.  No part has inner edges, so a clique of the flat graph
-        meets each part at most once."""
-        offsets = [0]
-        for s in self.sizes:
-            offsets.append(offsets[-1] + s)
-        rows = [0] * offsets[-1]
-        for (i, j), part_rows in self.rows.items():
-            for a, row in enumerate(part_rows):
-                rows[offsets[i] + a] |= row << offsets[j]
-        return Graph(offsets[-1], rows), offsets
 
 
 def gen_random_multipartite(sizes: Sequence[int], p_num: int, p_den: int,
@@ -124,17 +127,10 @@ def half_split(m: int, s: int) -> MultipartiteGraph:
         raise ValueError("need at least one part")
     g = MultipartiteGraph([s] * m)
     half = s // 2
-    a_mask = (1 << half) - 1
-    b_mask = ((1 << s) - 1) ^ a_mask
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            rows = g.rows[(i, j)]
-            for a in range(half):
-                rows[a] |= b_mask
-            for b in range(half, s):
-                rows[b] |= a_mask
+    a_halves = sum(((1 << half) - 1) << off for off in g.offsets[:-1])
+    for off in g.offsets[:-1]:
+        own = ((1 << s) - 1) << off
+        g.graph.rows[off:off + s] = [a_halves << half & ~own] * half + [a_halves & ~own] * half
     return g
 
 
@@ -161,12 +157,9 @@ def mean_square_profile(g: MultipartiteGraph,
     if any(s == 0 for s in g.sizes):
         raise ValueError("profile needs nonempty parts")
     ratios = {}
-    for i in range(g.m):
-        for j in range(g.m):
-            if i == j:
-                continue
-            sq = sum(r.bit_count() ** 2 for r in g.rows[(i, j)])
-            ratios[(i, j)] = Fraction(sq, g.sizes[i] * g.sizes[j] ** 2)
+    for i, j in permutations(range(g.m), 2):
+        sq = sum(r.bit_count() ** 2 for r in g.part_rows(i, j))
+        ratios[(i, j)] = Fraction(sq, g.sizes[i] * g.sizes[j] ** 2)
     satisfied = {(i, j): ratios[(i, j)] >= THRESHOLD + epsilon
                  for i in range(g.m) for j in range(i + 1, g.m)}
     margins = {key: ratios[key] - (THRESHOLD + epsilon) for key in satisfied}
@@ -179,23 +172,21 @@ def _parts_mask(offsets: list[int], parts) -> int:
 
 def find_triangle_mp(g: MultipartiteGraph):
     """First triangle in part-and-index scan order, or None."""
-    flat, offsets = g.flatten()
-    # no part has inner edges, so every flat triangle spans three parts: one
-    # scan of the whole graph settles whether any part triple holds one
-    if detectors.find_triangle_graph(flat) is None:
+    # no part has inner edges, so every triangle spans three parts: one scan
+    # of the whole graph settles whether any part triple holds one
+    if detectors.find_triangle_graph(g.graph) is None:
         return None
     for parts in combinations(range(g.m), 3):
-        tri = detectors.find_triangle_graph(flat, _parts_mask(offsets, parts))
+        tri = detectors.find_triangle_graph(g.graph, _parts_mask(g.offsets, parts))
         if tri is not None:
-            return tuple((p, x - offsets[p]) for p, x in zip(parts, tri))
+            return tuple((p, x - g.offsets[p]) for p, x in zip(parts, tri))
     return None
 
 
 def count_triangles_mp(g: MultipartiteGraph, parts: tuple[int, int, int] | None = None) -> int:
     """Exact triangle count, optionally restricted to one part triple."""
-    flat, offsets = g.flatten()
-    mask = None if parts is None else _parts_mask(offsets, parts)
-    return detectors.count_triangles_graph(flat, mask)
+    mask = None if parts is None else _parts_mask(g.offsets, parts)
+    return detectors.count_triangles_graph(g.graph, mask)
 
 
 @dataclass(frozen=True)
@@ -228,16 +219,13 @@ def proof_diagnostics(g: MultipartiteGraph, delta: Fraction,
     r_max = int(Fraction(1, 2) / delta)
     q_sizes = {}
     r_value = {}
-    for i in range(g.m):
-        for j in range(g.m):
-            if i == j:
-                continue
-            degs = sorted(r.bit_count() for r in g.rows[(i, j)])
-            needs = [(Fraction(1, 2) + r * delta) * g.sizes[j] for r in range(1, r_max + 1)]
-            sizes = [len(degs) - bisect_left(degs, need) for need in needs]
-            q_sizes[(i, j)] = tuple(sizes)
-            r_value[(i, j)] = max((r for r, size in enumerate(sizes, 1)
-                                   if size >= delta * g.sizes[i]), default=0)
+    for i, j in permutations(range(g.m), 2):
+        degs = sorted(r.bit_count() for r in g.part_rows(i, j))
+        needs = [(Fraction(1, 2) + r * delta) * g.sizes[j] for r in range(1, r_max + 1)]
+        sizes = [len(degs) - bisect_left(degs, need) for need in needs]
+        q_sizes[(i, j)] = tuple(sizes)
+        r_value[(i, j)] = max((r for r, size in enumerate(sizes, 1)
+                               if size >= delta * g.sizes[i]), default=0)
     hypothesis = {}
     violations = []
     if epsilon is not None:
@@ -513,6 +501,7 @@ def read_multipartite(text: str) -> MultipartiteGraph:
     if len(sizes) != m:
         raise ParseError("line 1: expected %d part sizes" % m)
     g = MultipartiteGraph(sizes)
+    rows, offsets = g.graph.rows, g.offsets
     for ln, line in enumerate(lines[1:], start=2):
         parts = _fields(line)
         if len(parts) != 4:
@@ -527,7 +516,9 @@ def read_multipartite(text: str) -> MultipartiteGraph:
             raise ParseError("line %d: need part indices with i < j" % ln)
         if not (0 <= a < sizes[i] and 0 <= b < sizes[j]):
             raise ParseError("line %d: vertex index out of range" % ln)
-        if g.has_edge(i, a, j, b):
+        u, v = offsets[i] + a, offsets[j] + b
+        if rows[u] >> v & 1:
             raise ParseError("line %d: duplicate edge" % ln)
-        g.add_edge(i, a, j, b)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
     return g

@@ -98,7 +98,7 @@ def naive_bipartite_deviation(g: MultipartiteGraph, d2: Fraction,
     nx, ny = g.sizes[i], g.sizes[j]
     if nx > 12 or ny > 12:
         raise ValueError("naive double enumeration supports sides <= 12")
-    rows = g.rows[(i, j)]
+    rows = g.part_rows(i, j)
     p, q = d2.numerator, d2.denominator
     best = 0
     for xmask in range(1 << nx):

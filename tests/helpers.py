@@ -193,22 +193,21 @@ def sign_split_search_reference(columns, k: int, d: Fraction, restarts: int, see
 
 
 def _remove_edge(g: MultipartiteGraph, i: int, a: int, j: int, b: int) -> None:
-    g.rows[(i, j)][a] &= ~(1 << b)
-    g.rows[(j, i)][b] &= ~(1 << a)
+    u, v = g.offsets[i] + a, g.offsets[j] + b
+    g.graph.rows[u] &= ~(1 << v)
+    g.graph.rows[v] &= ~(1 << u)
 
 
 def _creates_triangle(g: MultipartiteGraph, i: int, a: int, j: int, b: int) -> bool:
-    for k in range(g.m):
-        if k != i and k != j and g.rows[(i, k)][a] & g.rows[(j, k)][b]:
-            return True
-    return False
+    # a common neighbour lies in a third part, as no part has inner edges
+    return bool(g.graph.rows[g.offsets[i] + a] & g.graph.rows[g.offsets[j] + b])
 
 
 def _edge_at(g: MultipartiteGraph, r: int) -> tuple[int, int, int, int]:
     """``list(g.iter_edges())[r]``, found from row bit counts."""
     for i in range(g.m):
         for j in range(i + 1, g.m):
-            for a, row in enumerate(g.rows[(i, j)]):
+            for a, row in enumerate(g.part_rows(i, j)):
                 count = row.bit_count()
                 if r < count:
                     for _ in range(r):
@@ -229,8 +228,8 @@ def explore_reference(m: int, s: int, eps_target: Fraction | None = None,
     norm = s * s * s  # all parts share size s, so ratios share one denominator
 
     def sq_sums(g: MultipartiteGraph) -> dict:
-        return {key: sum(r.bit_count() ** 2 for r in rows)
-                for key, rows in g.rows.items()}
+        return {(i, j): sum(r.bit_count() ** 2 for r in g.part_rows(i, j))
+                for i in range(m) for j in range(m) if i != j}
 
     best_graph = base
     best_min = min(sq_sums(base).values())
@@ -238,7 +237,7 @@ def explore_reference(m: int, s: int, eps_target: Fraction | None = None,
     for restart in range(restarts):
         rng = random.Random(subseed(seed, restart))
         g = MultipartiteGraph(base.sizes)
-        g.rows = {key: list(val) for key, val in base.rows.items()}
+        g.graph.rows[:] = base.graph.rows
         sums = sq_sums(g)
         cur_min = min(sums.values())
         for _ in range(moves):
@@ -251,9 +250,7 @@ def explore_reference(m: int, s: int, eps_target: Fraction | None = None,
                 continue
             removed = None
             if _creates_triangle(g, i, a, j, b):
-                total = sum(row.bit_count() for (p, q), rows in g.rows.items() if p < q
-                            for row in rows)
-                removed = _edge_at(g, rng.randrange(total))
+                removed = _edge_at(g, rng.randrange(g.graph.edge_count))
                 _remove_edge(g, *removed)
                 if _creates_triangle(g, i, a, j, b):
                     g.add_edge(*removed)
@@ -265,7 +262,7 @@ def explore_reference(m: int, s: int, eps_target: Fraction | None = None,
                 touched |= {(ri, rj), (rj, ri)}
             old = {key: sums[key] for key in touched}
             for key in touched:
-                sums[key] = sum(r.bit_count() ** 2 for r in g.rows[key])
+                sums[key] = sum(r.bit_count() ** 2 for r in g.part_rows(*key))
             new_min = min(sums.values())
             if new_min > cur_min or (new_min == cur_min and rng.random() < 0.5):
                 cur_min = new_min

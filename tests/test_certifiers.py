@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -352,3 +353,18 @@ class TestRelativeDensity:
         parts = [range(20), range(20, 40), range(40, 60)]
         value = relative_density(h, g, parts)
         assert abs(float(value) - 0.25) < 0.05
+
+    @pytest.mark.parametrize("parts,vertex", [
+        ([[0], [1], [99]], "99 out of range [0, 4)"),
+        ([[0], [1], [-1]], "-1 out of range [0, 4)"),
+        ([[0], [1], [1]], "1 listed twice"),
+        ([[2], [0], [2]], "2 listed twice"),
+    ])
+    def test_bad_part_vertex_refused(self, parts, vertex):
+        """A vertex outside the hypergraph or listed twice is named, never
+        read as 0 or through a negative shift."""
+        h = Hypergraph3.complete(4)
+        g = gen_random_multipartite([1, 1, 1], 1, 1, 0)
+        assert relative_density(h, g, [[0], [1], [2]]) == 1
+        with pytest.raises(ValueError, match=re.escape("vertex " + vertex)):
+            relative_density(h, g, parts)

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from itertools import combinations, permutations, product
 
@@ -128,6 +129,31 @@ class TestLinkGraph:
     def test_links_sum_to_triple_edge_count(self):
         h = gen_random_3hg(11, 3, 10, 4)
         assert sum(h.link_graph(a).edge_count for a in range(11)) == 3 * h.edge_count
+
+
+@pytest.mark.parametrize("query", [(-1, 1), (1, -1), (1, 3), (3, 1), (1, 1)])
+def test_graph_has_edge_refuses_a_bad_pair(query):
+    """A vertex outside [0, n) never wraps around to the end of the rows."""
+    g = core.Graph(3)
+    g.add_edge(2, 1)
+    assert g.has_edge(1, 2) and not g.has_edge(0, 1)
+    with pytest.raises(ValueError, match=re.escape("bad edge %r" % (query,))):
+        g.has_edge(*query)
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_pack_rows_matches_the_byte_join(width):
+    """Both paths of ``pack_rows`` (native slots up to 8 bytes, byte strings
+    above) against joining the rows' bytes, on empty tables, all-zero and
+    maximal fields, and random rows given as a list or a generator."""
+    top = (1 << 8 * width) - 1
+    rng = random.Random(width)
+    tables = [[], [0], [top], [top] * 9, [0, top, 0, top, top],
+              [rng.randrange(top + 1) for _ in range(300)]]
+    for rows in tables:
+        want = int.from_bytes(b"".join(r.to_bytes(width, "little") for r in rows), "little")
+        assert core.pack_rows(rows, width) == want
+        assert core.pack_rows(iter(rows), width) == want
 
 
 class TestSerialization:

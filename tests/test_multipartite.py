@@ -1,9 +1,11 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperq.cli import main
 from hyperq.core import CapExceeded, ParseError
 from hyperq.multipartite import (
     MP_MAX_PARTS,
@@ -37,6 +39,37 @@ def test_pair_density():
     g.add_edge(1, 1, 0, 1)
     assert g.pair_density(0, 1) == g.pair_density(1, 0) == Fraction(2, 6)
     assert g.pair_density(0, 2) == g.pair_density(2, 1) == 0
+
+
+@pytest.mark.parametrize("query,message", [
+    ((0, -1, 1, 2), "no vertex -1 in part 0"),
+    ((0, 1, 1, -1), "no vertex -1 in part 1"),
+    ((0, 1, 1, 3), "no vertex 3 in part 1"),
+    ((2, 0, 1, 2), "no vertex 0 in part 2"),
+    ((0, 1, 0, 0), "vertices 1 and 0 both lie in part 0"),
+])
+def test_has_edge_refuses_a_missing_vertex(query, message):
+    """A vertex index never wraps around its part or reads past it, and a
+    pair inside one part is no slot of an edge."""
+    g = MultipartiteGraph([2, 3])
+    g.add_edge(0, 1, 1, 2)
+    assert g.has_edge(0, 1, 1, 2) and g.has_edge(1, 2, 0, 1)
+    assert not g.has_edge(0, 0, 1, 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        g.has_edge(*query)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        g.add_edge(*query)
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (-1, 1), (1, -1), (0, 2)])
+def test_part_rows_refuses_a_missing_pair(pair):
+    """A part index never wraps around, and a part has no edges to itself:
+    the readers of a part pair refuse both."""
+    g = gen_random_multipartite([2, 3], 1, 1, 0)
+    assert g.part_rows(0, 1) == [7, 7] and g.part_rows(1, 0) == [3, 3, 3]
+    for read in (g.part_rows, g.pair_density):
+        with pytest.raises(ValueError, match=re.escape("no pair of distinct parts %r" % (pair,))):
+            read(*pair)
 
 
 class TestProfile:
@@ -286,3 +319,48 @@ class TestSerialization:
         for variant in ("mp\t2  1 2\r\n 0 0 1\t1 \r\n", "mp 2 1 2\r0 0 1 1",
                         "mp 2 01 2\n0 0 1 1\n"):
             assert write_multipartite(read_multipartite(variant)) == text
+
+
+# sha256 of every file the multipartite commands write for two inputs: the
+# half-split on 5 parts of 12 (``hs.mp``) and a seeded random graph on parts
+# of 6, 7 and 8 vertices (``rand.mp``)
+REPORT_GOLDEN = {
+    "hs.mp":
+        "dce4cf1495911755ead2153e7c5de020b1687536ca369c19435af4335e20cb49",
+    "rand.mp":
+        "feacefdca5c744cd1628aa96a22d3e051973c3cc55966b6d4e6677d25ac3f0cd",
+    "profile-hs.json":
+        "4b52da0397a9bcb41e4b3ed39e1616b1a6b31308bffa14024b4715e8ab791809",
+    "profile-rand.json":
+        "a1bd7f72dd05e997336bc23c40a2d2bc1987715c6249bc4f0664e52625c09b9d",
+    "triangle-hs.json":
+        "c65c14407dbf18d83bc3b2591279a78a82e9cf2c2c141928a52546e6a2221f80",
+    "triangle-rand.json":
+        "bfcd1dcf9b67e9c46e47f365c2286e9b0348789694292a91708f222db6c0e31e",
+    "diagnostics-rand.json":
+        "426b24de796cd3884909622fcb1610660e0d1f9b1f02d1bbf334b3411d278e55",
+    "bipartite-exact.json":
+        "cfd934d94f7e10fd9fb756efff912f1b8559c4eef11241aaceb372f44249f94c",
+    "bipartite-search.json":
+        "5bf65453bf54c9ef77202bc23b1dcddc35ce0aa4916e4d49f79716099303233b",
+}
+
+
+def test_reports_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rand.mp").write_text(
+        write_multipartite(gen_random_multipartite([6, 7, 8], 1, 2, 11)), encoding="utf-8")
+    runs = [
+        ["multipartite", "--op", "halfsplit", "--m", "5", "--s", "12", "--out", "hs.mp"],
+        *(["multipartite", "--op", op, "--in", "%s.mp" % src, "--report",
+           "%s-%s.json" % (op, src)] for op in ("profile", "triangle") for src in ("hs", "rand")),
+        ["multipartite", "--op", "diagnostics", "--delta", "1/10", "--epsilon", "1/20",
+         "--in", "rand.mp", "--report", "diagnostics-rand.json"],
+        *(["certify", "--kind", "bipartite", "--mode", mode, "--in", "rand.mp",
+           "--report", "bipartite-%s.json" % mode] for mode in ("exact", "search")),
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in REPORT_GOLDEN}
+    assert digests == REPORT_GOLDEN
