@@ -10,17 +10,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-# the construction limits live in core, which every command runs;
-# FOUR_UNIFORM, LIMITS and arity are re-exported here
 from .core import (
-    FOUR_UNIFORM,
-    LIMITS,
     N4_CAP,
     PATTERN_K_CAP,
     Hypergraph3,
     Hypergraph4,
     _pair_base,
-    arity,
     check_construction,
 )
 from .hashing import (

@@ -57,25 +57,81 @@ def _as_fraction(value, default: Fraction) -> Fraction:
 # 23 MB and built in 0.3 s (colouring-kk) and 1.2 s (sk-free) of CPU on a
 # 2-vCPU Xeon VM; at k = 100, 0.94M patterns take 93 MB
 PATTERN_K_CAP = 64
-# construction -> (least n, greatest n, least k, or None where k is not read)
+# construction -> (arity, least n, least k, or None where k is not read); the
+# greatest n is the cap of its arity
 LIMITS = {
-    "tournament3": (4, N3_CAP, None),
-    "colouring-kk": (0, N3_CAP, 3),
-    "party6": (0, N3_CAP, None),
-    "rainbow27": (0, N3_CAP, None),
-    "sk-free": (0, N3_CAP, 4),
-    "oriented4": (5, N4_CAP, None),
-    "leader-tan": (5, N4_CAP, None),
+    "tournament3": (3, 4, None),
+    "colouring-kk": (3, 0, 3),
+    "party6": (3, 0, None),
+    "rainbow27": (3, 0, None),
+    "sk-free": (3, 0, 4),
+    "oriented4": (4, 5, None),
+    "leader-tan": (4, 5, None),
 }
 
-# the certify kinds, detect patterns and constructions on 4-uniform
-# hypergraphs; every other one is on 3-uniform hypergraphs
-FOUR_UNIFORM = frozenset({"quad", "f4", "oriented4", "leader-tan"})
+# family -> task -> (module, function, arity of the hypergraph it reads or None
+# for an mp or JSON input, the options it reads, "!" marking each one it needs);
+# a task with a mode reads seed only in search mode
+TASKS = {
+    "certify": {
+        "weak": ("certifiers", "weak_deviation", 3, "d mode seed restarts"),
+        "xyz": ("certifiers", "xyz_deviation", 3, "d samples seed disjoint"),
+        "pair": ("certifiers", "pair_deviation", 3, "d mode seed restarts"),
+        "quad": ("certifiers", "quad_vertex_deviation", 4, "d samples seed"),
+        "bipartite": ("certifiers", "bipartite_regularity_deviation", None, "d mode seed"),
+    },
+    "detect": {
+        "k4minus": ("detectors", "find_k4_minus", 3, "ordered count"),
+        "clique": ("detectors", "find_clique3", 3, "k!"),
+        "sk": ("detectors", "find_sk", 3, "k!"),
+        "f4": ("detectors", "find_f4", 4, ""),
+        "custom": ("detectors", "embed_small", 3, "pattern_file! ordered"),
+        "vanishing": ("detectors", "check_vanishing_condition", 3, ""),
+    },
+    "multipartite": {
+        "profile": ("multipartite", "mean_square_profile", None, "in! epsilon report"),
+        "triangle": ("multipartite", "find_triangle_mp", None, "in! report"),
+        "halfsplit": ("multipartite", "half_split", None, "m! s! out"),
+        "diagnostics": ("multipartite", "proof_diagnostics", None, "in! delta! epsilon report"),
+        "project": ("multipartite", "project_auxiliary", None, "in! epsilon report"),
+        "threetriples": ("multipartite", "find_three_triples", None, "in! report"),
+        "explore": ("multipartite", "explore_extremal", None,
+                    "m! s! epsilon restarts seed out report"),
+    },
+}
 
 
-def arity(name: str) -> int:
-    """Uniformity of a construction's output or of a task's input."""
-    return 4 if name in FOUR_UNIFORM else 3
+def arity(name: str) -> int | None:
+    """Uniformity of a construction's output or of a task's input, None for
+    an mp or JSON input."""
+    return LIMITS[name][0] if name in LIMITS else next(
+        tasks[name][2] for tasks in TASKS.values() if name in tasks)
+
+
+def task_options(family: str, name: str, given: dict, defaults: dict, flag=str) -> dict:
+    """The options task ``name`` of ``family`` runs with: ``given`` over the
+    ``defaults`` it reads.  Refuses, naming each by ``flag(option)``, any given
+    option it does not read and any needed one that is missing."""
+    reads = TASKS[family][name][3].split()
+    exact = "mode" in reads and given.get("mode", defaults.get("mode")) == "exact"
+    known = [option.rstrip("!") for option in reads if not (exact and option == "seed")]
+    unread = [flag(option) for option in given if option not in known]
+    if unread:
+        raise ValueError("%s%s does not read %s"
+                         % (name, " in exact mode" * exact, ", ".join(unread)))
+    options = {**{option: defaults[option] for option in known if option in defaults}, **given}
+    missing = [flag(option[:-1]) for option in reads
+               if option.endswith("!") and option[:-1] not in options]
+    if missing:
+        raise ValueError("%s needs %s" % (name, " and ".join(missing)))
+    return options
+
+
+def task_function(family: str, name: str):
+    """The function task ``name`` of ``family`` runs, looked up on its module
+    at call time, which executes the module on first use."""
+    module, function = TASKS[family][name][:2]
+    return getattr(sys.modules["%s.%s" % (__package__, module)], function)
 
 
 def check_construction(name: str, n: int, k: int | None) -> None:
@@ -83,7 +139,8 @@ def check_construction(name: str, n: int, k: int | None) -> None:
     of it is built: CapExceeded for a k above ``PATTERN_K_CAP``, ValueError
     for any other k or n out of range, for a k that is not an integer and for
     any k where the construction reads none."""
-    least, most, k_least = LIMITS[name]
+    uniform, least, k_least = LIMITS[name]
+    most = N3_CAP if uniform == 3 else N4_CAP
     if not least <= n <= most:
         raise ValueError("n=%d outside [%d, %d]" % (n, least, most))
     if k is not None and type(k) is not int:

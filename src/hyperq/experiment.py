@@ -19,29 +19,50 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .certifiers import pair_deviation, quad_vertex_deviation, weak_deviation, xyz_deviation
+from . import detectors
 from .constructions import CONSTRUCTIONS
-from .core import _as_fraction, arity, check_construction, write_hypergraph
-from .detectors import count_k4_minus, find_clique3, find_f4, find_k4_minus, find_sk
+from .core import (TASKS, _as_fraction, arity, check_construction, task_function, task_options,
+                   write_hypergraph)
 
 CSV_SCHEMA_VERSION = 1
 BASE_COLUMNS = ("schema_version", "construction", "n", "k", "seed",
                 "edge_count", "density_num", "density_den", "density", "error")
 
 
-def _check_task(task, key: str, names: tuple) -> None:
-    """Refuse a task that every cell would fail on, before any cell runs."""
+# a sweep's defaults, where a task reads them; clique and sk have no default k
+DEFAULTS = {"mode": "search", "restarts": 8, "samples": 100, "seed": 0}
+# the least value of each integer option (None: any integer)
+INTEGERS = {"samples": 1, "restarts": 0, "seed": None, "k": None}
+
+
+def _sweep_options(task, family: str) -> dict:
+    """The options a task runs with in every cell: its fields over DEFAULTS,
+    checked against ``core.TASKS``.  Refuses a task that every cell would fail
+    on, before any cell runs.  A sweep runs the tasks that read one hypergraph,
+    of the construction's arity, and no pattern file."""
+    key = "kind" if family == "certify" else "pattern"
+    names = [name for name, (_, _, uniform, reads) in TASKS[family].items()
+             if uniform and "pattern_file!" not in reads.split()]
     if not isinstance(task, dict) or task.get(key) not in names:
         raise ValueError("task %r needs a %s among %s" % (task, key, ", ".join(names)))
-    if task.get("mode", "search") not in ("exact", "search"):
-        raise ValueError("task %r: mode must be exact or search" % (task,))
-    # clique and sk have no default k; every other field has a default
-    needs_k = task[key] in ("clique", "sk")
-    for name, least in (("samples", 1), ("restarts", 0), ("seed", None), ("k", None)):
-        value = task.get(name, None if name == "k" and needs_k else 1)
-        if type(value) is not int or least is not None and value < least:
-            raise ValueError("task %r: %s must be an integer%s" % (
-                task, name, "" if least is None else " >= %d" % least))
+    try:
+        options = task_options(family, task[key], {f: v for f, v in task.items() if f != key},
+                               DEFAULTS)
+        if options.get("mode") not in (None, "exact", "search"):
+            raise ValueError("mode must be exact or search")
+        for name, least in INTEGERS.items():
+            value = options.get(name, least or 0)  # an absent option passes
+            if type(value) is not int or least is not None and value < least:
+                raise ValueError("%s must be an integer%s"
+                                 % (name, "" if least is None else " >= %d" % least))
+        try:  # the cells read d as the certifiers do
+            _as_fraction(options.get("d"), Fraction(0))
+        except (ValueError, OverflowError):
+            raise ValueError("d must be a number or a fraction string in [0, 1]") from None
+    except ValueError as exc:
+        raise ValueError("task %r: %s" % (task, exc)) from None
+    task_function(family, task[key])  # executes its module before a pool forks, not per worker
+    return options
 
 
 @dataclass
@@ -90,15 +111,9 @@ class ExperimentSpec:
         # refuse what generate would, with its exit code, before any cell runs
         for n in sorted({n for n, _ in spec.cells}):
             check_construction(construction, n, spec.k)
-        for task in spec.certify:
-            _check_task(task, "kind", ("weak", "xyz", "pair", "quad"))
-            try:  # the cells read d as the certifiers do
-                _as_fraction(task.get("d"), Fraction(0))
-            except (ValueError, OverflowError):
-                raise ValueError("task %r: d must be a number or a fraction string"
-                                 " in [0, 1]" % (task,)) from None
-        for task in spec.detect:
-            _check_task(task, "pattern", ("k4minus", "clique", "sk", "f4"))
+        for family in ("certify", "detect"):
+            for task in getattr(spec, family):
+                _sweep_options(task, family)
         for name in [t["kind"] for t in spec.certify] + [t["pattern"] for t in spec.detect]:
             if arity(name) != arity(construction):
                 raise ValueError("%s needs a %d-uniform input, and %s is %d-uniform"
@@ -129,33 +144,15 @@ class ExperimentSpec:
         return list(BASE_COLUMNS) + self.task_columns()
 
 
-def _run_certify(h, task: dict) -> float:
-    kind, d, seed = task["kind"], task.get("d"), task.get("seed", 0)
-    if kind == "weak":
-        rep = weak_deviation(h, d, mode=task.get("mode", "search"),
-                             restarts=task.get("restarts", 8), seed=seed)
-    elif kind == "xyz":
-        rep = xyz_deviation(h, d, samples=task.get("samples", 100),
-                            seed=seed, disjoint=bool(task.get("disjoint", False)))
-    elif kind == "pair":
-        rep = pair_deviation(h, d, mode=task.get("mode", "search"),
-                             restarts=task.get("restarts", 8), seed=seed)
-    else:
-        rep = quad_vertex_deviation(h, d, samples=task.get("samples", 100), seed=seed)
-    return rep.eta
-
-
-def _run_detect(h, task: dict):
-    pattern = task["pattern"]
-    if pattern == "k4minus":
-        if task.get("count"):
-            return count_k4_minus(h)
-        return int(find_k4_minus(h, ordered=bool(task.get("ordered"))) is not None)
-    if pattern == "clique":
-        return int(find_clique3(h, task["k"]) is not None)
-    if pattern == "sk":
-        return int(find_sk(h, task["k"]) is not None)
-    return int(find_f4(h) is not None)
+def _run_task(h, task: dict, family: str):
+    """A task's cell: a certify kind's eta, or a detect pattern's count or
+    whether it finds a witness."""
+    options = _sweep_options(task, family)
+    if family == "certify":
+        return repr(task_function(family, task["kind"])(h, options.pop("d", None), **options).eta)
+    if options.pop("count", False):  # only k4minus reads count
+        return detectors.count_k4_minus(h)
+    return int(task_function(family, task["pattern"])(h, **options) is not None)
 
 
 def run_cell(spec: ExperimentSpec, n: int, seed: int) -> dict:
@@ -173,9 +170,9 @@ def run_cell(spec: ExperimentSpec, n: int, seed: int) -> dict:
                    density_den=dens.density_fraction.denominator,
                    density=repr(dens.density))
         for task in spec.certify:
-            row["eta_%s" % task["kind"]] = repr(_run_certify(h, task))
+            row["eta_%s" % task["kind"]] = _run_task(h, task, "certify")
         for task, col in zip(spec.detect, spec.task_columns()[len(spec.certify):]):
-            row[col] = _run_detect(h, task)
+            row[col] = _run_task(h, task, "detect")
         if spec.hypergraph_dir:
             name = "%s_n%d_s%d.hg" % (spec.construction, n, seed)
             path = Path(spec.hypergraph_dir) / name

@@ -219,6 +219,7 @@ def proof_diagnostics(g: MultipartiteGraph, delta: Fraction,
     r_max = int(Fraction(1, 2) / delta)
     q_sizes = {}
     r_value = {}
+    hypothesis = {}
     for i, j in permutations(range(g.m), 2):
         degs = sorted(r.bit_count() for r in g.part_rows(i, j))
         needs = [(Fraction(1, 2) + r * delta) * g.sizes[j] for r in range(1, r_max + 1)]
@@ -226,13 +227,13 @@ def proof_diagnostics(g: MultipartiteGraph, delta: Fraction,
         q_sizes[(i, j)] = tuple(sizes)
         r_value[(i, j)] = max((r for r, size in enumerate(sizes, 1)
                                if size >= delta * g.sizes[i]), default=0)
-    hypothesis = {}
+        if epsilon is not None and i < j:  # the verdict of mean_square_profile
+            hypothesis[(i, j)] = (sum(d * d for d in degs)
+                                  >= (THRESHOLD + epsilon) * g.sizes[i] * g.sizes[j] ** 2)
     violations = []
-    if epsilon is not None:
-        hypothesis = mean_square_profile(g, epsilon).satisfied
-        if epsilon >= 2 * delta + delta * delta:
-            violations = [(i, j) for (i, j), holds in hypothesis.items()
-                          if holds and q_sizes[(i, j)][0] < delta * g.sizes[i]]
+    if epsilon is not None and epsilon >= 2 * delta + delta * delta:
+        violations = [(i, j) for (i, j), holds in hypothesis.items()
+                      if holds and q_sizes[(i, j)][0] < delta * g.sizes[i]]
     return ProofDiagnostics(delta, epsilon, r_max, q_sizes, r_value,
                             hypothesis, violations)
 
@@ -285,7 +286,8 @@ class ProjectionReport:
     flagged: str | None          # 'both-hold' or 'neither-holds'
 
 
-def project_auxiliary(block: TripartiteTriples, epsilon: Fraction) -> ProjectionReport:
+def project_auxiliary(block: TripartiteTriples,
+                      epsilon: Fraction = Fraction(0)) -> ProjectionReport:
     """Project a block onto the bipartite graphs sharing its middle class and
     evaluate the two mean-square estimates at threshold 1/4 + epsilon.
 
@@ -414,7 +416,7 @@ class ExploreResult:
     accepted_moves: int
 
 
-def explore_extremal(m: int, s: int, eps_target: Fraction | None = None,
+def explore_extremal(m: int, s: int, epsilon: Fraction | None = None,
                      restarts: int = 32, seed: int = 0,
                      moves: int = 400) -> ExploreResult:
     """The outcome of a seeded hill climb on the minimum mean-square ratio
@@ -425,7 +427,7 @@ def explore_extremal(m: int, s: int, eps_target: Fraction | None = None,
     inserts a missing one, after removing a random edge when the insertion
     would close a triangle; a move is kept when the minimum ratio rises
     (or, on a seeded coin, stays level) and the run stops once it reaches
-    1/4 + ``eps_target``.  That climb is settled here in closed form:
+    1/4 + ``epsilon``.  That climb is settled here in closed form:
 
     - m >= 3: it never leaves the start.  A missing cross pair joins two A
       halves or two B halves, and both ends see the opposite half of any
@@ -458,7 +460,7 @@ def explore_extremal(m: int, s: int, eps_target: Fraction | None = None,
             g.add_edge(0, a, 1, b)
             accepted += 1
             ratio = mean_square_profile(g).min_ratio()
-            if eps_target is not None and ratio >= THRESHOLD + eps_target:
+            if epsilon is not None and ratio >= THRESHOLD + epsilon:
                 break
         if ratio > best_ratio:
             best, best_ratio = g, ratio

@@ -155,6 +155,19 @@ class TestDiagnostics:
         with pytest.raises(ValueError):
             proof_diagnostics(g, Fraction(1, 2))
 
+    @settings(max_examples=80, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 7), min_size=2, max_size=4),
+           p=st.integers(0, 4), seed=st.integers(0, 10 ** 6),
+           eps=st.none() | st.fractions(0, 1, max_denominator=40))
+    def test_hypothesis_matches_profile(self, sizes, p, seed, eps):
+        """The verdict read off the sorted degree lists is the profile's, also
+        where a ratio meets its threshold exactly (eps None)."""
+        g = gen_random_multipartite(sizes, p, 4, seed)
+        if eps is None:
+            eps = max(Fraction(0), mean_square_profile(g).ratios[(0, 1)] - Fraction(1, 4))
+        diag = proof_diagnostics(g, Fraction(1, 10), eps)
+        assert diag.hypothesis_holds == mean_square_profile(g, eps).satisfied
+
 
 class TestProjection:
     def test_full_block_both_hold(self):
