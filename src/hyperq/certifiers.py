@@ -598,11 +598,11 @@ def quad_vertex_deviation(h: Hypergraph4, d=None, samples: int = 100,
                            {"samples": samples, "improve_steps": 0})
 
 
-def bipartite_regularity_deviation(g: multipartite.MultipartiteGraph, d2=None,
+def bipartite_regularity_deviation(g: multipartite.MultipartiteGraph, d=None,
                                    mode: str = "exact",
                                    parts: tuple[int, int] = (0, 1),
                                    restarts: int = 32, seed: int = 0) -> DeviationReport:
-    """Maximum of |e(X', Y') - d2 |X'||Y'|| over subsets of the two sides.
+    """Maximum of |e(X', Y') - d |X'||Y'|| over subsets of the two sides.
 
     For a fixed X' the maximizing Y' collects the vertices whose degree
     residual shares one sign, so exact mode enumerates X' subsets only
@@ -612,18 +612,18 @@ def bipartite_regularity_deviation(g: multipartite.MultipartiteGraph, d2=None,
     i, j = parts
     if i == j or not (0 <= i < g.m and 0 <= j < g.m):
         raise ValueError("bipartite deviation needs two parts, the graph has %d" % g.m)
-    d2 = _as_fraction(d2, g.pair_density(i, j))
-    return _bipartite_deviation(g.part_rows(j, i), g.sizes[i], d2, mode, restarts, seed)
+    d = _as_fraction(d, g.pair_density(i, j))
+    return _bipartite_deviation(g.part_rows(j, i), g.sizes[i], d, mode, restarts, seed)
 
 
-def _bipartite_deviation(columns: Sequence[int], nx: int, d2: Fraction, mode: str,
+def _bipartite_deviation(columns: Sequence[int], nx: int, d: Fraction, mode: str,
                          restarts: int, seed: int) -> DeviationReport:
     """``_sign_split_deviation`` on the nx rows of one side, refused above
     the exact cap before anything is built."""
     if mode == "exact" and nx > BIPARTITE_EXACT_HARD_CAP:
         raise CapExceeded("exact bipartite deviation refused for |X|=%d > cap %d"
                           % (nx, BIPARTITE_EXACT_HARD_CAP))
-    return _sign_split_deviation("bipartite", d2, columns, nx, nx * len(columns),
+    return _sign_split_deviation("bipartite", d, columns, nx, nx * len(columns),
                                  mode, restarts, seed)
 
 

@@ -66,23 +66,26 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _read_input(path: str, task: str) -> core.Hypergraph3 | core.Hypergraph4:
-    """The hypergraph a certify kind or detect pattern reads, of its arity."""
-    h = core.read_hypergraph(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(h, core.Hypergraph3 if core.arity(task) == 3 else core.Hypergraph4):
-        raise ValueError("%s needs a %d-uniform input" % (task, core.arity(task)))
+def _read_input(args, path: str):
+    """The input at ``path`` of the command's task, of the kind its
+    ``core.TASKS`` entry names: a hypergraph of that arity, ``mp`` text, or a
+    block or auxiliary system in JSON."""
+    kind, text = core.TASKS[args.command][args.task][2], Path(path).read_text(encoding="utf-8")
+    if kind not in (3, 4):
+        return (multipartite.read_multipartite if kind == "mp" else
+                _read_block if kind == "block" else _read_auxiliary)(text)
+    h = core.read_hypergraph(text)
+    if h.arity != kind:
+        raise ValueError("%s needs a %d-uniform input" % (args.task, kind))
     return h
 
 
 def cmd_certify(args) -> int:
     opts, path = task_options(args), vars(args)["in"]
-    if args.task == "bipartite":
-        target = multipartite.read_multipartite(Path(path).read_text(encoding="utf-8"))
-        meta = {"parts": list(target.sizes[:2])}
-    else:
-        target = _read_input(path, args.task)
-        meta = {"n": target.n, "edges": target.edge_count}
-    rep = core.task_function("certify", args.task)(target, opts.pop("d", None), **opts)
+    target = _read_input(args, path)
+    meta = ({"parts": list(target.sizes[:2])} if core.TASKS["certify"][args.task][2] == "mp"
+            else {"n": target.n, "edges": target.edge_count})
+    rep = core.task_function("certify", args.task)(target, **opts)
     _write_report(args.report, {"schema_version": 1, "input": path, "kind": args.task,
                                 "instance": meta, "report": rep})
     return 0
@@ -90,9 +93,9 @@ def cmd_certify(args) -> int:
 
 def cmd_detect(args) -> int:
     opts, path = task_options(args), vars(args)["in"]
-    inputs = [_read_input(path, args.task)]
+    inputs = [_read_input(args, path)]
     if args.task == "custom":  # the pattern, embedded in the input
-        inputs.insert(0, _read_input(opts.pop("pattern_file"), args.task))
+        inputs.insert(0, _read_input(args, opts.pop("pattern_file")))
     witness = core.task_function("detect", args.task)(*inputs, **opts)
     payload = {"schema_version": 1, "input": path, "pattern": args.task,
                "found": witness is not None,
@@ -136,9 +139,7 @@ def cmd_multipartite(args) -> int:
     path, out, report = (opts.pop(option, None) for option in ("in", "out", "report"))
     opts.update({option: core._as_fraction(opts[option], None)
                  for option in ("epsilon", "delta") if option in opts})
-    read = {"project": _read_block, "threetriples": _read_auxiliary}.get(
-        op, multipartite.read_multipartite)
-    inputs = [] if path is None else [read(Path(path).read_text(encoding="utf-8"))]
+    inputs = [] if path is None else [_read_input(args, path)]
     res = core.task_function("multipartite", op)(*inputs, **opts)
     if op == "halfsplit":
         _emit(out, multipartite.write_multipartite(res))

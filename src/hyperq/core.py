@@ -69,16 +69,18 @@ LIMITS = {
     "leader-tan": (4, 5, None),
 }
 
-# family -> task -> (module, function, arity of the hypergraph it reads or None
-# for an mp or JSON input, the options it reads, "!" marking each one it needs);
-# a task with a mode reads seed only in search mode
+# family -> task -> (module, function, its input, the options it reads, "!"
+# marking each one it needs); the input is 3 or 4 for a hypergraph of that
+# arity, "mp" for multipartite text, "block" or "aux" for a tripartite block or
+# an auxiliary system in JSON, None for none; a task with a mode reads seed
+# only in search mode
 TASKS = {
     "certify": {
         "weak": ("certifiers", "weak_deviation", 3, "d mode seed restarts"),
         "xyz": ("certifiers", "xyz_deviation", 3, "d samples seed disjoint"),
         "pair": ("certifiers", "pair_deviation", 3, "d mode seed restarts"),
         "quad": ("certifiers", "quad_vertex_deviation", 4, "d samples seed"),
-        "bipartite": ("certifiers", "bipartite_regularity_deviation", None, "d mode seed"),
+        "bipartite": ("certifiers", "bipartite_regularity_deviation", "mp", "d mode seed"),
     },
     "detect": {
         "k4minus": ("detectors", "find_k4_minus", 3, "ordered count"),
@@ -89,23 +91,16 @@ TASKS = {
         "vanishing": ("detectors", "check_vanishing_condition", 3, ""),
     },
     "multipartite": {
-        "profile": ("multipartite", "mean_square_profile", None, "in! epsilon report"),
-        "triangle": ("multipartite", "find_triangle_mp", None, "in! report"),
+        "profile": ("multipartite", "mean_square_profile", "mp", "in! epsilon report"),
+        "triangle": ("multipartite", "find_triangle_mp", "mp", "in! report"),
         "halfsplit": ("multipartite", "half_split", None, "m! s! out"),
-        "diagnostics": ("multipartite", "proof_diagnostics", None, "in! delta! epsilon report"),
-        "project": ("multipartite", "project_auxiliary", None, "in! epsilon report"),
-        "threetriples": ("multipartite", "find_three_triples", None, "in! report"),
+        "diagnostics": ("multipartite", "proof_diagnostics", "mp", "in! delta! epsilon report"),
+        "project": ("multipartite", "project_auxiliary", "block", "in! epsilon report"),
+        "threetriples": ("multipartite", "find_three_triples", "aux", "in! report"),
         "explore": ("multipartite", "explore_extremal", None,
                     "m! s! epsilon restarts seed out report"),
     },
 }
-
-
-def arity(name: str) -> int | None:
-    """Uniformity of a construction's output or of a task's input, None for
-    an mp or JSON input."""
-    return LIMITS[name][0] if name in LIMITS else next(
-        tasks[name][2] for tasks in TASKS.values() if name in tasks)
 
 
 def task_options(family: str, name: str, given: dict, defaults: dict, flag=str) -> dict:

@@ -18,6 +18,7 @@ from .core import CapExceeded, Graph, Hypergraph3, Hypergraph4, iter_bits
 EMBED_MAX_PATTERN = 8
 VANISHING_MAX_VERTICES = 6
 CLIQUE_MAX_K = 8
+K_LEAST = {"clique": 4, "sk": 3}  # the least k of each pattern that reads one
 
 
 @dataclass(frozen=True)
@@ -95,11 +96,8 @@ def _least_clique(cand: int, k: int, narrow) -> tuple[int, ...] | None:
 
 
 def find_clique_graph(g: Graph, k: int):
-    """Lexicographically least k-clique of a graph, or None."""
-    if k > CLIQUE_MAX_K:
-        raise CapExceeded("clique search supports k <= %d" % CLIQUE_MAX_K)
-    if k < 1:
-        raise ValueError("k must be positive")
+    """Lexicographically least k-clique of a graph, or None, for a k that
+    ``check_k("sk", k)`` allows."""
     rows = g.rows
     return _least_clique((1 << g.n) - 1, k, lambda chosen, v, above: above & rows[v])
 
@@ -135,12 +133,18 @@ def count_k4_minus(h: Hypergraph3) -> int:
     return sum(count_triangles_graph(h.link_graph(a)) for a in range(h.n))
 
 
-def find_clique3(h: Hypergraph3, k: int) -> Witness | None:
-    """Least vertex set of size k all of whose triples are edges."""
-    if k < 4:
-        raise ValueError("k must be at least 4")
+def check_k(pattern: str, k: int) -> None:
+    """Refuse a k that pattern ``pattern`` cannot search for, before any
+    search: ValueError below its least k, CapExceeded above the clique cap."""
+    if k < K_LEAST[pattern]:
+        raise ValueError("k must be at least %d" % K_LEAST[pattern])
     if k > CLIQUE_MAX_K:
         raise CapExceeded("clique search supports k <= %d" % CLIQUE_MAX_K)
+
+
+def find_clique3(h: Hypergraph3, k: int) -> Witness | None:
+    """Least vertex set of size k all of whose triples are edges."""
+    check_k("clique", k)
 
     def narrow(chosen: list[int], v: int, above: int) -> int:
         for u in chosen:
@@ -155,8 +159,7 @@ def find_clique3(h: Hypergraph3, k: int) -> Witness | None:
 
 def find_sk(h: Hypergraph3, k: int) -> Witness | None:
     """Least apex star: a vertex whose link graph contains a k-clique."""
-    if k < 3:
-        raise ValueError("k must be at least 3")
+    check_k("sk", k)
     return _least_apex(h, "sk", lambda a, link: (find_clique_graph(link, k),))
 
 

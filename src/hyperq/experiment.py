@@ -15,14 +15,15 @@ import io
 import json
 import os
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from . import detectors
 from .constructions import CONSTRUCTIONS
-from .core import (TASKS, _as_fraction, arity, check_construction, task_function, task_options,
-                   write_hypergraph)
+from .core import (LIMITS, TASKS, CapExceeded, _as_fraction, check_construction, task_function,
+                   task_options, write_hypergraph)
 
 CSV_SCHEMA_VERSION = 1
 BASE_COLUMNS = ("schema_version", "construction", "n", "k", "seed",
@@ -31,38 +32,57 @@ BASE_COLUMNS = ("schema_version", "construction", "n", "k", "seed",
 
 # a sweep's defaults, where a task reads them; clique and sk have no default k
 DEFAULTS = {"mode": "search", "restarts": 8, "samples": 100, "seed": 0}
-# the least value of each integer option (None: any integer)
+# the least value of each integer option (None: any integer); the boolean options
 INTEGERS = {"samples": 1, "restarts": 0, "seed": None, "k": None}
+BOOLEANS = ("ordered", "count", "disjoint")
 
 
-def _sweep_options(task, family: str) -> dict:
-    """The options a task runs with in every cell: its fields over DEFAULTS,
-    checked against ``core.TASKS``.  Refuses a task that every cell would fail
-    on, before any cell runs.  A sweep runs the tasks that read one hypergraph,
-    of the construction's arity, and no pattern file."""
+# a sweep task, checked once: the core.TASKS family and name it runs, its
+# report column and the options every cell runs it with
+Task = namedtuple("Task", "family name column options")
+
+
+def _resolve(task, family: str, construction: str) -> Task:
+    """A certify or detect task of a sweep of ``construction``, its fields over
+    DEFAULTS checked against ``core.TASKS``, refused if every cell would fail on
+    it.  A sweep runs the tasks that read one hypergraph and no pattern file."""
     key = "kind" if family == "certify" else "pattern"
-    names = [name for name, (_, _, uniform, reads) in TASKS[family].items()
-             if uniform and "pattern_file!" not in reads.split()]
+    names = [name for name, (_, _, reads_in, reads) in TASKS[family].items()
+             if reads_in in (3, 4) and "pattern_file!" not in reads.split()]
     if not isinstance(task, dict) or task.get(key) not in names:
         raise ValueError("task %r needs a %s among %s" % (task, key, ", ".join(names)))
+    name = task[key]
     try:
-        options = task_options(family, task[key], {f: v for f, v in task.items() if f != key},
+        options = task_options(family, name, {f: v for f, v in task.items() if f != key},
                                DEFAULTS)
         if options.get("mode") not in (None, "exact", "search"):
             raise ValueError("mode must be exact or search")
-        for name, least in INTEGERS.items():
-            value = options.get(name, least or 0)  # an absent option passes
+        for option, least in INTEGERS.items():
+            value = options.get(option, least or 0)  # an absent option passes
             if type(value) is not int or least is not None and value < least:
                 raise ValueError("%s must be an integer%s"
-                                 % (name, "" if least is None else " >= %d" % least))
+                                 % (option, "" if least is None else " >= %d" % least))
+        for option in BOOLEANS:
+            if type(options.get(option, False)) is not bool:
+                raise ValueError("%s must be true or false" % option)
+        if options.get("count") and "ordered" in options:  # count_k4_minus has no ordered mode
+            raise ValueError("count excludes ordered")
         try:  # the cells read d as the certifiers do
             _as_fraction(options.get("d"), Fraction(0))
         except (ValueError, OverflowError):
             raise ValueError("d must be a number or a fraction string in [0, 1]") from None
-    except ValueError as exc:
-        raise ValueError("task %r: %s" % (task, exc)) from None
-    task_function(family, task[key])  # executes its module before a pool forks, not per worker
-    return options
+        if "k" in options:
+            detectors.check_k(name, options["k"])
+    except (ValueError, CapExceeded) as exc:
+        raise type(exc)("task %r: %s" % (task, exc)) from None
+    if TASKS[family][name][2] != LIMITS[construction][0]:
+        raise ValueError("%s needs a %d-uniform input, and %s is %d-uniform"
+                         % (name, TASKS[family][name][2], construction, LIMITS[construction][0]))
+    task_function(family, name)  # executes its module before a pool forks, not per worker
+    column = "eta_" + name if family == "certify" else "%s%s%s_%s" % (
+        name, options.get("k", ""), "_ordered" if options.get("ordered") else "",
+        "count" if options.get("count") else "found")
+    return Task(family, name, column, options)
 
 
 @dataclass
@@ -72,8 +92,7 @@ class ExperimentSpec:
     construction: str
     cells: list  # (n, seed) pairs
     k: int | None = None
-    certify: list = field(default_factory=list)
-    detect: list = field(default_factory=list)
+    tasks: list = field(default_factory=list)  # Task records, certify first
     csv_path: str | None = None
     json_path: str | None = None
     hypergraph_dir: str | None = None
@@ -95,11 +114,11 @@ class ExperimentSpec:
             else:
                 cells = [(n, s) for n in data["ns"] for s in data["seeds"]]
             out = data.get("output", {})
-            spec = cls(construction=construction, cells=cells,
-                       k=data.get("k"), certify=list(data.get("certify", [])),
-                       detect=list(data.get("detect", [])),
+            spec = cls(construction=construction, cells=cells, k=data.get("k"),
                        csv_path=out.get("csv"), json_path=out.get("json"),
                        hypergraph_dir=out.get("hypergraph_dir"))
+            tasks = [(family, task) for family in ("certify", "detect")
+                     for task in list(data.get(family, []))]
         except (TypeError, AttributeError) as exc:
             raise ValueError("malformed experiment spec: %s" % exc) from None
         for value in (v for cell in cells for v in cell):
@@ -111,14 +130,8 @@ class ExperimentSpec:
         # refuse what generate would, with its exit code, before any cell runs
         for n in sorted({n for n, _ in spec.cells}):
             check_construction(construction, n, spec.k)
-        for family in ("certify", "detect"):
-            for task in getattr(spec, family):
-                _sweep_options(task, family)
-        for name in [t["kind"] for t in spec.certify] + [t["pattern"] for t in spec.detect]:
-            if arity(name) != arity(construction):
-                raise ValueError("%s needs a %d-uniform input, and %s is %d-uniform"
-                                 % (name, arity(name), construction, arity(construction)))
-        cols = spec.task_columns()
+        spec.tasks = [_resolve(task, family, construction) for family, task in tasks]
+        cols = [task.column for task in spec.tasks]
         if len(cols) != len(set(cols)):
             raise ValueError("tasks produce duplicate report columns: %r" % cols)
         return spec
@@ -127,32 +140,18 @@ class ExperimentSpec:
     def from_json(cls, text: str) -> "ExperimentSpec":
         return cls.from_dict(json.loads(text))
 
-    def task_columns(self) -> list[str]:
-        cols = []
-        for task in self.certify:
-            cols.append("eta_%s" % task["kind"])
-        for task in self.detect:
-            name = task["pattern"]
-            if task.get("k"):
-                name += str(task["k"])
-            if task.get("ordered"):
-                name += "_ordered"
-            cols.append(name + ("_count" if task.get("count") else "_found"))
-        return cols
-
     def columns(self) -> list[str]:
-        return list(BASE_COLUMNS) + self.task_columns()
+        return list(BASE_COLUMNS) + [task.column for task in self.tasks]
 
 
-def _run_task(h, task: dict, family: str):
+def _run_task(h, task: Task):
     """A task's cell: a certify kind's eta, or a detect pattern's count or
     whether it finds a witness."""
-    options = _sweep_options(task, family)
-    if family == "certify":
-        return repr(task_function(family, task["kind"])(h, options.pop("d", None), **options).eta)
+    options = dict(task.options)
     if options.pop("count", False):  # only k4minus reads count
         return detectors.count_k4_minus(h)
-    return int(task_function(family, task["pattern"])(h, **options) is not None)
+    result = task_function(task.family, task.name)(h, **options)
+    return repr(result.eta) if task.family == "certify" else int(result is not None)
 
 
 def run_cell(spec: ExperimentSpec, n: int, seed: int) -> dict:
@@ -169,10 +168,8 @@ def run_cell(spec: ExperimentSpec, n: int, seed: int) -> dict:
                    density_num=dens.density_fraction.numerator,
                    density_den=dens.density_fraction.denominator,
                    density=repr(dens.density))
-        for task in spec.certify:
-            row["eta_%s" % task["kind"]] = _run_task(h, task, "certify")
-        for task, col in zip(spec.detect, spec.task_columns()[len(spec.certify):]):
-            row[col] = _run_task(h, task, "detect")
+        for task in spec.tasks:
+            row[task.column] = _run_task(h, task)
         if spec.hypergraph_dir:
             name = "%s_n%d_s%d.hg" % (spec.construction, n, seed)
             path = Path(spec.hypergraph_dir) / name

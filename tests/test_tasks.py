@@ -39,6 +39,8 @@ BASE = {
                      "explore": ["--m", "3", "--s", "4"]},
 }
 TASK_FLAG = {"certify": "--kind", "detect": "--pattern", "multipartite": "--op"}
+# the file in the work directory holding an input of each kind core.TASKS names
+INPUTS = {3: "h3.hg", 4: "h4.hg", "mp": "g.mp", "block": "block.json", "aux": "aux.json"}
 
 
 def reads(family, task):
@@ -106,6 +108,24 @@ def test_table_covers_every_task_and_flag():
 @pytest.mark.parametrize("family,task", TASKS)
 def test_base_command_runs(workdir, capsys, family, task):
     assert cli.main(argv(family, task)) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family,task", TASKS)
+def test_input_of_another_kind_refused(workdir, capsys, family, task):
+    """Each task reads the input its table entry names, from the file of that
+    kind in BASE, and refuses an input of any other kind."""
+    kind, args = core.TASKS[family][task][2], argv(family, task)
+    assert cli.main(args) == 0, capsys.readouterr().err
+    if kind is None:
+        assert "--in" not in args
+        args += ["--in", None]
+    assert args[args.index("--in") + 1] == INPUTS.get(kind)
+    for other in set(INPUTS) - {kind}:
+        args[args.index("--in") + 1] = INPUTS[other]
+        capsys.readouterr()
+        assert cli.main(args) == 2, other
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (other, err)
 
 
 @pytest.mark.parametrize("family,task,option", UNREAD)
@@ -185,6 +205,47 @@ def test_sweep_refuses_a_task_on_another_input(family, task):
     """A sweep runs the tasks that read one hypergraph and no pattern file."""
     with pytest.raises(ValueError, match="needs a"):
         ExperimentSpec.from_dict(spec(**{family: [task]}))
+
+
+@pytest.mark.parametrize("family,task,code,message", [
+    ("detect", {"pattern": "k4minus", "ordered": "false"}, 2, "ordered must be true or false"),
+    ("detect", {"pattern": "k4minus", "count": 1}, 2, "count must be true or false"),
+    ("certify", {"kind": "xyz", "disjoint": "no"}, 2, "disjoint must be true or false"),
+    ("detect", {"pattern": "k4minus", "count": True, "ordered": True}, 2,
+     "count excludes ordered"),
+    ("detect", {"pattern": "k4minus", "count": True, "ordered": False}, 2,
+     "count excludes ordered"),
+    ("detect", {"pattern": "clique", "k": 0}, 2, "k must be at least 4"),
+    ("detect", {"pattern": "sk", "k": 2}, 2, "k must be at least 3"),
+    ("detect", {"pattern": "clique", "k": 9}, 3, "clique search supports k <= 8"),
+    ("detect", {"pattern": "sk", "k": 9}, 3, "clique search supports k <= 8"),
+], ids=["ordered-string", "count-number", "disjoint-string", "count-ordered",
+        "count-unordered", "clique-k0", "sk-k2", "clique-k9", "sk-k9"])
+def test_sweep_refuses_a_bad_value_before_any_cell(workdir, capsys, family, task, code,
+                                                   message):
+    (workdir / "spec.json").write_text(json.dumps(spec(**{family: [task]},
+                                                       output={"csv": "rows.csv"})))
+    assert cli.main(["experiment", "--spec", "spec.json"]) == code
+    assert capsys.readouterr().err.splitlines() == [
+        "%s: task %r: %s" % ("error" if code == 2 else "refused", task, message)]
+    assert not (workdir / "rows.csv").exists()
+
+
+def test_sweep_boolean_fields_name_the_column():
+    tasks = [{"pattern": "k4minus", "ordered": False}, {"pattern": "k4minus", "ordered": True},
+             {"pattern": "k4minus", "count": True}, {"pattern": "clique", "k": 5}]
+    assert ExperimentSpec.from_dict(spec(detect=tasks)).columns()[-4:] == [
+        "k4minus_found", "k4minus_ordered_found", "k4minus_count", "clique5_found"]
+
+
+@pytest.mark.parametrize("pattern", ["clique", "sk"])
+def test_detect_refuses_k_above_the_cap_on_any_input(tmp_path, capsys, pattern):
+    """The cap on k is checked before the search, so an input with no vertex
+    to search from is refused too."""
+    (tmp_path / "empty.hg").write_text("3 0 0\n")
+    assert cli.main(["detect", "--pattern", pattern, "--k", "9",
+                     "--in", str(tmp_path / "empty.hg")]) == 3
+    assert capsys.readouterr().err.splitlines() == ["refused: clique search supports k <= 8"]
 
 
 def test_experiment_format_refused_with_an_output_file(workdir, capsys):
