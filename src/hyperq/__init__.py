@@ -37,8 +37,8 @@ def _lazy(name: str):
     """Register ``hyperq.<name>`` in ``sys.modules`` through
     ``importlib.util.LazyLoader``: its code runs on the first attribute
     access.  The LazyLoader of Python 3.11 is not thread-safe; hyperq starts
-    no threads of its own, and the process pool of ``experiment`` forks only
-    after that module has executed."""
+    no threads of its own, and ``experiment`` forks its workers only after
+    the modules its tasks call have executed."""
     spec = importlib.util.find_spec("%s.%s" % (__name__, name))
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)

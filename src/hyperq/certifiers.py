@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
@@ -56,23 +56,22 @@ _BLOCK_ENTRIES = 1 << 13
 _TABLE_BYTES = 1 << 22
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(namedtuple("DeviationReport", "kind reference_density max_deviation"
+                                                      " eta normalizer witness method trials")):
     """Largest observed deviation of an edge count from its expectation.
 
     ``max_deviation`` is in raw edge-count units; ``eta`` divides it by the
     stated normalizer (n^3, n^4, or |X||Y|).  Exact methods return the true
     maximum; search and sampling methods return a certified lower bound.
+    ``trials`` counts the work done, a fresh dict for each report.
     """
 
-    kind: str
-    reference_density: Fraction
-    max_deviation: Fraction
-    eta: float
-    normalizer: int
-    witness: tuple
-    method: str
-    trials: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, kind, reference_density, max_deviation, eta, normalizer, witness,
+                method, trials=None):
+        return super().__new__(cls, kind, reference_density, max_deviation, eta, normalizer,
+                               witness, method, {} if trials is None else trials)
 
 
 def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
@@ -567,7 +566,7 @@ def pair_deviation(h: Hypergraph3, d=None, mode: str = "exact",
     columns = [h.link_row(u, v) for u, v in pairs]
     rep = _sign_split_deviation("pair", d, columns, n, n ** 3, mode, restarts, seed)
     members, kept = rep.witness
-    return replace(rep, witness=(members, tuple(pairs[c] for c in kept)))
+    return rep._replace(witness=(members, tuple(pairs[c] for c in kept)))
 
 
 def quad_vertex_deviation(h: Hypergraph4, d=None, samples: int = 100,
@@ -627,17 +626,12 @@ def _bipartite_deviation(columns: Sequence[int], nx: int, d: Fraction, mode: str
                                  mode, restarts, seed)
 
 
-@dataclass(frozen=True)
-class TriangleBoundReport:
+class TriangleBoundReport(namedtuple("TriangleBoundReport",
+                                     "count d2 delta2_hat bound holds per_pair_delta")):
     """Exact triangle count of a tripartite graph against the counting bound
     d2^3 |X||Y||Z| + 3 delta2 |X||Y||Z|."""
 
-    count: int
-    d2: Fraction
-    delta2_hat: Fraction
-    bound: Fraction
-    holds: bool
-    per_pair_delta: tuple
+    __slots__ = ()
 
 
 def triangle_bound_check(g: multipartite.MultipartiteGraph, d2,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable
 
@@ -41,13 +41,7 @@ from .oracles import (
 )
 
 
-@dataclass
-class CheckResult:
-    check_id: str
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+CheckResult = namedtuple("CheckResult", "check_id name passed detail seconds")
 
 
 def _density_cells(level: str):

@@ -20,13 +20,13 @@ def _jsonable(obj):
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator,
                 "float": float(obj)}
+    if hasattr(obj, "_fields"):  # a record, before the tuple it is
+        return {f: _jsonable(v) for f, v in zip(obj._fields, obj)}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, dict):
         return {",".join(map(str, k)) if isinstance(k, tuple) else str(k): _jsonable(v)
                 for k, v in obj.items()}
-    if hasattr(obj, "__dataclass_fields__"):
-        return {f: _jsonable(getattr(obj, f)) for f in obj.__dataclass_fields__}
     return obj
 
 
@@ -154,7 +154,7 @@ def cmd_multipartite(args) -> int:
     elif op == "project":
         payload = {"report": res}
     elif op == "threetriples":
-        payload = {"found": res is not None, **(vars(res) if res else {})}
+        payload = {"found": res is not None, **(res._asdict() if res else {})}
     elif op == "profile":
         payload = {"sizes": res.sizes, "ratios": res.ratios, "satisfied": res.satisfied,
                    "min_ratio": res.min_ratio()}
@@ -266,7 +266,10 @@ def main(argv=None) -> int:
     except core.CapExceeded as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return 3
-    except (core.ParseError, ValueError, OSError, KeyError) as exc:
+    except KeyError as exc:  # a JSON input or sweep spec lacks a required field
+        print("error: missing field %s" % exc, file=sys.stderr)
+        return 2
+    except (core.ParseError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ import operator
 import re
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, combinations, islice
 from typing import Iterable, Iterator
@@ -240,14 +240,10 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(namedtuple("DensityReport", "edge_count slots density_fraction density")):
     """Edge count and edge density relative to all C(n, arity) slots."""
 
-    edge_count: int
-    slots: int
-    density_fraction: Fraction
-    density: float
+    __slots__ = ()
 
     @classmethod
     def of(cls, edge_count: int, n: int, arity: int) -> "DensityReport":

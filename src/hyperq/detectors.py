@@ -9,7 +9,7 @@ exact rather than early-exit, so reports are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, permutations
 from typing import Iterator
 
@@ -21,20 +21,19 @@ CLIQUE_MAX_K = 8
 K_LEAST = {"clique": 4, "sk": 3}  # the least k of each pattern that reads one
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A concrete occurrence of a forbidden pattern."""
+class Witness(namedtuple("Witness", "kind vertices apex apex_position")):
+    """A concrete occurrence of a forbidden pattern: its distinct vertices,
+    and the apex among them with its position ('min', 'max' or 'interior')
+    where the pattern has one."""
 
-    kind: str
-    vertices: tuple[int, ...]
-    apex: int | None = None
-    apex_position: str | None = None  # 'min' | 'max' | 'interior'
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+    def __new__(cls, kind, vertices, apex=None, apex_position=None):
+        if len(set(vertices)) != len(vertices):
             raise ValueError("witness vertices must be distinct")
-        if self.apex is not None and self.apex not in self.vertices:
+        if apex is not None and apex not in vertices:
             raise ValueError("apex must be one of the witness vertices")
+        return super().__new__(cls, kind, vertices, apex, apex_position)
 
 
 def _apex_position(vertices: tuple[int, ...], apex: int) -> str:
@@ -232,13 +231,12 @@ def embed_small(pattern: Hypergraph3, host: Hypergraph3,
     return tuple(result)
 
 
-@dataclass(frozen=True)
-class VanishingWitness:
-    """An enumeration of the pattern's vertices plus a pair colouring under
-    which every edge reads (red, blue, green) along the order."""
+class VanishingWitness(namedtuple("VanishingWitness", "order colours")):
+    """An enumeration of the pattern's vertices plus a pair colouring, sorted
+    vertex pair -> colour index (0 red, 1 blue, 2 green), under which every
+    edge reads (red, blue, green) along the order."""
 
-    order: tuple[int, ...]
-    colours: dict  # sorted vertex pair -> colour index (0 red, 1 blue, 2 green)
+    __slots__ = ()
 
 
 def check_vanishing_condition(pattern: Hypergraph3) -> VanishingWitness | None:
@@ -281,15 +279,12 @@ def verify_vanishing(pattern: Hypergraph3, witness: VanishingWitness) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LinkColouringReport:
+class LinkColouringReport(namedtuple("LinkColouringReport",
+                                     "apex classes independent violations")):
     """Partition of the non-apex vertices into independent classes of the
     apex's link graph, built from the generating pair colouring."""
 
-    apex: int
-    classes: tuple[tuple[int, ...], ...]
-    independent: bool
-    violations: tuple
+    __slots__ = ()
 
 
 def link_colouring_witness(h: Hypergraph3, apex: int) -> LinkColouringReport:

@@ -16,7 +16,6 @@ import json
 import os
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,24 +77,20 @@ def _resolve(task, family: str, construction: str) -> Task:
     if TASKS[family][name][2] != LIMITS[construction][0]:
         raise ValueError("%s needs a %d-uniform input, and %s is %d-uniform"
                          % (name, TASKS[family][name][2], construction, LIMITS[construction][0]))
-    task_function(family, name)  # executes its module before a pool forks, not per worker
+    task_function(family, name)  # executes its module before the workers fork, not in each
     column = "eta_" + name if family == "certify" else "%s%s%s_%s" % (
         name, options.get("k", ""), "_ordered" if options.get("ordered") else "",
         "count" if options.get("count") else "found")
     return Task(family, name, column, options)
 
 
-@dataclass
-class ExperimentSpec:
-    """A declarative sweep description, loadable from JSON."""
+class ExperimentSpec(namedtuple("ExperimentSpec", "construction cells k tasks csv_path"
+                                                    " json_path hypergraph_dir",
+                                defaults=(None, (), None, None, None))):
+    """A declarative sweep description, loadable from JSON: its (n, seed)
+    cells and the Task records every cell runs, certify first."""
 
-    construction: str
-    cells: list  # (n, seed) pairs
-    k: int | None = None
-    tasks: list = field(default_factory=list)  # Task records, certify first
-    csv_path: str | None = None
-    json_path: str | None = None
-    hypergraph_dir: str | None = None
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
@@ -104,37 +99,37 @@ class ExperimentSpec:
         if data.get("schema_version", 1) != 1:
             raise ValueError("unsupported experiment schema version")
         construction = data["construction"]
-        if construction not in CONSTRUCTIONS:
+        if type(construction) is not str or construction not in CONSTRUCTIONS:
             raise ValueError("unknown construction %r" % construction)
         # a field of the wrong JSON type, such as a number where a list
-        # belongs or a list where an object does, raises one of these
+        # belongs or a list where an object does, or a cell that is no
+        # (n, seed) pair, raises one of these
         try:
             if "cells" in data:
                 cells = [(n, s) for n, s in data["cells"]]
             else:
                 cells = [(n, s) for n in data["ns"] for s in data["seeds"]]
             out = data.get("output", {})
-            spec = cls(construction=construction, cells=cells, k=data.get("k"),
-                       csv_path=out.get("csv"), json_path=out.get("json"),
-                       hypergraph_dir=out.get("hypergraph_dir"))
+            paths = (out.get("csv"), out.get("json"), out.get("hypergraph_dir"))
             tasks = [(family, task) for family in ("certify", "detect")
                      for task in list(data.get(family, []))]
-        except (TypeError, AttributeError) as exc:
+        except (TypeError, AttributeError, ValueError) as exc:
             raise ValueError("malformed experiment spec: %s" % exc) from None
         for value in (v for cell in cells for v in cell):
             if type(value) is not int:
                 raise ValueError("cell sizes and seeds must be integers, not %r" % (value,))
-        for path in (spec.csv_path, spec.json_path, spec.hypergraph_dir):
+        for path in paths:
             if not isinstance(path, (str, type(None))):
                 raise ValueError("output paths must be strings, not %r" % (path,))
         # refuse what generate would, with its exit code, before any cell runs
-        for n in sorted({n for n, _ in spec.cells}):
-            check_construction(construction, n, spec.k)
-        spec.tasks = [_resolve(task, family, construction) for family, task in tasks]
-        cols = [task.column for task in spec.tasks]
+        k = data.get("k")
+        for n in sorted({n for n, _ in cells}):
+            check_construction(construction, n, k)
+        tasks = [_resolve(task, family, construction) for family, task in tasks]
+        cols = [task.column for task in tasks]
         if len(cols) != len(set(cols)):
             raise ValueError("tasks produce duplicate report columns: %r" % cols)
-        return spec
+        return cls(construction, cells, k, tasks, *paths)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -154,12 +149,14 @@ def _run_task(h, task: Task):
     return repr(result.eta) if task.family == "certify" else int(result is not None)
 
 
+def _row(spec: ExperimentSpec, n: int, seed: int, error: str = "") -> dict:
+    return {"schema_version": CSV_SCHEMA_VERSION, "construction": spec.construction,
+            "n": n, "k": spec.k if spec.k is not None else "", "seed": seed, "error": error}
+
+
 def run_cell(spec: ExperimentSpec, n: int, seed: int) -> dict:
     """Execute one sweep cell; failures land in the row, never raise."""
-    row: dict = {"schema_version": CSV_SCHEMA_VERSION,
-                 "construction": spec.construction, "n": n,
-                 "k": spec.k if spec.k is not None else "",
-                 "seed": seed, "error": ""}
+    row = _row(spec, n, seed)
     start = time.perf_counter()
     try:
         h = CONSTRUCTIONS[spec.construction](n, spec.k, seed)
@@ -182,10 +179,8 @@ def run_cell(spec: ExperimentSpec, n: int, seed: int) -> dict:
     return row
 
 
-@dataclass
-class ExperimentResult:
-    spec: ExperimentSpec
-    rows: list
+class ExperimentResult(namedtuple("ExperimentResult", "spec rows")):
+    __slots__ = ()
 
     def to_csv(self) -> str:
         cols = self.spec.columns()
@@ -207,13 +202,9 @@ class ExperimentResult:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _worker(args):
-    return run_cell(*args)
-
-
 def worker_count(threads: int, jobs: int, cpus: int) -> int:
-    """Pool size for ``jobs`` cells: at most ``threads``, one per cell and
-    one per usable CPU, and at least 1."""
+    """Worker processes for ``jobs`` cells: at most ``threads``, one per cell
+    and one per usable CPU, and at least 1."""
     return max(1, min(threads, jobs, cpus))
 
 
@@ -223,17 +214,61 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _send_rows(spec: ExperimentSpec, cells: list, fd: int) -> None:
+    """A forked worker's stripe: its rows, pickled once into the pipe ``fd``."""
+    import pickle
+    rows = [run_cell(spec, n, seed) for n, seed in cells]
+    with os.fdopen(fd, "wb") as pipe:
+        pickle.dump(rows, pipe)
+
+
+def _fork_stripe(spec: ExperimentSpec, cells: list) -> tuple:
+    """A started child that runs ``cells``, and the read end of its pipe.
+
+    Fork, not spawn: hyperq starts no threads, and a spawned child would
+    import and resolve again what this process has.  multiprocessing, not a
+    raw os.fork, runs its after-fork hooks and finalizers in the child, which
+    a tracer of the sweep relies on.  A daemon child is ended, not waited
+    for, if this process exits before reading its rows."""
+    import multiprocessing
+    read, write = os.pipe()
+    child = multiprocessing.get_context("fork").Process(
+        target=_send_rows, args=(spec, cells, write), daemon=True)
+    child.start()
+    os.close(write)  # the pipe ends at EOF once the child closes its end
+    return child, read
+
+
+def _receive_rows(spec: ExperimentSpec, cells: list, child, read: int) -> list:
+    """The rows a forked child pickled; a row for each of its cells whose
+    error names the child's exit status if it exited non-zero or left no
+    complete pickle."""
+    import pickle
+    with os.fdopen(read, "rb") as pipe:
+        data = pipe.read()
+    child.join()
+    if child.exitcode == 0:
+        try:
+            return pickle.loads(data)
+        except (pickle.UnpicklingError, EOFError):  # a truncated pickle
+            pass
+    error = ("WorkerLost: its worker process exited with status %d and returned no rows"
+             % child.exitcode)
+    return [_row(spec, n, seed, error) for n, seed in cells]
+
+
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
-    """Run every cell (optionally in a process pool) and sort the rows by
-    (construction, n, k, seed) for order-independent output."""
-    jobs = [(spec, n, seed) for n, seed in spec.cells]
-    workers = worker_count(threads, len(jobs), _usable_cpus())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_worker, jobs))
-    else:
-        rows = [run_cell(*job) for job in jobs]
+    """Run every cell and sort the rows by (construction, n, k, seed) for
+    order-independent output.  On w = ``worker_count(threads, ...)`` workers,
+    stripe i holds ``cells[i::w]``: the command's own process runs stripe 0,
+    and each other stripe runs in one forked child that pickles its rows
+    into a pipe when the stripe ends."""
+    workers = worker_count(threads, len(spec.cells), _usable_cpus())
+    stripes = [spec.cells[i::workers] for i in range(workers)]
+    children = [(stripe, *_fork_stripe(spec, stripe)) for stripe in stripes[1:]]
+    rows = [run_cell(spec, n, seed) for n, seed in stripes[0]]
+    for stripe, child, read in children:
+        rows += _receive_rows(spec, stripe, child, read)
     rows.sort(key=lambda r: (r["construction"], r["n"], str(r["k"]), r["seed"]))
     result = ExperimentResult(spec, rows)
     if spec.csv_path:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
@@ -134,15 +134,16 @@ def half_split(m: int, s: int) -> MultipartiteGraph:
     return g
 
 
-@dataclass(frozen=True)
-class MeanSquareProfile:
-    """Mean-square degree ratios, exact, for every ordered part pair."""
+class MeanSquareProfile(namedtuple("MeanSquareProfile",
+                                   "sizes ratios epsilon satisfied margins")):
+    """Mean-square degree ratios, exact, for every ordered part pair.
 
-    sizes: tuple[int, ...]
-    ratios: dict  # (i, j) -> Fraction, sum of d_j(x)^2 over |V_i||V_j|^2
-    epsilon: Fraction
-    satisfied: dict  # (i, j) with i < j -> ratio >= THRESHOLD + epsilon
-    margins: dict  # (i, j) with i < j -> ratio - (THRESHOLD + epsilon)
+    ``ratios`` maps (i, j) to the Fraction sum of d_j(x)^2 over
+    |V_i||V_j|^2; ``satisfied`` maps each (i, j) with i < j to whether its
+    ratio reaches THRESHOLD + epsilon, and ``margins`` to the ratio minus
+    THRESHOLD + epsilon."""
+
+    __slots__ = ()
 
     def min_ratio(self) -> Fraction:
         if not self.ratios:
@@ -189,18 +190,18 @@ def count_triangles_mp(g: MultipartiteGraph, parts: tuple[int, int, int] | None 
     return detectors.count_triangles_graph(g.graph, mask)
 
 
-@dataclass(frozen=True)
-class ProofDiagnostics:
+class ProofDiagnostics(namedtuple("ProofDiagnostics", "delta epsilon r_max q_sizes r_value"
+                                                        " hypothesis_holds claim_violations")):
     """High-degree set sizes per threshold step and the derived colour value
-    for every ordered part pair."""
+    for every ordered part pair.
 
-    delta: Fraction
-    epsilon: Fraction | None
-    r_max: int
-    q_sizes: dict  # (i, j) -> tuple of |Q_ij(r)| for r = 1..r_max
-    r_value: dict  # (i, j) -> largest r with |Q_ij(r)| >= delta |V_i|, else 0
-    hypothesis_holds: dict  # (i, j), i < j -> mean-square ratio >= 1/4 + eps
-    claim_violations: list  # pairs where the first-step size claim fails
+    ``q_sizes`` maps (i, j) to the tuple of |Q_ij(r)| for r = 1..r_max and
+    ``r_value`` to the largest r with |Q_ij(r)| >= delta |V_i|, else 0;
+    ``hypothesis_holds`` maps (i, j), i < j, to whether the mean-square ratio
+    reaches 1/4 + epsilon, and ``claim_violations`` lists the pairs where the
+    first-step size claim fails."""
+
+    __slots__ = ()
 
 
 def proof_diagnostics(g: MultipartiteGraph, delta: Fraction,
@@ -271,19 +272,19 @@ def gen_random_aux_block(sizes: tuple[int, int, int], p_num: int, p_den: int,
     return TripartiteTriples(tuple(sizes), triples)
 
 
-@dataclass(frozen=True)
-class ProjectionReport:
-    """Outcome of projecting an auxiliary block onto its two side graphs."""
+class ProjectionReport(namedtuple("ProjectionReport", "epsilon triple_density premise_holds"
+                                                      " sum_left sum_right left_holds"
+                                                      " right_holds colour flagged")):
+    """Outcome of projecting an auxiliary block onto its two side graphs.
 
-    epsilon: Fraction
-    triple_density: Fraction
-    premise_holds: bool          # triple count >= (1/4 + eps) l1 l2 l3
-    sum_left: int                # sum over middle class of left-degree squares
-    sum_right: int
-    left_holds: bool             # sum_left  >= (1/4 + eps) l1^2 l2
-    right_holds: bool            # sum_right >= (1/4 + eps) l3^2 l2
-    colour: str | None           # 'red' when left fails, 'green' when right fails
-    flagged: str | None          # 'both-hold' or 'neither-holds'
+    ``premise_holds``: the triple count is >= (1/4 + eps) l1 l2 l3.
+    ``sum_left``, ``sum_right``: sums over the middle class of the left- and
+    right-degree squares; ``left_holds``: sum_left >= (1/4 + eps) l1^2 l2, and
+    ``right_holds``: sum_right >= (1/4 + eps) l3^2 l2.  ``colour`` is 'red'
+    when the left estimate fails and 'green' when the right one does;
+    ``flagged`` is 'both-hold', 'neither-holds' or None."""
+
+    __slots__ = ()
 
 
 def project_auxiliary(block: TripartiteTriples,
@@ -340,13 +341,12 @@ class AuxiliaryHypergraph:
             self.blocks[(i, j, k)] = TripartiteTriples(sizes, triples)
 
 
-@dataclass(frozen=True)
-class ThreeTriplesConfig:
-    """Three blocks' triples meeting pairwise in the hub-index classes."""
+class ThreeTriplesConfig(namedtuple("ThreeTriplesConfig", "indices vertices apex_extreme")):
+    """Three blocks' triples meeting pairwise in the hub-index classes: the
+    indices (i1, i2, i3, i4) with i1 < i2 < i3, the class vertex of each
+    sorted index pair, and whether the hub i4 is extreme among the four."""
 
-    indices: tuple[int, int, int, int]       # (i1, i2, i3, i4), i1 < i2 < i3
-    vertices: dict                           # sorted index pair -> class vertex
-    apex_extreme: bool                       # i4 extreme among the four indices
+    __slots__ = ()
 
 
 MAX_AUX_M = 8
@@ -409,11 +409,7 @@ def find_three_triples(aux: AuxiliaryHypergraph):
     return None
 
 
-@dataclass
-class ExploreResult:
-    graph: MultipartiteGraph
-    min_ratio: Fraction
-    accepted_moves: int
+ExploreResult = namedtuple("ExploreResult", "graph min_ratio accepted_moves")
 
 
 def explore_extremal(m: int, s: int, epsilon: Fraction | None = None,

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import hyperq
+from hyperq import experiment
 from hyperq.cli import main
 from hyperq.constructions import PATTERN_K_CAP
 from hyperq.core import read_hypergraph
@@ -81,6 +83,79 @@ class TestExperiment:
     def test_unknown_construction(self):
         with pytest.raises(ValueError):
             ExperimentSpec.from_dict({"construction": "nope", "ns": [5], "seeds": [0]})
+
+
+def stripe_spec(cells):
+    """A sweep of ``cells`` cells writing its outputs under the working
+    directory, so that its JSON names the same files wherever it runs."""
+    return ExperimentSpec.from_dict({
+        "construction": "tournament3", "cells": [[6 + i % 3, i] for i in range(cells)],
+        "certify": [{"kind": "weak", "mode": "exact"}, {"kind": "xyz", "samples": 4}],
+        "detect": [{"pattern": "k4minus", "ordered": True}],
+        "output": {"csv": "rows.csv", "json": "rows.json", "hypergraph_dir": "hgs"}})
+
+
+def without_wall_times(text):
+    report = json.loads(text)
+    for row in report["rows"]:
+        del row["wall_time_s"]
+    return report
+
+
+class TestStripes:
+    """Stripe i of a sweep on w workers holds cells[i::w]: the command's own
+    process runs stripe 0 and one forked child each other stripe."""
+
+    @pytest.mark.parametrize("cells", range(6))
+    @pytest.mark.parametrize("threads", [2, 3, 4])
+    def test_output_independent_of_threads(self, tmp_path, monkeypatch, cells, threads):
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 4)
+        results = {}
+        for name, workers in (("serial", 1), ("striped", threads)):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            results[name] = run_experiment(stripe_spec(cells), threads=workers)
+        serial, striped = results["serial"], results["striped"]
+        assert striped.to_csv() == serial.to_csv()
+        assert without_wall_times(striped.to_json()) == without_wall_times(serial.to_json())
+        for name in results:
+            out = tmp_path / name
+            assert (out / "rows.csv").read_text() == serial.to_csv()
+            files = sorted(p.name for p in (out / "hgs").glob("*"))
+            assert files == sorted("tournament3_n%d_s%d.hg" % (6 + i % 3, i)
+                                   for i in range(cells))
+
+    @pytest.mark.parametrize("exit_how,status", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+        (lambda: os._exit(0), 0),
+    ], ids=["killed", "exit-zero-without-rows"])
+    def test_lost_worker_fails_its_cells(self, tmp_path, monkeypatch, capsys, exit_how,
+                                         status):
+        parent, run_cell = os.getpid(), experiment.run_cell
+
+        def dying_run_cell(*args):
+            if os.getpid() != parent:
+                exit_how()
+            return run_cell(*args)
+
+        monkeypatch.setattr(experiment, "run_cell", dying_run_cell)
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"construction": "tournament3",
+                                    "cells": [[6, 0], [7, 1], [8, 2]],
+                                    "certify": [{"kind": "weak", "mode": "exact"}]}))
+        assert main(["experiment", "--spec", str(spec), "--threads", "2",
+                     "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        rows = {row["n"]: row for row in json.loads(captured.out)["rows"]}
+        assert sorted(rows) == [6, 7, 8]
+        for n in (6, 8):  # stripe 0, run by the command's own process
+            assert rows[n]["error"] == "" and rows[n]["eta_weak"]
+        assert rows[7]["error"] == ("WorkerLost: its worker process exited with status %d"
+                                    " and returned no rows" % status)
+        assert "eta_weak" not in rows[7]
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines() == ["cell n=7 seed=1 failed: " + rows[7]["error"]]
 
 
 class TestCli:
@@ -348,6 +423,19 @@ class TestCli:
         assert main(argv + [str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv,payload,field", [
+        (["multipartite", "--op", "threetriples", "--in"],
+         {"sizes": [2, 2, 2], "triples": []}, "m"),
+        (["multipartite", "--op", "project", "--in"],
+         {"m": 3, "class_sizes": {"0,1": 1, "0,2": 1, "1,2": 1}}, "sizes"),
+        (["experiment", "--spec"], {"construction": "tournament3", "ns": [6]}, "seeds"),
+    ], ids=["threetriples-without-m", "project-on-auxiliary", "ns-without-seeds"])
+    def test_missing_field_named(self, tmp_path, capsys, argv, payload, field):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert main(argv + [str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: missing field %r" % field]
 
     def test_huge_block_refused(self, tmp_path, capsys):
         """A class above the vertex cap is refused before anything is built."""

@@ -1,16 +1,21 @@
 """Fuzzing of the CLI's exit-code contract: on any input, a subcommand exits
 0 (success), 2 (usage error) or 3 (refusal) with at most one line on stderr,
-never with a traceback.  This covers the multipartite ops that read JSON
-and the commands that read ``mp`` text."""
+never with a traceback.  This covers the multipartite ops that read JSON,
+the commands that read ``mp`` text and experiment specs, where exit 1 marks
+a failed cell and a refusal writes nothing."""
 
 import contextlib
 import io
 import json
+import os
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hyperq.cli import main
+from hyperq.core import LIMITS
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -98,3 +103,99 @@ def test_mp_readers_keep_the_exit_code_contract(tmp_path, command, text):
     assert code in (0, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1
     assert "Traceback" not in err.getvalue()
+
+
+# experiment specs near the valid ones: a valid spec with every n at most 8,
+# so that each cell is cheap, then up to two of its fields deleted or
+# replaced by another value
+SEED = st.integers(0, 3)
+SEARCHED = {"d": st.sampled_from(["1/4", "0.3", 0, 1]), "seed": SEED,
+            "mode": st.sampled_from(["exact", "search"]), "restarts": st.integers(0, 3)}
+SAMPLED = {"d": SEARCHED["d"], "seed": SEED, "samples": st.integers(1, 5)}
+TASKS = {  # family -> arity -> task -> (its name field, option -> values)
+    "certify": {
+        3: {"weak": ("kind", SEARCHED), "pair": ("kind", SEARCHED),
+            "xyz": ("kind", {**SAMPLED, "disjoint": st.booleans()})},
+        4: {"quad": ("kind", SAMPLED)},
+    },
+    "detect": {
+        3: {"k4minus": ("pattern", {"ordered": st.booleans(), "count": st.booleans()}),
+            "clique": ("pattern", {"k": st.integers(4, 8)}),
+            "sk": ("pattern", {"k": st.integers(3, 8)}),
+            "vanishing": ("pattern", {})},
+        4: {"f4": ("pattern", {})},
+    },
+}
+OTHER = st.integers(-2, 9) | st.booleans() | st.sampled_from(["exact", "1/0", "x"]) | JSON
+
+
+@st.composite
+def sweep_task(draw, family, arity):
+    name = draw(st.sampled_from(sorted(TASKS[family][arity])))
+    key, options = TASKS[family][arity][name]
+    chosen = draw(st.lists(st.sampled_from(sorted(options)), unique=True)) if options else []
+    return {key: name, **{option: draw(options[option]) for option in chosen}}
+
+
+@st.composite
+def valid_spec(draw, out):
+    construction = draw(st.sampled_from(sorted(LIMITS)))
+    arity, least_n, least_k = LIMITS[construction]
+    n = st.integers(max(least_n, 4), 8)
+    spec = {"construction": construction}
+    if draw(st.booleans()):
+        spec["cells"] = draw(st.lists(st.tuples(n, SEED).map(list), max_size=4))
+    else:
+        spec["ns"], spec["seeds"] = draw(st.lists(n, max_size=3)), draw(st.lists(SEED, max_size=2))
+    if least_k is not None:
+        spec["k"] = draw(st.integers(least_k, 5))
+    for family in TASKS:
+        spec[family] = draw(st.lists(sweep_task(family, arity), max_size=2))
+    names = {"csv": "rows.csv", "json": "rows.json", "hypergraph_dir": "hgs"}
+    spec["output"] = {field: str(out / name) for field, name in names.items()
+                      if draw(st.booleans())}
+    return spec
+
+
+def slots(doc):
+    """Each (container, key) of a JSON document."""
+    for key, value in list(doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from slots(value)
+
+
+@st.composite
+def sweep_spec(draw, out):
+    spec = draw(valid_spec(out))
+    for _ in range(draw(st.integers(0, 2))):
+        doc, key = draw(st.sampled_from(list(slots(spec))))
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(OTHER)
+    return spec
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), threads=st.sampled_from(["1", "2"]),
+       fmt=st.sampled_from([[], ["--format", "csv"], ["--format", "json"]]))
+def test_experiment_specs_keep_the_exit_code_contract(tmp_path, data, threads, fmt):
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    spec = data.draw(sweep_spec(out))
+    path = out.with_suffix(".json")
+    path.write_text(json.dumps(spec))
+    stdout, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(out)  # where a relative output path lands
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            code = main(["experiment", "--spec", str(path), "--threads", threads, *fmt])
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (2, 3):  # a refusal: one line, and nothing written
+        assert len(err.getvalue().splitlines()) == 1
+        assert stdout.getvalue() == ""
+        assert list(out.iterdir()) == []

@@ -1,7 +1,8 @@
 """Start-up: ``import hyperq`` executes none of its modules, each command
-executes only the modules it calls, the package namespace still resolves
-every public name, and traced launches of the benchmark tracer still work
-with lazily executed modules."""
+executes only the modules it calls and loads neither ``dataclasses`` nor
+``concurrent.futures``, the package namespace still resolves every public
+name, and traced launches of the benchmark tracer still work with lazily
+executed modules."""
 
 import json
 import os
@@ -42,9 +43,13 @@ PUBLIC = {
     "experiment": ["ExperimentSpec", "run_experiment"],
 }
 
-# runs one command in a fresh interpreter, then prints its exit code and the
-# hyperq modules that executed: a lazy module turns into a plain module
-# when its code runs
+# modules no command loads: their import and class set-up cost more than
+# the records and the forked stripes that replace them
+UNLOADED = ["dataclasses", "concurrent.futures"]
+
+# runs one command in a fresh interpreter, then prints its exit code, the
+# hyperq modules that executed (a lazy module turns into a plain module when
+# its code runs) and which of UNLOADED it loaded
 PROBE = """
 import contextlib, io, json, sys, types
 import hyperq.cli
@@ -54,8 +59,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:
         code = exc.code
 print(json.dumps([code, sorted(m for m in %r
-                               if type(sys.modules["hyperq." + m]) is types.ModuleType)]))
-""" % (LAZY,)
+                               if type(sys.modules["hyperq." + m]) is types.ModuleType),
+                  [m for m in %r if m in sys.modules]]))
+""" % (LAZY, UNLOADED)
 
 
 def run(argv, cwd):
@@ -87,13 +93,17 @@ def inputs(tmp_path_factory):
     (["multipartite", "--op", "profile", "--in", "g.mp"], {"core", "hashing", "multipartite"},
      None),
     (["experiment", "--spec", "spec.json"], None, {"multipartite"}),
+    (["experiment", "--spec", "spec.json", "--threads", "2"], None, {"multipartite"}),
+    (["multipartite", "--op", "diagnostics", "--in", "g.mp", "--delta", "1/10"],
+     {"core", "hashing", "multipartite"}, None),
 ], ids=["version", "certify-weak", "certify-pair", "detect-k4minus", "certify-bipartite",
-        "multipartite-profile", "experiment"])
+        "multipartite-profile", "experiment", "experiment-threads-2",
+        "multipartite-diagnostics"])
 def test_commands_execute_only_the_modules_they_call(inputs, argv, executed, unexecuted):
     out = run([sys.executable, "-c", PROBE, *argv], inputs)
     assert out.returncode == 0, out.stderr
-    code, ran = json.loads(out.stdout)
-    assert code == 0
+    code, ran, loaded = json.loads(out.stdout)
+    assert code == 0 and loaded == []
     if executed is not None:
         assert set(ran) == executed
     else:
@@ -160,8 +170,8 @@ def test_traced_certify_records_its_spans(tmp_path, inputs):
 
 def test_traced_pooled_experiment_writes_one_span_file_per_process(tmp_path, inputs):
     names = traced(tmp_path, ["experiment", "--spec", "spec.json", "--threads", "2"], inputs)
-    workers = worker_count(2, 2, _usable_cpus())
-    assert len(names) == 1 + (workers if workers > 1 else 0)
+    # the command's process runs the first stripe, and one child each other one
+    assert len(names) == worker_count(2, 2, _usable_cpus())
     every = set().union(*names.values())
     assert {"experiment.run_experiment", "experiment.run_cell",
             "constructions.gen_tournament_3hg", "certifiers.weak_deviation.exact",
