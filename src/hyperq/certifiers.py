@@ -33,7 +33,6 @@ from .core import (
     _PLACES,
     _as_fraction,
     iter_bits,
-    pack_rows,
     row_bytes,
     vertex_mask,
 )
@@ -49,7 +48,7 @@ BIPARTITE_EXACT_HARD_CAP = 24
 # steepest-toggle steps per restart of the weak and of the sign-split searches
 WEAK_SEARCH_STEPS = 10 ** 4
 SIGN_SPLIT_SEARCH_STEPS = 200
-# sets in one block of an exact walk
+# the most sets in one block of an exact walk
 _BLOCK_ENTRIES = 1 << 13
 # bytes of the packed tables of one sign-split walk, which shrinks its blocks
 # to stay within them
@@ -146,14 +145,24 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
                            {"restarts": restarts, "max_steps": WEAK_SEARCH_STEPS})
 
 
-def _subset_edge_counts(rows: Sequence[int], k: int) -> list[int]:
-    """Edges of the graph with adjacency ``rows`` within each subset of the
-    vertices below k, indexed by the subset's mask."""
-    counts = [0]
-    for x in range(k):
-        row = rows[x]
-        counts += [c + (row & s).bit_count() for s, c in enumerate(counts)]
-    return counts
+def _member_tables(low: int, w: int) -> tuple[int, list[int]]:
+    """The table of 2^low w-byte fields that all hold 1, and for each row
+    a < low its member table, whose field A holds [a in A]: 2^a fields of 0
+    then 2^a fields of 1, repeated.  The AND of some member tables holds in
+    field A whether A has all of their rows."""
+    one = b"\1".ljust(w, b"\0")
+    members = [int.from_bytes((bytes(w << a) + one * (1 << a)) * (1 << low - a - 1), "little")
+               for a in range(low)]
+    return int.from_bytes(one * (1 << low), "little"), members
+
+
+def _block_rows(k: int) -> int:
+    """Rows of one block of an exact walk over k rows: set-up and unpacks
+    cost time in 2^low, steps in 2^(k - low).  Best of 7, in ms of CPU on a
+    2-vCPU Xeon VM, for (k + 3, 5, 7) // 2: weak n = 17 3.9, 4.6, 6.9 and
+    n = 20 26.5, 27.3, 34.1, pair n = 15 14.7, 12.7, 13.7 (tournament3),
+    bipartite 15 x 44 6.6, 6.3, 6.8 (edges at rate 1/2)."""
+    return min(k, _BLOCK_ENTRIES.bit_length() - 1, (k + 5) // 2)
 
 
 def _weak_exact(links: list[list[int]], p: int, q: int) -> tuple[int, int]:
@@ -165,7 +174,8 @@ def _weak_exact(links: list[list[int]], p: int, q: int) -> tuple[int, int]:
     + e(B), where l_b(A) and y_a(B) count the pairs in A and in B that
     complete an edge with b and with a; with s = |B|, C(|A| + s, 3) =
     C(|A|, 3) + C(|A|, 2) s + |A| C(s, 2) + C(s, 3).  Each term is a packed
-    table over the sets A times a scalar of the block, and field A sums to
+    table over the sets A times a scalar of the block, a sum of member
+    tables and of their pair and triple ANDs, and field A sums to
     2^b + x(A | B).  As 0 <= p <= q, |x| < q C(n, 3) < 2^b, so bit b of a
     field is set exactly when x >= 0, masking the field's lower bits by it
     leaves max(x, 0), and |x| = 2 max(x, 0) - x.
@@ -173,18 +183,19 @@ def _weak_exact(links: list[list[int]], p: int, q: int) -> tuple[int, int]:
     n = len(links)
     w = ((2 * max(math.comb(n, 3), 1) * q).bit_length() + 7) // 8
     b = 8 * w - 1
-    low = min(n, _BLOCK_ENTRIES.bit_length() - 1)
-    ones = pack_rows([1] * (1 << low), w)
+    low = _block_rows(n)
+    ones, members = _member_tables(low, w)
     signs = ones << b
-    e_low = [0]
-    for a in range(low):
-        e_low += [e + c for e, c in zip(e_low, _subset_edge_counts(links[a], a))]
+    # pairs[a][c] is the table of the pair {c < a}, and edges[v] lists the
+    # pairs of low vertices below v that complete an edge with v
+    pairs = [[members[a] & m for m in members[:a]] for a in range(low)]
+    edges = [[(a, c) for a in range(min(v, low)) for c in iter_bits(row[a] & ((1 << a) - 1))]
+             for v, row in enumerate(links)]
     # q * (e(A) + sum over b in B of l_b(A))
-    run = q * pack_rows(e_low, w)
-    ell = [q * pack_rows(_subset_edge_counts(links[v], low), w) for v in range(low, n)]
-    members = [pack_rows([c >> a & 1 for c in range(1 << low)], w) for a in range(low)]
-    c3, c2, c1 = (p * pack_rows([math.comb(c.bit_count(), t) for c in range(1 << low)], w)
-                  for t in (3, 2, 1))
+    run = q * sum(pairs[a][c] & members[v] for v in range(low) for a, c in edges[v])
+    ell = [q * sum(pairs[a][c] for a, c in edges[v]) for v in range(low, n)]
+    c1, c2 = p * sum(members), p * sum(map(sum, pairs))
+    c3 = p * sum(t & m for x, m in enumerate(members) for row in pairs[:x] for t in row)
     # 2^b - p * C(|A| + s, 3) in field A, for each s
     shifts = [signs - c3 - s * c2 - math.comb(s, 2) * c1 - p * math.comb(s, 3) * ones
               for s in range(n - low + 1)]
@@ -223,7 +234,7 @@ def _exact_walk(k: int, low: int, w: int, block) -> tuple[int, int]:
     An odd block meets the sets A in reverse order of their even Gray rank.
     """
     b = 8 * w - 1
-    ones = pack_rows([1] * (1 << low), w)
+    ones = _member_tables(low, w)[0]
     signs = ones << b
     cut = signs - ones
     # rank[A] is the Gray rank of A in an even block
@@ -414,40 +425,30 @@ def _sign_split_exact(columns: Sequence[int], k: int, p: int, q: int) -> tuple[i
     S splits into A over the ``low`` first rows and B over the rest, and
     x_c(A | B) = x_c(A) + x_c(B).  Every table over the sets A is packed
     into w-byte fields, field A holding 2^b + x_c(A) (b = 8w - 1), one
-    table per low pattern of a column and one for R.  No |x_c|, |R| or
-    value reaches cols * k * q < 2^b (as 0 <= p <= q), so adding x_c(B) to
-    every field keeps it in [0, 2^(b + 1)): bit b is set exactly when
-    x_c(A | B) >= 0, and masking the field's lower bits by it adds
+    table per column and one for R, each a sum of member tables.  No |x_c|,
+    |R| or value reaches cols * k * q < 2^b (as 0 <= p <= q), so adding
+    x_c(B) to every field keeps it in [0, 2^(b + 1)): bit b is set exactly
+    when x_c(A | B) >= 0, and masking the field's lower bits by it adds
     max(x_c, 0).
     """
     cols = len(columns)
     w = ((2 * max(cols, 1) * max(k, 1) * q).bit_length() + 7) // 8
     b = 8 * w - 1
-    low = min(k, _BLOCK_ENTRIES.bit_length() - 1)
-    while low and (min(cols, 1 << low) + 1) * w << low > _TABLE_BYTES:
+    low = _block_rows(k)
+    while low and (cols + 1) * w << low > _TABLE_BYTES:
         low -= 1
-    ones = pack_rows([1] * (1 << low), w)
-    # doubling: the fields of the sets with row a copy those without it and
-    # add row a's x, and the tables of the columns sharing a prefix are one
-    tables = {0: 1 << b}
-    rtable = 1 << b
-    for a in range(low):
-        shift = 8 * w << a
-        part = ones & ((1 << shift) - 1)
-        step = (p * part, (p - q) * part)
-        grown = {}
-        for key in {col & ((2 << a) - 1) for col in columns}:
-            t = tables[key & ~(1 << a)]
-            grown[key] = t | (t + step[key >> a & 1]) << shift
-        tables = grown
-        weight = sum(col >> a & 1 for col in columns)
-        rtable |= (rtable + (q * weight - p * cols) * part) << shift
-    tables = [tables[col & ((1 << low) - 1)] for col in columns]
+    ones, members = _member_tables(low, w)
+    signs = ones << b
+    # 2^b first, so that no partial sum borrows from the next field
+    base = signs + p * sum(members)
+    tables = [base - q * sum(members[a] for a in iter_bits(col & ((1 << low) - 1)))
+              for col in columns]
+    rtable = sum(((q * sum(col >> a & 1 for col in columns) - p * cols) * m
+                  for a, m in enumerate(members)), signs)
     # holders[a] lists the columns holding high row low + a, and counts[c]
     # counts the rows of B in column c
     holders = [[c for c, col in enumerate(columns) if col >> a & 1] for a in range(low, k)]
     counts = [0] * cols
-    signs = ones << b
     size_b = 0
 
     def block(a: int, sign: int) -> int:

@@ -126,8 +126,9 @@ def check_freeness(level: str) -> tuple[bool, str]:
 
 
 def check_oracle_equivalence(level: str) -> tuple[bool, str]:
-    # (n, d or None for its own density): n = 15 takes four blocks of the
-    # exact walk, two of them odd, and d = 1/10^20 fields past 8 bytes
+    # (n, d or None for its own density): n = 15 takes 32 blocks of 2^10
+    # sets in the exact walk, half of them odd, and d = 1/10^20 fields past
+    # 8 bytes
     weak_cases = [(8 + i % 5, None) for i in range(100 if level == "full" else 20)]
     weak_cases += [(15, None), (10, Fraction(1, 10 ** 20))]
     weak_instances = len(weak_cases)

@@ -304,6 +304,24 @@ class _PairRows:
         return cls(n, rows)
 
     @classmethod
+    def _held(cls, rows: list, base: list[int], n: int, e) -> bool | None:
+        """Whether ``rows`` hold the sorted tuple ``e``, or None when ``e`` is
+        not ``arity`` distinct vertices of 0..n-1."""
+        if len(e) != cls.arity or len(set(e)) != cls.arity or e[0] < 0 or e[-1] >= n:
+            return None
+        row = rows[base[e[0]] + e[1] - e[0] - 1]
+        return bool((row if cls.arity == 3 else row[e[2]]) >> e[-1] & 1)
+
+    @classmethod
+    def _checked(cls, edges, n: int, rows: list, base: list[int]):
+        """``edges`` as sorted tuples, checked against the rows so far."""
+        for edge in edges:
+            e = tuple(sorted(edge))
+            if cls._held(rows, base, n, e) is not False:
+                raise cls._refusal(e, n)
+            yield e
+
+    @classmethod
     def _refusal(cls, e: tuple[int, ...], n: int) -> ValueError:
         """Why ``from_edges`` refuses the sorted edge ``e``."""
         if len(e) != cls.arity or len(set(e)) != cls.arity:
@@ -323,13 +341,10 @@ class _PairRows:
     def has_edge(self, *edge: int) -> bool:
         """Whether ``edge``, ``arity`` distinct vertices of 0..n-1 in any
         order, is an edge; refuses any other tuple."""
-        if (len(edge) != self.arity or len(set(edge)) != self.arity
-                or not all(0 <= v < self.n for v in edge)):
+        held = self._held(self._rows, self._base, self.n, sorted(edge))
+        if held is None:
             raise ValueError("bad tuple %r for n=%d" % (edge, self.n))
-        row = self._pair_row(edge[0], edge[1])
-        if self.arity == 4:
-            row = row[edge[2]]
-        return bool(row >> edge[-1] & 1)
+        return held
 
     def iter_edges(self) -> Iterator[tuple[int, ...]]:
         """Edges as sorted tuples, in lexicographic order."""
@@ -352,16 +367,6 @@ class Hypergraph3(_PairRows):
     __slots__ = ()
     arity, cap, _BITS = 3, N3_CAP, 3
     link_row = _PairRows._pair_row
-
-    @classmethod
-    def _checked(cls, edges, n: int, rows: list[int], base: list[int]):
-        """``edges`` as sorted triples, checked against the rows so far."""
-        for edge in edges:
-            e = tuple(sorted(edge))
-            if (len(e) != 3 or not 0 <= e[0] < e[1] < e[2] < n
-                    or rows[base[e[0]] + e[1] - e[0] - 1] >> e[2] & 1):
-                raise cls._refusal(e, n)
-            yield e
 
     @staticmethod
     def _insert(rows: list[int], base: list[int], bit: list[int], edges) -> None:
@@ -425,16 +430,6 @@ class Hypergraph4(_PairRows):
     __slots__ = ()
     arity, cap, _BITS = 4, N4_CAP, 12
     pair_rows = _PairRows._pair_row
-
-    @classmethod
-    def _checked(cls, edges, n: int, rows: list[list[int]], base: list[int]):
-        """``edges`` as sorted quadruples, checked against the rows so far."""
-        for edge in edges:
-            e = tuple(sorted(edge))
-            if (len(e) != 4 or not 0 <= e[0] < e[1] < e[2] < e[3] < n
-                    or rows[base[e[0]] + e[1] - e[0] - 1][e[2]] >> e[3] & 1):
-                raise cls._refusal(e, n)
-            yield e
 
     @staticmethod
     def _insert(rows: list[list[int]], base: list[int], bit: list[int], edges) -> None:

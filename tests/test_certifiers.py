@@ -8,6 +8,7 @@ import pytest
 from hyperq.core import CapExceeded, Hypergraph3, Hypergraph4
 from hyperq.certifiers import (
     PAIR_SEARCH_HARD_CAP,
+    _member_tables,
     bipartite_regularity_deviation,
     pair_deviation,
     quad_vertex_deviation,
@@ -49,6 +50,21 @@ def test_density_outside_unit_interval_refused(kind, d):
     # the field widths of the exact walks hold only for 0 <= d <= 1
     with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
         CERTIFY_AT[kind](d)
+
+
+@pytest.mark.parametrize("w", [1, 2, 9])
+@pytest.mark.parametrize("low", range(7))
+def test_member_tables(low, w):
+    """Field A of member table a holds [a in A], and the ones table 2^low
+    fields of 1; 9-byte fields are wider than a native slot."""
+    ones, members = _member_tables(low, w)
+    field = (1 << 8 * w) - 1
+    assert len(members) == low
+    for a, table in enumerate(members):
+        assert table >> (8 * w << low) == 0
+        assert [table >> 8 * w * s & field for s in range(1 << low)] == \
+            [s >> a & 1 for s in range(1 << low)]
+    assert ones == sum(1 << 8 * w * s for s in range(1 << low))
 
 
 class TestWeakDeviation:

@@ -1,8 +1,9 @@
 """Fuzzing of the CLI's exit-code contract: on any input, a subcommand exits
 0 (success), 2 (usage error) or 3 (refusal) with at most one line on stderr,
 never with a traceback.  This covers the multipartite ops that read JSON,
-the commands that read ``mp`` text and experiment specs, where exit 1 marks
-a failed cell and a refusal writes nothing."""
+the commands that read ``mp`` text, experiment specs, where exit 1 marks
+a failed cell and a refusal writes nothing, and the argv of every task in
+``core.TASKS``, where a refusal writes nothing either."""
 
 import contextlib
 import io
@@ -14,8 +15,11 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hyperq import core
 from hyperq.cli import main
+from hyperq.constructions import gen_oriented_4hg, gen_tournament_3hg
 from hyperq.core import LIMITS
+from hyperq.multipartite import gen_random_multipartite, write_multipartite
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -199,3 +203,77 @@ def test_experiment_specs_keep_the_exit_code_contract(tmp_path, data, threads, f
         assert len(err.getvalue().splitlines()) == 1
         assert stdout.getvalue() == ""
         assert list(out.iterdir()) == []
+
+
+# a tiny valid input of each input kind of core.TASKS, None needing none
+INPUTS = {
+    3: core.write_hypergraph(gen_tournament_3hg(6, 0)),
+    4: core.write_hypergraph(gen_oriented_4hg(6, 0)),
+    "mp": write_multipartite(gen_random_multipartite([3, 2, 3], 1, 2, 0)),
+    "block": json.dumps({"sizes": [2, 2, 2], "triples": [[0, 0, 0], [1, 0, 1], [1, 1, 1]]}),
+    "aux": json.dumps({"m": 4, "class_sizes": {"0,1": 1, "0,2": 1, "0,3": 1, "1,2": 1,
+                                               "1,3": 1, "2,3": 1},
+                       "blocks": {"0,1,2": [[0, 0, 0]], "1,2,3": [[0, 0, 0]]}}),
+}
+FRACTION = st.sampled_from(["1/4", "0", "1", "1/20", "0.3", "3/2", "-1", "1/0", "x"])
+SMALL = st.integers(-1, 4)
+# family -> each flag of its subcommand that a task option names -> its
+# values; "in", "out", "report" and "pattern_file" name files
+FLAGS = {
+    "certify": {"d": FRACTION, "mode": st.sampled_from(["exact", "search"]),
+                "samples": st.integers(-1, 50), "seed": SMALL},
+    "detect": {"k": st.integers(-1, 8), "ordered": st.none(), "pattern_file": st.none()},
+    "multipartite": {"in": st.none(), "m": st.integers(-1, 8), "s": st.integers(-1, 64),
+                     "delta": FRACTION, "epsilon": FRACTION, "restarts": SMALL,
+                     "seed": SMALL, "out": st.none(), "report": st.none()},
+}
+
+
+@st.composite
+def task_argv(draw, out):
+    """The argv of one task on a valid input of its kind: mostly the flags it
+    needs, a random subset of the others it reads, and in a quarter of the
+    cases one or two that it does not read."""
+    family = draw(st.sampled_from(sorted(FLAGS)))
+    task = draw(st.sampled_from(sorted(core.TASKS[family])))
+    kind, options = core.TASKS[family][task][2:]
+    flags = FLAGS[family]
+    needed = [option[:-1] for option in options.split() if option.endswith("!")]
+    chosen = [flag for flag in needed if flag in flags and draw(st.integers(0, 3))]
+    reads = options.replace("!", "").split()
+    optional = [flag for flag in flags if flag in reads and flag not in needed]
+    if optional:
+        chosen += draw(st.lists(st.sampled_from(optional), unique=True))
+    if not draw(st.integers(0, 3)):
+        chosen += draw(st.lists(st.sampled_from([f for f in flags if f not in reads]),
+                                unique=True, min_size=1, max_size=2))
+    files = {"in": out / "input", "pattern_file": out / "pattern.hg",
+             "out": out / "out.mp", "report": out / "report.json"}
+    files["in"].write_text(INPUTS.get(kind, INPUTS["mp"]), encoding="utf-8")
+    files["pattern_file"].write_text(INPUTS[3], encoding="utf-8")
+    argv = [family, {"certify": "--kind", "detect": "--pattern",
+                     "multipartite": "--op"}[family], task]
+    if family != "multipartite":  # both read an input and may write a report
+        argv += ["--in", str(files["in"])] + ["--report", str(files["report"])] * draw(
+            st.booleans())
+    for flag in chosen:
+        value = files.get(flag, draw(flags[flag]))
+        argv += ["--" + flag.replace("_", "-")] + ([] if value is None else [str(value)])
+    return argv, [files["out"], files["report"]]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_task_argv_keeps_the_exit_code_contract(tmp_path, data):
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    argv, written = data.draw(task_argv(out))
+    stdout, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue()
+    if code:  # a refusal writes nothing
+        assert stdout.getvalue() == ""
+        assert not any(path.exists() for path in written)
