@@ -20,9 +20,11 @@ lower bounds on the true maximum.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import namedtuple
 from fractions import Fraction
+from itertools import compress, repeat
 from typing import Sequence
 
 from . import multipartite
@@ -81,7 +83,10 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
     a time, and keeps the maximizer of least Gray rank; it is refused above
     ``WEAK_EXACT_HARD_CAP``.
     Search mode runs seeded steepest-toggle hill climbs from random subsets;
-    a negative ``restarts`` is refused.
+    a negative ``restarts`` is refused.  A toggle's value is convex in the
+    count of its vertex, so each step takes the best toggle from the count
+    extremes of the set and of its complement, the least vertex on ties, and
+    moves only on a strict gain.
     """
     n = h.n
     d = _as_fraction(d, h.density().density_fraction)
@@ -112,30 +117,37 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
         # cnt[v] counts the edges through v with both other vertices in the
         # set; pair_counts meets each once per order of those two vertices
         cnt = [c >> 1 for c in h.pair_counts(mask, mask)]
-        e = sum(cnt[v] for v in iter_bits(mask)) // 3
+        inside = [mask >> v & 1 for v in range(n)]
+        outside = [1 - i for i in inside]
+        e = sum(compress(cnt, inside)) // 3
         size = mask.bit_count()
         for _ in range(WEAK_SEARCH_STEPS):
-            move_v = -1
             move_val = abs(e * q - target[size])
             lose, gain = target[size - 1], target[size + 1]
-            for v in range(n):
-                if mask >> v & 1:
-                    nv = abs((e - cnt[v]) * q - lose)
-                else:
-                    nv = abs((e + cnt[v]) * q - gain)
-                if nv > move_val:
-                    move_val = nv
-                    move_v = v
-            if move_v < 0:
+            # the value of a toggle is convex in its vertex's count, so the
+            # best one on each side has that side's least or greatest count
+            moves = []
+            if size:
+                low, high = min(compress(cnt, inside)), max(compress(cnt, inside))
+                moves += ((abs((e - low) * q - lose), low, inside),
+                          (abs((e - high) * q - lose), high, inside))
+            if size < n:
+                low, high = min(compress(cnt, outside)), max(compress(cnt, outside))
+                moves += ((abs((e + low) * q - gain), low, outside),
+                          (abs((e + high) * q - gain), high, outside))
+            top = max(moves, default=(move_val,))[0]
+            if top <= move_val:
                 break
+            move_v = min(_least_with(cnt, c, side) for val, c, side in moves if val == top)
             # no link row holds its own pair's vertices, so the rows of
             # move_v meet the set alike with and without move_v
-            sign = -1 if mask >> move_v & 1 else 1
-            e += sign * cnt[move_v]
-            for w, row in enumerate(links[move_v]):
-                cnt[w] += sign * (row & mask).bit_count()
+            step = operator.sub if inside[move_v] else operator.add
+            e = step(e, cnt[move_v])
+            cnt = list(map(step, cnt, map(int.bit_count, map(operator.and_, links[move_v],
+                                                              repeat(mask)))))
             mask ^= 1 << move_v
-            size += sign
+            inside[move_v], outside[move_v] = outside[move_v], inside[move_v]
+            size = step(size, 1)
         final = Fraction(abs(e * q - target[size]), q)
         if final > best:
             best = final
@@ -143,6 +155,14 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
     eta = float(best) / norm if norm else 0.0
     return DeviationReport("weak", d, best, eta, norm, best_witness, "local-search",
                            {"restarts": restarts, "max_steps": WEAK_SEARCH_STEPS})
+
+
+def _least_with(cnt: list[int], c: int, side: list[int]) -> int:
+    """The least vertex on ``side`` whose count is ``c``."""
+    v = cnt.index(c)
+    while not side[v]:
+        v = cnt.index(c, v + 1)
+    return v
 
 
 def _member_tables(low: int, w: int) -> tuple[int, list[int]]:

@@ -494,15 +494,30 @@ class Hypergraph4(_PairRows):
         return total
 
 
+# edge lines the writer holds as separate strings before joining them into
+# one chunk of the text
+_WRITE_LINES = 1 << 14
+
+
 def write_hypergraph(h: Hypergraph3 | Hypergraph4) -> str:
-    """Serialize to the text format: "<arity> <n> <m>" then sorted edge lines."""
+    """Serialize to the text format: "<arity> <n> <m>" then sorted edge lines.
+
+    Lines are joined a chunk at a time, so the text and its chunks, not a
+    string per line, make the peak."""
     names = [str(v) for v in range(h.n)]
     head = "%d " * (h.arity - 1)
-    lines = ["%d %d %d" % (h.arity, h.n, h.edge_count)]
+    chunks = ["%d %d %d\n" % (h.arity, h.n, h.edge_count)]
+    lines: list[str] = []
     for prefix, mask in h._walk():
         start = head % prefix
         lines.extend([start + names[w] for w in iter_bits(mask)])
-    return "\n".join(lines) + "\n"
+        if len(lines) >= _WRITE_LINES:
+            lines.append("")
+            chunks.append("\n".join(lines))
+            lines = []
+    lines.append("")
+    chunks.append("\n".join(lines))
+    return "".join(chunks)
 
 
 # Canonical layout: single spaces, LF after every line, no leading zeros.  The
@@ -512,10 +527,10 @@ _SPACES = re.compile(r"  +")
 _ZEROS_AFTER_SPACE = re.compile(r" 0+(?=[0-9])")
 _ZEROS_AFTER_LF = re.compile(r"\n0+(?=[0-9])")
 _INTEGER = re.compile(r"-?[0-9]+")
-_CANONICAL_BLOCK = {3: re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*"),
-                    4: re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+ [0-9]+\n)*")}
-# characters of body per block: a few thousand lines, so neither the regex's
-# backtracking stack nor the token list grows with the file
+# deletes the ASCII digits, leaving a canonical block's spaces and line feeds
+_DIGITS = str.maketrans("", "", "0123456789")
+# characters of body per block: a few thousand lines, so the token list does
+# not grow with the file
 _BLOCK_CHARS = 1 << 16
 
 
@@ -588,7 +603,8 @@ def read_hypergraph(text: str) -> Hypergraph3 | Hypergraph4:
     if "\n0" in text:
         text = _ZEROS_AFTER_LF.sub("\n", text)
     pos, size = text.index("\n") + 1, len(text)
-    block_re = _CANONICAL_BLOCK[arity]
+    # the layout of one canonical line once its digits are deleted
+    layout = " " * (arity - 1) + "\n"
     # looking names up both converts and range-checks
     names = {str(v): v for v in range(n)}
     base, bit, rows = _pair_base(n), [1 << v for v in range(n)], cls._blank_rows(n)
@@ -596,10 +612,15 @@ def read_hypergraph(text: str) -> Hypergraph3 | Hypergraph4:
     while pos < size:
         end = text.find("\n", pos + _BLOCK_CHARS) + 1 or size
         block = text[pos:end]
+        block_lines = block.count("\n")
         try:
-            if block_re.fullmatch(block) is None:
+            # every line is arity digit fields: with its digits deleted it is
+            # the layout, and no field is empty, so it splits into arity tokens
+            vals = block.split()
+            if (block.translate(_DIGITS) != layout * block_lines
+                    or len(vals) != arity * block_lines):
                 raise KeyError
-            vals = list(map(names.__getitem__, block.split()))
+            vals = list(map(names.__getitem__, vals))
             cols = [vals[j::arity] for j in range(arity)]
             if not all(all(map(operator.lt, cols[j], cols[j + 1])) for j in range(arity - 1)):
                 raise KeyError

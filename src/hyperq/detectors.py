@@ -45,29 +45,41 @@ def _apex_position(vertices: tuple[int, ...], apex: int) -> str:
 
 
 def find_triangle_graph(g: Graph, within: int | None = None):
-    """Lexicographically least triangle of a graph, or None."""
-    full = (1 << g.n) - 1
-    within = full if within is None else within
+    """Lexicographically least triangle of a graph, or None.
+
+    x and then y are popped as the lowest bits of what is left, so ``up``
+    holds x's neighbours above x and, once y is popped, those above y: no
+    shift and no generator, and a self-loop bit is never read."""
     rows = g.rows
-    for x in iter_bits(within):
-        row_x = rows[x] & within
-        for y in iter_bits(row_x >> (x + 1) << (x + 1)):
-            common = row_x & (rows[y] >> (y + 1) << (y + 1))
+    rest = (1 << g.n) - 1 if within is None else within
+    while rest:
+        x_bit = rest & -rest
+        rest ^= x_bit
+        up = rows[x_bit.bit_length() - 1] & rest
+        while up:
+            y_bit = up & -up
+            up ^= y_bit
+            common = up & rows[y_bit.bit_length() - 1]
             if common:
-                z = (common & -common).bit_length() - 1
-                return (x, y, z)
+                return (x_bit.bit_length() - 1, y_bit.bit_length() - 1,
+                        (common & -common).bit_length() - 1)
     return None
 
 
 def count_triangles_graph(g: Graph, within: int | None = None) -> int:
-    full = (1 << g.n) - 1
-    within = full if within is None else within
+    """Number of triangles of a graph inside ``within``, by the scan of
+    ``find_triangle_graph``."""
     rows = g.rows
+    rest = (1 << g.n) - 1 if within is None else within
     total = 0
-    for x in iter_bits(within):
-        row_x = rows[x] & within
-        for y in iter_bits(row_x >> (x + 1) << (x + 1)):
-            total += (row_x & (rows[y] >> (y + 1) << (y + 1))).bit_count()
+    while rest:
+        x_bit = rest & -rest
+        rest ^= x_bit
+        up = rows[x_bit.bit_length() - 1] & rest
+        while up:
+            y_bit = up & -up
+            up ^= y_bit
+            total += (up & rows[y_bit.bit_length() - 1]).bit_count()
     return total
 
 
@@ -165,12 +177,12 @@ def find_sk(h: Hypergraph3, k: int) -> Witness | None:
 def find_f4(h: Hypergraph4) -> Witness | None:
     """Least pair whose link graph contains a triangle: three 4-edges on six
     vertices, all through one pair."""
-    for u in range(h.n):
-        for v in range(u + 1, h.n):
-            rows = h.pair_rows(u, v)
-            tri = find_triangle_graph(Graph(h.n, rows))
-            if tri is not None:
-                return Witness("f4", (u, v) + tri)
+    n = h.n
+    # _rows holds the pairs u < v in lexicographic order, as combinations yields them
+    for (u, v), rows in zip(combinations(range(n), 2), h._rows):
+        tri = find_triangle_graph(Graph(n, rows))
+        if tri is not None:
+            return Witness("f4", (u, v) + tri)
     return None
 
 

@@ -1,13 +1,14 @@
 """Reference rules and fixture builders shared by the test modules."""
 
+import math
 import random
 import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from hyperq.certifiers import SIGN_SPLIT_SEARCH_STEPS
+from hyperq.certifiers import SIGN_SPLIT_SEARCH_STEPS, WEAK_SEARCH_STEPS
 from hyperq.constructions import Tournament
-from hyperq.core import Hypergraph3, Hypergraph4, ParseError
+from hyperq.core import Graph, Hypergraph3, Hypergraph4, ParseError, iter_bits
 from hyperq.hashing import TAG_AUX_TRIPLE, bernoulli, subseed
 from hyperq.multipartite import (
     AuxiliaryHypergraph,
@@ -136,6 +137,74 @@ def read_lines(text: str):
             yield edge
 
     return (Hypergraph3 if arity == 3 else Hypergraph4).from_edges(n, edges())
+
+
+def triangle_reference(g: Graph, within: int | None = None):
+    """The least triangle inside ``within`` by shifted rows and ``iter_bits``:
+    the reference for ``find_triangle_graph``."""
+    within = (1 << g.n) - 1 if within is None else within
+    rows = g.rows
+    for x in iter_bits(within):
+        row_x = rows[x] & within
+        for y in iter_bits(row_x >> (x + 1) << (x + 1)):
+            common = row_x & (rows[y] >> (y + 1) << (y + 1))
+            if common:
+                return (x, y, (common & -common).bit_length() - 1)
+    return None
+
+
+def triangle_count_reference(g: Graph, within: int | None = None) -> int:
+    """The triangle count inside ``within`` by shifted rows and ``iter_bits``:
+    the reference for ``count_triangles_graph``."""
+    within = (1 << g.n) - 1 if within is None else within
+    rows = g.rows
+    total = 0
+    for x in iter_bits(within):
+        row_x = rows[x] & within
+        for y in iter_bits(row_x >> (x + 1) << (x + 1)):
+            total += (row_x & (rows[y] >> (y + 1) << (y + 1))).bit_count()
+    return total
+
+
+def weak_search_reference(h: Hypergraph3, d: Fraction, restarts: int, seed: int,
+                          steps: int = WEAK_SEARCH_STEPS):
+    """The weak search with every step scoring each vertex's toggle in turn,
+    keeping the first strictly best, for at most ``steps`` steps a restart:
+    the reference for ``weak_deviation``'s search mode.  Returns
+    (max_deviation, witness)."""
+    n, p, q = h.n, d.numerator, d.denominator
+    links = [h.link_rows(v) for v in range(n)]
+    target = [math.comb(s, 3) * p for s in range(n + 2)]
+    best, best_witness = Fraction(0), ()
+    for r in range(restarts):
+        mask = random.Random(subseed(seed, r)).getrandbits(n) & ((1 << n) - 1)
+        cnt = [c >> 1 for c in h.pair_counts(mask, mask)]
+        e = sum(cnt[v] for v in iter_bits(mask)) // 3
+        size = mask.bit_count()
+        for _ in range(steps):
+            move_v = -1
+            move_val = abs(e * q - target[size])
+            lose, gain = target[size - 1], target[size + 1]
+            for v in range(n):
+                if mask >> v & 1:
+                    nv = abs((e - cnt[v]) * q - lose)
+                else:
+                    nv = abs((e + cnt[v]) * q - gain)
+                if nv > move_val:
+                    move_val = nv
+                    move_v = v
+            if move_v < 0:
+                break
+            sign = -1 if mask >> move_v & 1 else 1
+            e += sign * cnt[move_v]
+            for w, row in enumerate(links[move_v]):
+                cnt[w] += sign * (row & mask).bit_count()
+            mask ^= 1 << move_v
+            size += sign
+        final = Fraction(abs(e * q - target[size]), q)
+        if final > best:
+            best, best_witness = final, tuple(iter_bits(mask))
+    return best, best_witness
 
 
 def sign_split_reference(columns, k: int, d: Fraction):

@@ -34,6 +34,7 @@ from hyperq.certifiers import (
 from hyperq.constructions import gen_random_3hg, gen_tournament_3hg
 from hyperq.detectors import (
     check_vanishing_condition,
+    count_triangles_graph,
     embed_small,
     find_clique3,
     find_clique_graph,
@@ -58,7 +59,10 @@ from helpers import (
     read_lines,
     sign_split_reference,
     sign_split_search_reference,
+    triangle_count_reference,
+    triangle_reference,
     vanishing_reference,
+    weak_search_reference,
 )
 
 
@@ -613,6 +617,35 @@ WEAK_SEARCH_GOLDEN = {
 }
 
 
+@st.composite
+def weak_search_cases(draw):
+    """A random 3-graph on at most 16 vertices, d its own density (None), 0,
+    1 or a random fraction, a seeded search of 0-4 restarts, and a step cap:
+    a climb cut after a step or two ends where the tie-break sent it."""
+    n = draw(st.integers(0, 16))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    h = Hypergraph3.from_edges(
+        n, [t for t in combinations(range(n), 3) if rng.random() < density])
+    d = draw(st.sampled_from([None, Fraction(0), Fraction(1)])
+             | st.fractions(0, 1, max_denominator=60))
+    steps = draw(st.sampled_from([1, 2, 3, certifiers.WEAK_SEARCH_STEPS]))
+    return h, d, draw(st.integers(0, 4)), draw(st.integers(0, 10 ** 6)), steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(weak_search_cases())
+def test_weak_search_vs_reference(case):
+    """Steps from count extremes take the toggle the vertex-by-vertex scan
+    takes, so every restart ends where it does."""
+    h, d, restarts, seed, steps = case
+    with mock.patch.object(certifiers, "WEAK_SEARCH_STEPS", steps):
+        rep = weak_deviation(h, d, mode="search", restarts=restarts, seed=seed)
+    own = h.density().density_fraction if d is None else d
+    assert (rep.max_deviation, rep.witness) == \
+        weak_search_reference(h, own, restarts, seed, steps)
+
+
 @pytest.mark.parametrize("key", sorted(WEAK_SEARCH_GOLDEN, key=str), ids=str)
 def test_weak_search_golden(key):
     n, d, seed = key
@@ -730,6 +763,30 @@ def test_triangle_graph_vs_brute():
                       if all(g.has_edge(u, v) for u, v in combinations(t, 2))),
                      None)
         assert found == brute
+
+
+@st.composite
+def masked_graphs(draw):
+    """A random graph on at most 20 vertices, some rows holding their own
+    vertex's bit, which neither scan reads, and a mask: none, empty, every
+    vertex or a random set."""
+    n = draw(st.integers(0, 20))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    g = random_graph(n, draw(st.sampled_from([0.1, 0.3, 0.6, 0.9])), rng)
+    for v in range(n):
+        if rng.random() < 0.2:
+            g.rows[v] |= 1 << v
+    within = draw(st.sampled_from([None, 0, (1 << n) - 1]) | st.integers(0, (1 << n) - 1))
+    return g, within
+
+
+@settings(max_examples=300, deadline=None)
+@given(masked_graphs())
+def test_triangle_kernel_vs_reference(case):
+    """The shift-free scan finds and counts what the shifted one does."""
+    g, within = case
+    assert find_triangle_graph(g, within) == triangle_reference(g, within)
+    assert count_triangles_graph(g, within) == triangle_count_reference(g, within)
 
 
 def brute_embed(pattern, host, ordered):
@@ -923,8 +980,8 @@ def test_serialization_mutation_fuzz():
             pass  # every rejection must be a parse-level error
 
 
-MUTATIONS = ("none", "substitute", "double-space", "tab", "edge-space", "crlf", "cr",
-             "no-final-newline", "leading-zero", "wrong-m", "over-cap")
+MUTATIONS = ("none", "substitute", "insert", "delete", "double-space", "tab", "edge-space",
+             "crlf", "cr", "no-final-newline", "leading-zero", "wrong-m", "over-cap")
 
 
 @st.composite
@@ -943,6 +1000,14 @@ def hypergraph_texts(draw):
             pos = draw(st.integers(0, len(chars) - 1))
             chars[pos] = draw(st.sampled_from("0123456789 \n\r\t-+_x\x0c\u0663"))
         text = "".join(chars)
+    elif mutation == "insert":  # a space inserted in a field splits it
+        pos = draw(st.integers(0, len(text)))
+        text = text[:pos] + draw(st.sampled_from("0123456789 \n")) + text[pos:]
+    elif mutation == "delete":
+        # deleting a one-digit field's digit drops the field, and deleting a
+        # space fuses two fields
+        pos = draw(st.integers(0, len(text) - 1))
+        text = text[:pos] + text[pos + 1:]
     elif mutation in ("double-space", "tab"):
         spaces = [i for i, c in enumerate(text) if c == " "]
         pos = draw(st.sampled_from(spaces))

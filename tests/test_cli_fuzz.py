@@ -1,9 +1,10 @@
 """Fuzzing of the CLI's exit-code contract: on any input, a subcommand exits
 0 (success), 2 (usage error) or 3 (refusal) with at most one line on stderr,
 never with a traceback.  This covers the multipartite ops that read JSON,
-the commands that read ``mp`` text, experiment specs, where exit 1 marks
-a failed cell and a refusal writes nothing, and the argv of every task in
-``core.TASKS``, where a refusal writes nothing either."""
+the commands that read ``mp`` text, hypergraph text with a few bytes
+changed, experiment specs, where exit 1 marks a failed cell and a refusal
+writes nothing, and the argv of every task in ``core.TASKS``, where a
+refusal writes nothing either."""
 
 import contextlib
 import io
@@ -107,6 +108,56 @@ def test_mp_readers_keep_the_exit_code_contract(tmp_path, command, text):
     assert code in (0, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1
     assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def hypergraph_text(draw):
+    """A valid 3- or 4-graph file on at most 9 vertices with one to four of
+    its bytes replaced, deleted or inserted."""
+    arity = draw(st.sampled_from([3, 4]))
+    n = draw(st.integers(0, 9))
+    slots = list(combinations(range(n), arity))
+    edges = draw(st.lists(st.sampled_from(slots), unique=True)) if slots else []
+    data = bytearray(core.write_hypergraph(
+        (core.Hypergraph3 if arity == 3 else core.Hypergraph4).from_edges(n, edges))
+        .encode())
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data) - 1))
+        byte = draw(st.sampled_from(b"0123456789 \t\r\n-+x\x00\xff") | st.integers(0, 255))
+        change = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if change == "replace":
+            data[pos] = byte
+        elif change == "delete" and len(data) > 1:
+            del data[pos]
+        else:
+            data.insert(pos, byte)
+    return bytes(data)
+
+
+HYPERGRAPH_COMMANDS = (
+    ("detect", "--pattern", "k4minus"),
+    ("detect", "--pattern", "f4"),
+    ("certify", "--kind", "weak", "--mode", "search"),
+)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(HYPERGRAPH_COMMANDS), data=hypergraph_text())
+def test_hypergraph_readers_keep_the_exit_code_contract(tmp_path, command, data):
+    """A refusal, a bad byte included, exits 2 or 3 with one line on stderr
+    and writes no report."""
+    path, report = tmp_path / "input.hg", tmp_path / "report.json"
+    path.write_bytes(data)
+    report.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, "--in", str(path), "--report", str(report)])
+    assert code in (0, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue()
+    assert report.exists() == (code == 0)
+    assert out.getvalue() == ""
 
 
 # experiment specs near the valid ones: a valid spec with every n at most 8,

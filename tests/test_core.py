@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from itertools import combinations, permutations, product
 
 import pytest
@@ -291,6 +292,29 @@ def test_layout_departure_reads_canonical_rows(several_blocks, arity, layout):
     bent = LAYOUTS[layout](text)
     assert bent != text
     assert read_hypergraph(bent)._rows == h._rows
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+@pytest.mark.parametrize("arity", [3, 4])
+def test_writer_chunks_join_to_the_naive_text(monkeypatch, arity, chunk):
+    """However many lines a chunk holds, the chunks join to the naive text,
+    whether a chunk ends on a prefix's last line or inside its lines."""
+    h = gen_tournament_3hg(12, 3) if arity == 3 else gen_oriented_4hg(9, 3)
+    monkeypatch.setattr(core, "_WRITE_LINES", chunk)
+    assert write_hypergraph(h) == naive_text(h.n, arity, h.edges())
+
+
+def test_writer_peak_stays_near_the_text():
+    """Writing n = 200 (328K lines, 3.4 MB) peaks below 3x the text's length:
+    the chunks and their join make the peak, not a string per line."""
+    h = gen_tournament_3hg(200, 0)
+    tracemalloc.start()
+    try:
+        text = write_hypergraph(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)
 
 
 class TestFromEdges:
