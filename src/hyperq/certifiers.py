@@ -84,9 +84,9 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
     ``WEAK_EXACT_HARD_CAP``.
     Search mode runs seeded steepest-toggle hill climbs from random subsets;
     a negative ``restarts`` is refused.  A toggle's value is convex in the
-    count of its vertex, so each step takes the best toggle from the count
-    extremes of the set and of its complement, the least vertex on ties, and
-    moves only on a strict gain.
+    count of its vertex, so each step, ``_best_toggle`` as in the xyz improve
+    pass, takes the best toggle from the count extremes of the set and of its
+    complement, the least vertex on ties, and moves only on a strict gain.
     """
     n = h.n
     d = _as_fraction(d, h.density().density_fraction)
@@ -107,11 +107,9 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
         return DeviationReport("weak", d, Fraction(best, q), eta,
                                norm, witness, "exact", {"subsets": 1 << n})
 
-    # target[size + 1] is read only below size n, and target[size - 1] only
-    # above size 0
+    # target[size - 1] and target[size + 1] count only when that side has a member
     target = [math.comb(s, 3) * p for s in range(n + 2)]
-    best = Fraction(0)
-    best_witness: tuple = ()
+    best, best_witness = Fraction(0), ()
     for r in range(restarts):
         mask = random.Random(subseed(seed, r)).getrandbits(n) & ((1 << n) - 1)
         # cnt[v] counts the edges through v with both other vertices in the
@@ -122,36 +120,21 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
         e = sum(compress(cnt, inside)) // 3
         size = mask.bit_count()
         for _ in range(WEAK_SEARCH_STEPS):
-            move_val = abs(e * q - target[size])
-            lose, gain = target[size - 1], target[size + 1]
-            # the value of a toggle is convex in its vertex's count, so the
-            # best one on each side has that side's least or greatest count
-            moves = []
-            if size:
-                low, high = min(compress(cnt, inside)), max(compress(cnt, inside))
-                moves += ((abs((e - low) * q - lose), low, inside),
-                          (abs((e - high) * q - lose), high, inside))
-            if size < n:
-                low, high = min(compress(cnt, outside)), max(compress(cnt, outside))
-                moves += ((abs((e + low) * q - gain), low, outside),
-                          (abs((e + high) * q - gain), high, outside))
-            top = max(moves, default=(move_val,))[0]
-            if top <= move_val:
+            top, move_v = _best_toggle(e, q, ((inside, cnt, -1, target[size - 1]),
+                                              (outside, cnt, 1, target[size + 1])))
+            if top <= abs(e * q - target[size]):
                 break
-            move_v = min(_least_with(cnt, c, side) for val, c, side in moves if val == top)
             # no link row holds its own pair's vertices, so the rows of
             # move_v meet the set alike with and without move_v
             step = operator.sub if inside[move_v] else operator.add
             e = step(e, cnt[move_v])
-            cnt = list(map(step, cnt, map(int.bit_count, map(operator.and_, links[move_v],
-                                                              repeat(mask)))))
+            cnt = list(map(step, cnt, _meets(links[move_v], mask)))
             mask ^= 1 << move_v
             inside[move_v], outside[move_v] = outside[move_v], inside[move_v]
             size = step(size, 1)
         final = Fraction(abs(e * q - target[size]), q)
         if final > best:
-            best = final
-            best_witness = tuple(iter_bits(mask))
+            best, best_witness = final, tuple(iter_bits(mask))
     eta = float(best) / norm if norm else 0.0
     return DeviationReport("weak", d, best, eta, norm, best_witness, "local-search",
                            {"restarts": restarts, "max_steps": WEAK_SEARCH_STEPS})
@@ -163,6 +146,30 @@ def _least_with(cnt: list[int], c: int, side: list[int]) -> int:
     while not side[v]:
         v = cnt.index(c, v + 1)
     return v
+
+
+def _best_toggle(total: int, q: int, sides) -> tuple[int, int]:
+    """The best toggle's value and vertex, or (-1, -1) when no side has a
+    member.  A side (members, counts, sign, target) offers each member v at
+    |(total + sign * counts[v]) * q - target|, which is convex in counts[v],
+    so the side's best toggle has its least or greatest count; the least
+    vertex wins ties, also across sides."""
+    top, ties = -1, []
+    for members, counts, sign, target in sides:
+        if not any(members):
+            continue
+        for c in (min(compress(counts, members)), max(compress(counts, members))):
+            val = abs((total + sign * c) * q - target)
+            if val > top:
+                top, ties = val, [(counts, c, members)]
+            elif val == top:
+                ties.append((counts, c, members))
+    return top, min([_least_with(*tie) for tie in ties]) if ties else -1
+
+
+def _meets(rows: list[int], mask: int):
+    """The number of bits of ``mask`` in each row, in one C-level map."""
+    return map(int.bit_count, map(operator.and_, rows, repeat(mask)))
 
 
 def _member_tables(low: int, w: int) -> tuple[int, list[int]]:
@@ -229,8 +236,7 @@ def _weak_exact(links: list[list[int]], p: int, q: int) -> tuple[int, int]:
             high ^= 1 << low + a
             rest = high & ~(1 << low + a)
             e_high += sign * (sum((row[x] & rest).bit_count() for x in iter_bits(rest)) // 2)
-            for i in range(low):
-                y[i] += sign * (row[i] & rest).bit_count()
+            y[:] = map(operator.add if sign > 0 else operator.sub, y, _meets(row[:low], rest))
             run += sign * ell[a]
             size_b += sign
         s = run + shifts[size_b] + q * e_high * ones
@@ -317,18 +323,13 @@ def xyz_deviation(h: Hypergraph3, d=None, samples: int = 200, seed: int = 0,
     norm = n ** 3
     rng = random.Random(subseed(seed, 0x585954))
 
-    def value(xm, ym, zm):
-        cnt = h.count_ordered_triples(xm, ym, zm)
-        return abs(cnt * q - p * xm.bit_count() * ym.bit_count() * zm.bit_count())
-
-    best = -1
-    best_masks = (0, 0, 0)
+    best, best_masks = -1, (0, 0, 0)
     for _ in range(samples):
-        masks = sample_set_triple(rng, n, disjoint)
-        val = value(*masks)
+        xm, ym, zm = masks = sample_set_triple(rng, n, disjoint)
+        val = abs(h.count_ordered_triples(xm, ym, zm) * q
+                  - p * xm.bit_count() * ym.bit_count() * zm.bit_count())
         if val > best:
-            best = val
-            best_masks = masks
+            best, best_masks = val, masks
     masks, best, improved = _xyz_improve(h, list(best_masks), best, p, q,
                                          improve_steps, disjoint)
     witness = tuple(tuple(iter_bits(m)) for m in masks)
@@ -346,58 +347,54 @@ def _xyz_improve(h: Hypergraph3, masks: list, best: int, p: int, q: int,
     """Steepest-toggle ascent of |e(X,Y,Z) * q - p|X||Y||Z|| from ``masks``
     worth ``best``; returns the final masks, their value and the steps taken.
 
-    A candidate toggles v in set ``which`` (candidates in order of ``which``,
-    then v); in disjoint mode it moves v into ``which``, or out of it if v is
-    there already.  ``c[i][v]`` counts the ordered pairs from the two sets
-    other than i that complete an edge with v.  No link row holds its own
-    pair's vertices, so ``c[i][v]`` does not depend on v's own place and a
-    candidate scores in O(1); an accepted move updates ``c`` in O(n).
+    Toggling v in set i moves it out of i, or into i (in disjoint mode out
+    of its set too).  ``c[i][v]`` counts the ordered pairs from the two sets
+    other than i that complete an edge with v, whatever v's own place, as no
+    link row holds its own pair's vertices.  Set i's toggles are sides of
+    the weak search's step ``_best_toggle``: leave i and enter i (counts
+    ``c[i]``), and in disjoint mode move from j to i (``c[i] - c[j]``).  A
+    later set is taken only on a strict gain.
     """
     if not steps:
         return masks, best, 0
     n = h.n
     c = [h.pair_counts(masks[j], masks[k]) for j, k in _OTHER_SETS]
-    cnt = sum(c[0][x] for x in iter_bits(masks[0]))
+    inside = [[m >> v & 1 for v in range(n)] for m in masks]
+    # outside[i] marks the vertices that may enter set i: those not in it,
+    # or in disjoint mode those in no set, one list shared by all three
+    outside = ([[1 - (x | y | z) for x, y, z in zip(*inside)]] * 3 if disjoint
+               else [[1 - x for x in row] for row in inside])
+    cnt = sum(compress(c[0], inside[0]))
     sizes = [m.bit_count() for m in masks]
-
-    def moves(which, v):
-        """(set, +1 to enter / -1 to leave) for the candidate (which, v)."""
-        if not disjoint:
-            return ((which, -1 if masks[which] >> v & 1 else 1),)
-        out = [(i, -1) for i in range(3) if masks[i] >> v & 1]
-        if not masks[which] >> v & 1:
-            out.append((which, 1))
-        return out
-
     improved = 0
     for _ in range(steps):
-        step_best = best
-        step_move = None
-        for which in range(3):
-            for v in range(n):
-                trial_cnt = cnt
-                trial_sizes = list(sizes)
-                for i, sign in moves(which, v):
-                    trial_cnt += sign * c[i][v]
-                    trial_sizes[i] += sign
-                x, y, z = trial_sizes
-                val = abs(trial_cnt * q - p * x * y * z)
-                if val > step_best:
-                    step_best = val
-                    step_move = (which, v)
-        if step_move is None:
+        step_best, move = best, None
+        for i, (j, k) in enumerate(_OTHER_SETS):
+            rest = p * sizes[j] * sizes[k]
+            sides = [(inside[i], c[i], -1, rest * (sizes[i] - 1)),
+                     (outside[i], c[i], 1, rest * (sizes[i] + 1))]
+            if disjoint:
+                sides += [(inside[t], list(map(operator.sub, c[i], c[t])), 1,
+                           p * (sizes[i] + 1) * (sizes[t] - 1) * sizes[u])
+                          for t, u in ((j, k), (k, j))]
+            val, v = _best_toggle(cnt, q, sides)
+            if val > step_best:
+                step_best, move = val, (i, v)
+        if move is None:
             break
-        which, v = step_move
+        i, v = move
         links = h.link_rows(v)
-        for i, sign in moves(which, v):
-            masks[i] ^= 1 << v
-            sizes[i] += sign
-            cnt += sign * c[i][v]
-            for j, k in (_OTHER_SETS[i], _OTHER_SETS[i][::-1]):
-                cj, mk = c[j], masks[k]
-                for w, row in enumerate(links):
-                    if row:
-                        cj[w] += sign * (row & mk).bit_count()
+        # in disjoint mode v first leaves the other set it is in, if any
+        for t in ([i] if inside[i][v] else
+                  [j for j in _OTHER_SETS[i] if disjoint and inside[j][v]] + [i]):
+            step = operator.sub if inside[t][v] else operator.add
+            inside[t][v] ^= 1
+            masks[t] ^= 1 << v
+            sizes[t] = step(sizes[t], 1)
+            cnt = step(cnt, c[t][v])
+            for j, k in (_OTHER_SETS[t], _OTHER_SETS[t][::-1]):
+                c[j] = list(map(step, c[j], _meets(links, masks[k])))
+        outside[i][v] = 1 - inside[i][v]
         best = step_best
         improved += 1
     return masks, best, improved

@@ -168,6 +168,8 @@ def cmd_multipartite(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    if args.threads < 1:
+        raise ValueError("--threads must be at least 1, got %d" % args.threads)
     spec = experiment.ExperimentSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
     if "format" in vars(args) and (spec.csv_path or spec.json_path):
         raise ValueError("experiment does not read --format when the spec names an output file")

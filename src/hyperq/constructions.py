@@ -258,45 +258,42 @@ def gen_sk_free(n: int, k: int, seed: int) -> Hypergraph3:
     return hypergraph_from_pair_pattern(colouring, sk_free_patterns(k))
 
 
-class _OrientationTables:
-    """Bitmask views of a triple orientation used by the 4-uniform builder.
+def _orientation_tables(orient: TripleOrientation) -> tuple[list, list, list]:
+    """Bitmask views of a triple orientation, ``(base, dir_pair, trans)``,
+    read by ``quad_hypergraph_from_orientation``; ``base`` is the pair-row
+    base of n.
 
     ``dir_pair`` is indexed by the unordered pair {u < v}; bit w says the
     triple {u, v, w} traverses the pair from u to v (low to high).
     ``trans[u][v]`` bit d says the triple {u, v, d} traverses the pair
     {u, d} from min(u, d) to max(u, d).
     """
-
-    def __init__(self, orient: TripleOrientation):
-        n = orient.n
-        dir_pair = [0] * (n * (n - 1) // 2)
-        trans = [[0] * n for _ in range(n)]
-        base = _pair_base(n)
-        cls_fn = orient._cls
-        for x in range(n):
-            bx = base[x] - x - 1
-            for y in range(x + 1, n):
-                by = base[y] - y - 1
-                dxy = dir_pair[bx + y]
-                for z in range(y + 1, n):
-                    if cls_fn(x, y, z) == 0:
-                        # rotation arcs x->y, y->z, z->x
-                        dxy |= 1 << z
-                        dir_pair[by + z] |= 1 << x
-                        trans[x][z] |= 1 << y
-                        trans[y][z] |= 1 << x
-                        trans[y][x] |= 1 << z
-                        trans[z][x] |= 1 << y
-                    else:
-                        # rotation arcs x->z, z->y, y->x
-                        dir_pair[bx + z] |= 1 << y
-                        trans[x][y] |= 1 << z
-                        trans[z][y] |= 1 << x
-                dir_pair[bx + y] = dxy
-        self.n = n
-        self.base = base
-        self.dir_pair = dir_pair
-        self.trans = trans
+    n = orient.n
+    dir_pair = [0] * (n * (n - 1) // 2)
+    trans = [[0] * n for _ in range(n)]
+    base = _pair_base(n)
+    cls_fn = orient._cls
+    for x in range(n):
+        bx = base[x] - x - 1
+        for y in range(x + 1, n):
+            by = base[y] - y - 1
+            dxy = dir_pair[bx + y]
+            for z in range(y + 1, n):
+                if cls_fn(x, y, z) == 0:
+                    # rotation arcs x->y, y->z, z->x
+                    dxy |= 1 << z
+                    dir_pair[by + z] |= 1 << x
+                    trans[x][z] |= 1 << y
+                    trans[y][z] |= 1 << x
+                    trans[y][x] |= 1 << z
+                    trans[z][x] |= 1 << y
+                else:
+                    # rotation arcs x->z, z->y, y->x
+                    dir_pair[bx + z] |= 1 << y
+                    trans[x][y] |= 1 << z
+                    trans[z][y] |= 1 << x
+            dir_pair[bx + y] = dxy
+    return base, dir_pair, trans
 
 
 def quad_hypergraph_from_orientation(orient: TripleOrientation) -> Hypergraph4:
@@ -306,8 +303,7 @@ def quad_hypergraph_from_orientation(orient: TripleOrientation) -> Hypergraph4:
     n = orient.n
     if not 4 <= n <= N4_CAP:
         raise ValueError("n=%d outside [4, %d]" % (n, N4_CAP))
-    tables = _OrientationTables(orient)
-    dir_pair, trans, base = tables.dir_pair, tables.trans, tables.base
+    base, dir_pair, trans = _orientation_tables(orient)
     full = (1 << n) - 1
     rows = [[0] * n for _ in range(n * (n - 1) // 2)]
     for u in range(n):

@@ -207,6 +207,20 @@ def weak_search_reference(h: Hypergraph3, d: Fraction, restarts: int, seed: int,
     return best, best_witness
 
 
+def best_toggle_reference(total: int, q: int, sides):
+    """Every member of every side scored in vertex order, keeping the first
+    strictly best: the reference for ``certifiers._best_toggle``.  Returns
+    (value, vertex), or (-1, -1) when no side has a member."""
+    best, best_v = -1, -1
+    for v in range(len(sides[0][0]) if sides else 0):
+        for members, counts, sign, target in sides:
+            if members[v]:
+                val = abs((total + sign * counts[v]) * q - target)
+                if val > best:
+                    best, best_v = val, v
+    return best, best_v
+
+
 def sign_split_reference(columns, k: int, d: Fraction):
     """The exact sign-split engine by brute force: over all row sets S, in
     single-toggle Gray order, the larger of the positive and the negated

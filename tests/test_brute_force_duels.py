@@ -54,6 +54,7 @@ from hyperq.multipartite import (
 from hyperq.hashing import subseed
 from hyperq.oracles import enumerate_pair_deviation, naive_bipartite_deviation
 from helpers import (
+    best_toggle_reference,
     gen_random_auxiliary,
     has_triple,
     read_lines,
@@ -458,7 +459,7 @@ def xyz_hypergraphs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(xyz_hypergraphs(), st.sampled_from([Fraction(0), Fraction(1), None, Fraction(1, 4)]),
-       st.booleans(), st.sampled_from([0, 1, 32]), st.integers(1, 6),
+       st.booleans(), st.sampled_from([0, 1, 32, 1000]), st.integers(1, 6),
        st.integers(0, 1000))
 def test_xyz_improve_vs_recount(h, d, disjoint, steps, samples, seed):
     rep = xyz_deviation(h, d, samples=samples, seed=seed, improve_steps=steps,
@@ -470,6 +471,32 @@ def test_xyz_improve_vs_recount(h, d, disjoint, steps, samples, seed):
     assert abs(e - d * len(xs) * len(ys) * len(zs)) == rep.max_deviation
     if disjoint:
         assert not (set(xs) & set(ys) or set(xs) & set(zs) or set(ys) & set(zs))
+
+
+@st.composite
+def toggle_sides(draw):
+    """A total, a q and 0-4 sides over the same n <= 12 vertices, as the
+    climbs pass them to ``_best_toggle``: each vertex sits on at most one
+    side (so some sides may be empty), counts may be negative (a move
+    between sets scores a difference of counts) and may all be equal."""
+    n = draw(st.integers(0, 12))
+    k = draw(st.integers(0, 4))
+    owner = draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n))
+    spread = draw(st.sampled_from([0, 1, 3, 50]))
+    sides = [([int(o == i) for o in owner],
+              draw(st.lists(st.integers(-spread, spread), min_size=n, max_size=n)),
+              draw(st.sampled_from([-1, 1])), draw(st.integers(-300, 300)))
+             for i in range(k)]
+    return draw(st.integers(-60, 60)), draw(st.integers(1, 7)), sides
+
+
+@settings(max_examples=300, deadline=None)
+@given(toggle_sides())
+def test_best_toggle_vs_scan(case):
+    """Count extremes find the toggle that scoring every member finds, with
+    the same least vertex on ties, within a side and across sides."""
+    total, q, sides = case
+    assert certifiers._best_toggle(total, q, sides) == best_toggle_reference(total, q, sides)
 
 
 # (seed, disjoint) -> (max_deviation, witness, improve_steps) for

@@ -301,29 +301,38 @@ class TestCli:
         ["detect", "--pattern", "sk", "--in", "{hg}", "--k", "2"],
         ["multipartite", "--op", "profile", "--in", "{two_parts}", "--epsilon", "-5"],
         ["multipartite", "--op", "diagnostics", "--in", "{two_parts}", "--delta", "1/0"],
+        ["experiment", "--spec", "{spec}", "--threads", "0"],
+        ["experiment", "--spec", "{spec}", "--threads", "-3"],
     ], ids=["zero-denominator", "density-above-one", "negative-density",
             "explore-without-m", "halfsplit-without-s", "profile-without-in",
             "spec-is-a-list", "bipartite-one-part", "bipartite-no-parts",
             "profile-one-part", "profile-no-parts", "clique-k-zero", "clique-k-two",
-            "sk-k-zero", "sk-k-two", "epsilon-negative", "delta-zero-denominator"])
+            "sk-k-zero", "sk-k-two", "epsilon-negative", "delta-zero-denominator",
+            "threads-zero", "threads-negative"])
     def test_malformed_input_exit_code(self, tmp_path, capsys, argv):
         hg = tmp_path / "h.hg"
         hg.write_text("3 4 1\n0 1 2\n")
         list_spec = tmp_path / "spec.json"
         list_spec.write_text(json.dumps([spec_dict(tmp_path)]))
+        spec = tmp_path / "good.json"
+        spec.write_text(json.dumps(spec_dict(tmp_path)))
         one_part = tmp_path / "one.mp"
         one_part.write_text("mp 1 3\n")
         no_parts = tmp_path / "none.mp"
         no_parts.write_text("mp 0\n")
         two_parts = tmp_path / "two.mp"
         two_parts.write_text("mp 2 2 2\n0 0 1 1\n")
-        argv = [a.format(hg=hg, list_spec=list_spec, one_part=one_part,
+        argv = [a.format(hg=hg, list_spec=list_spec, spec=spec, one_part=one_part,
                          no_parts=no_parts, two_parts=two_parts) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         if argv[-1].endswith(".mp"):
             assert "two parts" in err[0]
+        if "--threads" in argv:
+            # refused before any cell runs: the spec's outputs are never written
+            assert "--threads" in err[0] and not (tmp_path / "rows.csv").exists()
+            assert not (tmp_path / "hgs").exists()
 
     @pytest.mark.parametrize("argv,arity", [
         (["certify", "--kind", "weak"], 3),
