@@ -24,7 +24,7 @@ import operator
 import random
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import combinations, compress, repeat
 from typing import Sequence
 
 from . import multipartite
@@ -69,10 +69,14 @@ class DeviationReport(namedtuple("DeviationReport", "kind reference_density max_
 
     __slots__ = ()
 
-    def __new__(cls, kind, reference_density, max_deviation, eta, normalizer, witness,
-                method, trials=None):
-        return super().__new__(cls, kind, reference_density, max_deviation, eta, normalizer,
-                               witness, method, {} if trials is None else trials)
+    @classmethod
+    def of(cls, kind: str, d: Fraction, best: int, norm: int, witness, method: str,
+           trials: dict) -> "DeviationReport":
+        """The report of the integer deviation ``best`` over q = d's
+        denominator, its eta rounded once from best / (q * norm)."""
+        q = d.denominator
+        return cls(kind, d, Fraction(best, q), best / (q * norm) if norm else 0.0, norm,
+                   witness, method, trials)
 
 
 def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
@@ -102,16 +106,14 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
     links = [h.link_rows(v) for v in range(n)]
     if mode == "exact":
         best, best_mask = _weak_exact(links, p, q)
-        witness = tuple(iter_bits(best_mask))
-        eta = best / (q * norm) if norm else 0.0
-        return DeviationReport("weak", d, Fraction(best, q), eta,
-                               norm, witness, "exact", {"subsets": 1 << n})
+        return DeviationReport.of("weak", d, best, norm, tuple(iter_bits(best_mask)), "exact",
+                                  {"subsets": 1 << n})
 
     # target[size - 1] and target[size + 1] count only when that side has a member
     target = [math.comb(s, 3) * p for s in range(n + 2)]
-    best, best_witness = Fraction(0), ()
+    best, best_witness = 0, ()
     for r in range(restarts):
-        mask = random.Random(subseed(seed, r)).getrandbits(n) & ((1 << n) - 1)
+        mask = random.Random(subseed(seed, r)).getrandbits(n)
         # cnt[v] counts the edges through v with both other vertices in the
         # set; pair_counts meets each once per order of those two vertices
         cnt = [c >> 1 for c in h.pair_counts(mask, mask)]
@@ -132,12 +134,11 @@ def weak_deviation(h: Hypergraph3, d=None, mode: str = "exact",
             mask ^= 1 << move_v
             inside[move_v], outside[move_v] = outside[move_v], inside[move_v]
             size = step(size, 1)
-        final = Fraction(abs(e * q - target[size]), q)
+        final = abs(e * q - target[size])
         if final > best:
             best, best_witness = final, tuple(iter_bits(mask))
-    eta = float(best) / norm if norm else 0.0
-    return DeviationReport("weak", d, best, eta, norm, best_witness, "local-search",
-                           {"restarts": restarts, "max_steps": WEAK_SEARCH_STEPS})
+    return DeviationReport.of("weak", d, best, norm, best_witness, "local-search",
+                              {"restarts": restarts, "max_steps": WEAK_SEARCH_STEPS})
 
 
 def _least_with(cnt: list[int], c: int, side: list[int]) -> int:
@@ -290,20 +291,31 @@ def _exact_walk(k: int, low: int, w: int, block) -> tuple[int, int]:
     return best, best_mask
 
 
-def sample_set_triple(rng: random.Random, n: int,
-                      disjoint: bool = False) -> tuple[int, int, int]:
-    """Random (X, Y, Z) masks; in disjoint mode each vertex joins at most one
-    of the three sets."""
+def sample_sets(rng: random.Random, n: int, disjoint: bool = False,
+                count: int = 3) -> list[int]:
+    """A list of ``count`` random vertex masks; in disjoint mode each vertex
+    joins at most one of them."""
     if not disjoint:
-        full = (1 << n) - 1
-        return (rng.getrandbits(n) & full, rng.getrandbits(n) & full,
-                rng.getrandbits(n) & full)
-    masks = [0, 0, 0]
+        return [rng.getrandbits(n) for _ in range(count)]
+    masks = [0] * count
     for v in range(n):
-        slot = rng.randrange(4)
-        if slot < 3:
+        slot = rng.randrange(count + 1)
+        if slot < count:
             masks[slot] |= 1 << v
-    return tuple(masks)
+    return masks
+
+
+def _best_sample(counter, rng: random.Random, n: int, count: int, disjoint: bool,
+                 samples: int, p: int, q: int) -> tuple[int, list[int]]:
+    """The largest |counter(*masks) * q - p * prod |mask|| over ``samples``
+    draws of ``sample_sets``, and the first draw reaching it."""
+    best, best_masks = -1, []
+    for _ in range(samples):
+        masks = sample_sets(rng, n, disjoint, count)
+        val = abs(counter(*masks) * q - p * math.prod(map(int.bit_count, masks)))
+        if val > best:
+            best, best_masks = val, masks
+    return best, best_masks
 
 
 def xyz_deviation(h: Hypergraph3, d=None, samples: int = 200, seed: int = 0,
@@ -320,22 +332,11 @@ def xyz_deviation(h: Hypergraph3, d=None, samples: int = 200, seed: int = 0,
     n = h.n
     d = _as_fraction(d, h.density().density_fraction)
     p, q = d.numerator, d.denominator
-    norm = n ** 3
-    rng = random.Random(subseed(seed, 0x585954))
-
-    best, best_masks = -1, (0, 0, 0)
-    for _ in range(samples):
-        xm, ym, zm = masks = sample_set_triple(rng, n, disjoint)
-        val = abs(h.count_ordered_triples(xm, ym, zm) * q
-                  - p * xm.bit_count() * ym.bit_count() * zm.bit_count())
-        if val > best:
-            best, best_masks = val, masks
-    masks, best, improved = _xyz_improve(h, list(best_masks), best, p, q,
-                                         improve_steps, disjoint)
-    witness = tuple(tuple(iter_bits(m)) for m in masks)
-    eta = best / (q * norm) if norm else 0.0
-    return DeviationReport("xyz", d, Fraction(best, q), eta, norm, witness, "sampled",
-                           {"samples": samples, "improve_steps": improved})
+    best, masks = _best_sample(h.count_ordered_triples, random.Random(subseed(seed, 0x585954)),
+                               n, 3, disjoint, samples, p, q)
+    masks, best, improved = _xyz_improve(h, masks, best, p, q, improve_steps, disjoint)
+    return DeviationReport.of("xyz", d, best, n ** 3, tuple(tuple(iter_bits(m)) for m in masks),
+                              "sampled", {"samples": samples, "improve_steps": improved})
 
 
 # the two sets other than set i, for each i
@@ -412,14 +413,14 @@ def _sign_split_deviation(kind: str, d: Fraction, columns: Sequence[int], k: int
     winning sign (the positive side on a tie).  Exact mode keeps the
     maximizer of least Gray rank; search mode keeps the first restart
     reaching the best value, each climb taking strict improvements and the
-    least row on ties.
+    least row on ties.  Both modes refuse a negative ``restarts``.
     """
     p, q = d.numerator, d.denominator
+    if restarts < 0:
+        raise ValueError("restarts must be nonnegative, got %d" % restarts)
     if mode == "exact":
         best, best_mask = _sign_split_exact(columns, k, p, q)
     elif mode == "search":
-        if restarts < 0:
-            raise ValueError("restarts must be nonnegative, got %d" % restarts)
         best, best_mask = _sign_split_search(columns, k, p, q, restarts, seed)
     else:
         raise ValueError("mode must be 'exact' or 'search'")
@@ -429,8 +430,7 @@ def _sign_split_deviation(kind: str, d: Fraction, columns: Sequence[int], k: int
     witness = (tuple(iter_bits(best_mask)), tuple(c for c, v in enumerate(r) if v * sign > 0))
     method, trials = (("exact", {"subsets": 1 << k}) if mode == "exact"
                       else ("local-search", {"restarts": restarts}))
-    eta = best / (q * norm) if norm else 0.0
-    return DeviationReport(kind, d, Fraction(best, q), eta, norm, witness, method, trials)
+    return DeviationReport.of(kind, d, best, norm, witness, method, trials)
 
 
 def _sign_split_exact(columns: Sequence[int], k: int, p: int, q: int) -> tuple[int, int]:
@@ -522,7 +522,7 @@ def _sign_split_search(columns: Sequence[int], k: int, p: int, q: int,
 
     best = best_mask = 0
     for r in range(restarts):
-        mask = random.Random(subseed(seed, r)).getrandbits(k) & ((1 << k) - 1)
+        mask = random.Random(subseed(seed, r)).getrandbits(k)
         ge = [(1 << cols) - 1] * 2 + [0] * (k + 1)
         for v in iter_bits(mask):
             shift(ge, v, 1)
@@ -580,10 +580,10 @@ def pair_deviation(h: Hypergraph3, d=None, mode: str = "exact",
     if mode == "search" and n > PAIR_SEARCH_HARD_CAP:
         raise CapExceeded("pair deviation search refused for n=%d > cap %d"
                           % (n, PAIR_SEARCH_HARD_CAP))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    columns = [h.link_row(u, v) for u, v in pairs]
-    rep = _sign_split_deviation("pair", d, columns, n, n ** 3, mode, restarts, seed)
+    # the pair rows are the columns, in the order of combinations(range(n), 2)
+    rep = _sign_split_deviation("pair", d, h._rows, n, n ** 3, mode, restarts, seed)
     members, kept = rep.witness
+    pairs = list(combinations(range(n), 2))
     return rep._replace(witness=(members, tuple(pairs[c] for c in kept)))
 
 
@@ -595,24 +595,11 @@ def quad_vertex_deviation(h: Hypergraph4, d=None, samples: int = 100,
     n = h.n
     d = _as_fraction(d, h.density().density_fraction)
     p, q = d.numerator, d.denominator
-    norm = n ** 4
-    rng = random.Random(subseed(seed, 0x51554144))
-    full = (1 << n) - 1
-    best = -1
-    best_masks = (0, 0, 0, 0)
-    for _ in range(samples):
-        ms = tuple(rng.getrandbits(n) & full for _ in range(4))
-        prod = 1
-        for m in ms:
-            prod *= m.bit_count()
-        val = abs(h.count_ordered_quadruples(*ms) * q - p * prod)
-        if val > best:
-            best = val
-            best_masks = ms
-    witness = tuple(tuple(iter_bits(m)) for m in best_masks)
-    eta = best / (q * norm) if norm else 0.0
-    return DeviationReport("quad", d, Fraction(best, q), eta, norm, witness, "sampled",
-                           {"samples": samples, "improve_steps": 0})
+    best, masks = _best_sample(h.count_ordered_quadruples,
+                               random.Random(subseed(seed, 0x51554144)), n, 4, False,
+                               samples, p, q)
+    return DeviationReport.of("quad", d, best, n ** 4, tuple(tuple(iter_bits(m)) for m in masks),
+                              "sampled", {"samples": samples, "improve_steps": 0})
 
 
 def bipartite_regularity_deviation(g: multipartite.MultipartiteGraph, d=None,

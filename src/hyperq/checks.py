@@ -18,7 +18,7 @@ from . import constructions as cons
 from . import detectors as det
 from .certifiers import (
     pair_deviation,
-    sample_set_triple,
+    sample_sets,
     triangle_bound_check,
     weak_deviation,
 )
@@ -189,7 +189,7 @@ def check_sieve_bound(level: str) -> tuple[bool, str]:
         bound = 7 * dev
         rng = random.Random(subseed(4001, i))
         for _ in range(samples):
-            x, y, z = sample_set_triple(rng, n, disjoint=True)
+            x, y, z = sample_sets(rng, n, disjoint=True)
             e = h.count_ordered_triples(x, y, z)
             gap = abs(Fraction(e) - d * (x.bit_count() * y.bit_count() * z.bit_count()))
             if gap > bound:

@@ -27,7 +27,8 @@ from hyperq.certifiers import (
     DeviationReport,
     bipartite_regularity_deviation,
     pair_deviation,
-    sample_set_triple,
+    quad_vertex_deviation,
+    sample_sets,
     weak_deviation,
     xyz_deviation,
 )
@@ -409,7 +410,7 @@ def reference_xyz(h, d, samples, seed, improve_steps, disjoint):
     best = -1
     best_masks = (0, 0, 0)
     for _ in range(samples):
-        masks = sample_set_triple(rng, n, disjoint)
+        masks = sample_sets(rng, n, disjoint)
         val = value(*masks)
         if val > best:
             best = val
@@ -523,6 +524,47 @@ def test_xyz_golden(key):
                         seed=0, disjoint=disjoint)
     assert (str(rep.max_deviation), rep.witness,
             rep.trials["improve_steps"]) == XYZ_GOLDEN[key]
+
+
+def reference_quad(h, d, samples, seed):
+    """quad_vertex_deviation with each sample's ordered quadruples counted by
+    brute force over the edges."""
+    n = h.n
+    d = h.density().density_fraction if d is None else d
+    p, q = d.numerator, d.denominator
+    rng = random.Random(subseed(seed, 0x51554144))
+    best, best_masks = -1, None
+    for _ in range(samples):
+        masks = [rng.getrandbits(n) for _ in range(4)]
+        count = sum(all(m >> v & 1 for m, v in zip(masks, order))
+                    for e in h.edges() for order in permutations(e))
+        size = 1
+        for m in masks:
+            size *= m.bit_count()
+        val = abs(count * q - p * size)
+        if val > best:
+            best, best_masks = val, masks
+    norm = n ** 4
+    witness = tuple(tuple(v for v in range(n) if m >> v & 1) for m in best_masks)
+    return DeviationReport("quad", d, Fraction(best, q), best / (q * norm) if norm else 0.0,
+                           norm, witness, "sampled", {"samples": samples, "improve_steps": 0})
+
+
+@st.composite
+def quad_hypergraphs(draw):
+    n = draw(st.integers(0, 9))
+    rate = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    return Hypergraph4.from_edges(
+        n, [t for t in combinations(range(n), 4) if rng.random() < rate])
+
+
+@settings(max_examples=150, deadline=None)
+@given(quad_hypergraphs(), st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 8), None]),
+       st.integers(1, 6), st.integers(0, 1000))
+def test_quad_vs_brute_force(h, d, samples, seed):
+    assert quad_vertex_deviation(h, d, samples=samples, seed=seed) == \
+        reference_quad(h, d, samples, seed)
 
 
 def reference_weak_exact(h, d):

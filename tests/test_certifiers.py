@@ -13,7 +13,7 @@ from hyperq.certifiers import (
     pair_deviation,
     quad_vertex_deviation,
     relative_density,
-    sample_set_triple,
+    sample_sets,
     triangle_bound_check,
     weak_deviation,
     xyz_deviation,
@@ -31,14 +31,15 @@ from hyperq.oracles import (
 )
 
 
-# each certifier on a small input of its kind, at density d
+# each certifier on a small input of its kind, at density d, with the
+# certifier's own options
 CERTIFY_AT = {
-    "weak": lambda d: weak_deviation(gen_random_3hg(6, 1, 2, 0), d),
+    "weak": lambda d, **kw: weak_deviation(gen_random_3hg(6, 1, 2, 0), d, **kw),
     "xyz": lambda d: xyz_deviation(gen_random_3hg(6, 1, 2, 0), d),
-    "pair": lambda d: pair_deviation(gen_random_3hg(6, 1, 2, 0), d),
+    "pair": lambda d, **kw: pair_deviation(gen_random_3hg(6, 1, 2, 0), d, **kw),
     "quad": lambda d: quad_vertex_deviation(Hypergraph4.from_edges(5, [(0, 1, 2, 3)]), d),
-    "bipartite": lambda d: bipartite_regularity_deviation(
-        gen_random_multipartite([6, 9], 1, 2, 1), d),
+    "bipartite": lambda d, **kw: bipartite_regularity_deviation(
+        gen_random_multipartite([6, 9], 1, 2, 1), d, **kw),
     "triangle-bound": lambda d: triangle_bound_check(
         gen_random_multipartite([3, 3, 3], 1, 2, 0), d),
 }
@@ -50,6 +51,16 @@ def test_density_outside_unit_interval_refused(kind, d):
     # the field widths of the exact walks hold only for 0 <= d <= 1
     with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
         CERTIFY_AT[kind](d)
+
+
+@pytest.mark.parametrize("d", [None, Fraction(1, 3)], ids=repr)
+@pytest.mark.parametrize("kind,options", [
+    ("xyz", {}), ("quad", {})] + [
+    (kind, {"mode": mode}) for kind in ("weak", "pair", "bipartite")
+    for mode in ("exact", "search")], ids=str)
+def test_eta_is_rounded_once(kind, options, d):
+    rep = CERTIFY_AT[kind](d, **options)
+    assert rep.eta == float(rep.max_deviation / rep.normalizer)
 
 
 @pytest.mark.parametrize("w", [1, 2, 9])
@@ -65,6 +76,20 @@ def test_member_tables(low, w):
         assert [table >> 8 * w * s & field for s in range(1 << low)] == \
             [s >> a & 1 for s in range(1 << low)]
     assert ones == sum(1 << 8 * w * s for s in range(1 << low))
+
+
+def record_calls(monkeypatch, cls, name) -> list:
+    """The list that every later call of method ``name`` of ``cls`` appends
+    its arguments to, as the benchmark tracer wraps the class attribute."""
+    calls = []
+    method = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
 
 
 class TestWeakDeviation:
@@ -122,7 +147,19 @@ class TestWeakDeviation:
             weak_deviation(h, mode="search", restarts=-1)
         with pytest.raises(ValueError, match="restarts"):
             pair_deviation(h, mode="search", restarts=-3)
+        # the sign-split engine refuses them in exact mode too, as weak does
+        with pytest.raises(ValueError, match="restarts"):
+            pair_deviation(h, mode="exact", restarts=-1)
+        with pytest.raises(ValueError, match="restarts"):
+            CERTIFY_AT["bipartite"](None, mode="exact", restarts=-1)
         assert weak_deviation(h, mode="search", restarts=0).max_deviation == 0
+
+    def test_search_eta_matches_exact(self):
+        # both modes find 14/3 here; the search once rounded its eta twice
+        h = gen_random_3hg(9, 3, 10, 1)
+        exact = weak_deviation(h)
+        found = weak_deviation(h, mode="search", restarts=8, seed=1)
+        assert (found.max_deviation, found.eta) == (exact.max_deviation, exact.eta)
 
 
 class TestXyzDeviation:
@@ -132,6 +169,20 @@ class TestXyzDeviation:
         assert cnt == 27
         rep = xyz_deviation(h, Fraction(1), samples=40, seed=0, disjoint=True)
         assert rep.max_deviation == 0
+
+    @pytest.mark.parametrize("disjoint", [False, True])
+    @pytest.mark.parametrize("steps", [0, 32])
+    def test_one_count_call_per_sample(self, monkeypatch, steps, disjoint):
+        # the benchmark tracer reads certifiers.xyz_deviation.evaluations
+        # from these calls; the improve pass makes none
+        calls = record_calls(monkeypatch, Hypergraph3, "count_ordered_triples")
+        h = gen_tournament_3hg(12, 1)
+        for k in (1, 7, 30):
+            calls.clear()
+            rep = xyz_deviation(h, Fraction(1, 4), samples=k, seed=k, improve_steps=steps,
+                                disjoint=disjoint)
+            assert len(calls) == k
+            assert (rep.trials["improve_steps"] > 0) == (steps > 0)
 
     def test_single_edge_value(self):
         h = Hypergraph3.from_edges(3, [(0, 1, 2)])
@@ -144,7 +195,7 @@ class TestXyzDeviation:
         bound = 7 * weak_deviation(h, d).max_deviation
         rng = random.Random(0)
         for _ in range(400):
-            x, y, z = sample_set_triple(rng, 11, disjoint=True)
+            x, y, z = sample_sets(rng, 11, disjoint=True)
             e = h.count_ordered_triples(x, y, z)
             gap = abs(Fraction(e) - d * (x.bit_count() * y.bit_count() * z.bit_count()))
             assert gap <= bound
@@ -276,14 +327,7 @@ class TestQuadDeviation:
     def test_one_count_call_per_sample(self, monkeypatch):
         # the benchmark tracer reads certifiers.quad_vertex_deviation.evaluations
         # from these calls
-        calls = []
-        count = Hypergraph4.count_ordered_quadruples
-
-        def counted(self, *sets):
-            calls.append(sets)
-            return count(self, *sets)
-
-        monkeypatch.setattr(Hypergraph4, "count_ordered_quadruples", counted)
+        calls = record_calls(monkeypatch, Hypergraph4, "count_ordered_quadruples")
         h = Hypergraph4.complete(9)
         for k in (1, 7, 30):
             calls.clear()
