@@ -32,10 +32,10 @@ from .core import (
     CapExceeded,
     Hypergraph3,
     Hypergraph4,
-    _PLACES,
     _as_fraction,
     iter_bits,
     row_bytes,
+    unpack_rows,
     vertex_mask,
 )
 from .hashing import subseed
@@ -266,8 +266,6 @@ def _exact_walk(k: int, low: int, w: int, block) -> tuple[int, int]:
     cut = signs - ones
     # rank[A] is the Gray rank of A in an even block
     rank = sorted(range(1 << low), key=lambda r: r ^ r >> 1)
-    slots = bytearray(8 << low)
-    view = memoryview(slots).cast("Q")
     high = best = best_mask = 0
     total = block(0, 0)
     for j in range(1 << (k - low)):
@@ -277,13 +275,7 @@ def _exact_walk(k: int, low: int, w: int, block) -> tuple[int, int]:
             total = block(a, 1 if high >> low + a & 1 else -1)
         if not (total + cut) & signs:
             continue
-        raw = total.to_bytes(w << low, "little")
-        if w <= 8:
-            for i in range(w):
-                slots[_PLACES[i]::8] = raw[i::w]
-            vals = view.tolist()
-        else:
-            vals = [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
+        vals = unpack_rows(total, w, 1 << low)
         best = max(vals)
         tied = [f for f, v in enumerate(vals) if v == best]
         best_mask = high | (max if j & 1 else min)(tied, key=rank.__getitem__)
@@ -674,7 +666,7 @@ def relative_density(h: Hypergraph3, g: multipartite.MultipartiteGraph,
     indices of part ``parts[t]``, distinct vertices of 0..h.n-1.  Returns 0
     when there are no triangles.
     """
-    i, j, k = parts
+    i, j, k = multipartite.distinct_indices("part triple", parts, 3, g.m)
     vi, vj, vk = map(list, part_vertices)
     if (len(vi), len(vj), len(vk)) != (g.sizes[i], g.sizes[j], g.sizes[k]):
         raise ValueError("part vertex lists must match the part sizes")

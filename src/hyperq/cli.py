@@ -72,8 +72,8 @@ def _read_input(args, path: str):
     block or auxiliary system in JSON."""
     kind, text = core.TASKS[args.command][args.task][2], Path(path).read_text(encoding="utf-8")
     if kind not in (3, 4):
-        return (multipartite.read_multipartite if kind == "mp" else
-                _read_block if kind == "block" else _read_auxiliary)(text)
+        reader = {"mp": "read_multipartite", "block": "read_block", "aux": "read_auxiliary"}
+        return getattr(multipartite, reader[kind])(text)
     h = core.read_hypergraph(text)
     if h.arity != kind:
         raise ValueError("%s needs a %d-uniform input" % (args.task, kind))
@@ -104,34 +104,6 @@ def cmd_detect(args) -> int:
         payload["embedding"] = witness
     _write_report(args.report, payload)
     return 0
-
-
-# a field of the wrong JSON type (a number where a list belongs, a list where
-# an object does) raises one of the caught errors while the model is built
-def _read_block(text: str) -> multipartite.TripartiteTriples:
-    data = json.loads(text)
-    try:
-        return multipartite.TripartiteTriples(tuple(data["sizes"]),
-                                              [tuple(t) for t in data["triples"]])
-    except (TypeError, IndexError) as exc:
-        raise ValueError("malformed block: %s" % exc) from None
-
-
-def _read_auxiliary(text: str) -> multipartite.AuxiliaryHypergraph:
-    data = json.loads(text)
-    try:
-        m = data["m"]
-        sizes = {tuple(int(x) for x in key.split(",")): v
-                 for key, v in data["class_sizes"].items()}
-        blocks = {tuple(int(x) for x in key.split(",")): [tuple(t) for t in triples]
-                  for key, triples in data.get("blocks", {}).items()}
-        for value in (m, *sizes.values()):
-            if type(value) is not int or value < 0:
-                raise ValueError("m and the class sizes must be nonnegative integers,"
-                                 " not %r" % (value,))
-        return multipartite.AuxiliaryHypergraph(m, sizes, blocks)
-    except (TypeError, AttributeError) as exc:
-        raise ValueError("malformed auxiliary system: %s" % exc) from None
 
 
 def cmd_multipartite(args) -> int:

@@ -16,7 +16,6 @@ import math
 import operator
 import re
 import sys
-from array import array
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, combinations, islice
@@ -180,21 +179,26 @@ def row_bytes(rows: Iterable[int], width: int) -> bytes:
     return b"".join(r.to_bytes(width, "little") for r in rows)
 
 
+def pack_rows(rows: Iterable[int], width: int) -> int:
+    """One int holding ``rows[x]``, in [0, 2^(8 width)), at bit ``8 * width * x``."""
+    return int.from_bytes(row_bytes(rows, width), "little")
+
+
 # unpacked, byte i of a field of at most 8 bytes sits in byte _PLACES[i] of
 # an 8-byte native slot, the other bytes staying 0
 _PLACES = [i if sys.byteorder == "little" else 7 - i for i in range(8)]
 
 
-def pack_rows(rows: Iterable[int], width: int) -> int:
-    """One int holding ``rows[x]``, in [0, 2^(8 width)), at bit ``8 * width * x``;
-    rows of at most 8 bytes pass through native 8-byte slots."""
+def unpack_rows(packed: int, width: int, count: int) -> list[int]:
+    """The ``count`` rows of ``pack_rows(rows, width)``, the inverse of it;
+    fields of at most 8 bytes pass through native 8-byte slots."""
+    raw = packed.to_bytes(width * count, "little")
     if width > 8:
-        return int.from_bytes(row_bytes(rows, width), "little")
-    raw = array("Q", rows).tobytes()
-    fields = bytearray(width * (len(raw) >> 3))
+        return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    slots = bytearray(8 * count)
     for i in range(width):
-        fields[i::width] = raw[_PLACES[i]::8]
-    return int.from_bytes(fields, "little")
+        slots[_PLACES[i]::8] = raw[i::width]
+    return memoryview(slots).cast("Q").tolist()
 
 
 def probe(outer: int, inner: int, width: int) -> int:
@@ -526,6 +530,30 @@ def write_hypergraph(h: Hypergraph3 | Hypergraph4) -> str:
 _SPACES = re.compile(r"  +")
 _ZEROS_AFTER_SPACE = re.compile(r" 0+(?=[0-9])")
 _ZEROS_AFTER_LF = re.compile(r"\n0+(?=[0-9])")
+
+
+def canonical_text(text: str) -> str:
+    """``text`` in canonical layout, with as many lines: the lexical rule of
+    both text formats.  Lines may end in LF, CRLF or CR, and start, end and
+    separate fields with runs of spaces and tabs; digits may lead with zeros."""
+    # each rewrite runs only on text holding its literal, so canonical text
+    # skips all but the "\n0" one, which an edge starting at vertex 0 holds
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if "\t" in text:
+        text = text.replace("\t", " ")
+    if not text.endswith("\n"):
+        text += "\n"
+    if "  " in text:
+        text = _SPACES.sub(" ", text)
+    text = text.replace(" \n", "\n").replace("\n ", "\n").removeprefix(" ")
+    if " 0" in text:
+        text = _ZEROS_AFTER_SPACE.sub(" ", text)
+    if "\n0" in text:
+        text = _ZEROS_AFTER_LF.sub("\n", text)
+    return text
+
+
 _INTEGER = re.compile(r"-?[0-9]+")
 # deletes the ASCII digits, leaving a canonical block's spaces and line feeds
 _DIGITS = str.maketrans("", "", "0123456789")
@@ -561,22 +589,10 @@ def _block_error(block: str, line: int, arity: int, names: dict[str, int],
 def read_hypergraph(text: str) -> Hypergraph3 | Hypergraph4:
     """Parse the text format; raises ParseError with a 1-based line number.
 
-    Fields may be separated by runs of spaces and tabs, lines may end in LF,
-    CRLF or CR, and vertex ids may carry leading zeros: rewriting those to
-    canonical layout first leaves one bulk pass, which checks and parses a
+    ``canonical_text`` first leaves one bulk pass, which checks and parses a
     block of lines at a time and names an error from the block it is in."""
-    # each rewrite runs only on text holding its literal, so canonical text
-    # skips all but the "\n0" one, which an edge starting at vertex 0 holds
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if "\t" in text:
-        text = text.replace("\t", " ")
-    if not text.endswith("\n"):
-        text += "\n"
-    if "  " in text:
-        text = _SPACES.sub(" ", text)
-    text = text.replace(" \n", "\n").replace("\n ", "\n")
-    head = text[:text.index("\n")].lstrip(" ")
+    text = canonical_text(text)
+    head = text[:text.index("\n")]
     if not head:
         raise ParseError("line 1: missing header")
     fields = head.split(" ")
@@ -598,10 +614,6 @@ def read_hypergraph(text: str) -> Hypergraph3 | Hypergraph4:
                          % (lines + 1, m, lines - 1))
     cls = Hypergraph3 if arity == 3 else Hypergraph4
     cls._check_n(n)
-    if " 0" in text:
-        text = _ZEROS_AFTER_SPACE.sub(" ", text)
-    if "\n0" in text:
-        text = _ZEROS_AFTER_LF.sub("\n", text)
     pos, size = text.index("\n") + 1, len(text)
     # the layout of one canonical line once its digits are deleted
     layout = " " * (arity - 1) + "\n"

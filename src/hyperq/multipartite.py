@@ -8,16 +8,16 @@ and every swap drops another pair below 1/4; with two parts, random fill-in.
 
 from __future__ import annotations
 
+import json
 import random
-import re
 from bisect import bisect_left
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 from . import detectors
-from .core import N3_CAP, CapExceeded, Graph, ParseError, iter_bits
+from .core import N3_CAP, CapExceeded, Graph, ParseError, canonical_text, iter_bits
 from .hashing import TAG_AUX_TRIPLE, TAG_MP_EDGE, bernoulli, subseed
 
 # a complete graph on 64 parts of 64 vertices holds 4096 row ints of 4096
@@ -27,6 +27,16 @@ MP_MAX_VERTICES = N3_CAP
 # the paper's density threshold: the half-split's least mean-square ratio,
 # which the hypotheses ask to exceed by epsilon
 THRESHOLD = Fraction(1, 4)
+
+
+def distinct_indices(what: str, key, size: int, m: int) -> tuple[int, ...]:
+    """``key`` as a tuple, refused unless it is ``size`` distinct indices of
+    range(m); ``what`` names it in the refusal."""
+    key = tuple(key)
+    if len(key) != size or len(set(key)) != size or not all(
+            type(x) is int and 0 <= x < m for x in key):
+        raise ValueError("%s %r is not %d distinct indices of range(%d)" % (what, key, size, m))
+    return key
 
 
 class MultipartiteGraph:
@@ -186,7 +196,8 @@ def find_triangle_mp(g: MultipartiteGraph):
 
 def count_triangles_mp(g: MultipartiteGraph, parts: tuple[int, int, int] | None = None) -> int:
     """Exact triangle count, optionally restricted to one part triple."""
-    mask = None if parts is None else _parts_mask(g.offsets, parts)
+    mask = None if parts is None else _parts_mask(
+        g.offsets, distinct_indices("part triple", parts, 3, g.m))
     return detectors.count_triangles_graph(g.graph, mask)
 
 
@@ -252,11 +263,15 @@ class TripartiteTriples:
         if max(self.sizes) > MP_MAX_VERTICES:
             raise CapExceeded("auxiliary blocks support classes of at most %d vertices"
                               % MP_MAX_VERTICES)
-        trips = frozenset(tuple(t) for t in triples)
+        listed = [tuple(t) for t in triples]
+        trips = frozenset(listed)
         for t in trips:
             if len(t) != 3 or any(type(x) is not int or not 0 <= x < size
                                   for x, size in zip(t, self.sizes)):
                 raise ValueError("triple %r out of class range" % (t,))
+        if len(trips) < len(listed):
+            raise ValueError("triple %r listed twice"
+                             % (next(t for t, c in Counter(listed).items() if c > 1),))
         self.triples = trips
 
     def density(self) -> Fraction:
@@ -322,23 +337,38 @@ def project_auxiliary(block: TripartiteTriples,
                             colour, flagged)
 
 
+def _index_key(what: str, key, size: int, m: int, seen: dict) -> tuple[int, ...]:
+    """``key`` sorted, refused unless it is ``size`` distinct indices of
+    range(m) and sorts to no key of ``seen``."""
+    index = tuple(sorted(distinct_indices(what + " key", key, size, m)))
+    if index in seen:
+        raise ValueError("%s key %r sorts to one given earlier" % (what, key))
+    return index
+
+
 class AuxiliaryHypergraph:
     """Triple system whose vertex classes are indexed by pairs from [m] and
-    whose triples live inside blocks indexed by sorted index triples."""
+    whose triples live inside blocks indexed by sorted index triples.  A key
+    lists its indices in any order; two keys that sort alike are refused."""
 
     def __init__(self, m: int, class_sizes: dict, blocks: dict):
         self.m = m
-        self.class_sizes = {tuple(sorted(p)): s for p, s in class_sizes.items()}
+        self.class_sizes = {}
+        for key, s in class_sizes.items():
+            self.class_sizes[_index_key("class", key, 2, m, self.class_sizes)] = s
         for i in range(m):
             for j in range(i + 1, m):
                 if (i, j) not in self.class_sizes:
                     raise ValueError("missing class size for pair (%d, %d)" % (i, j))
         self.blocks = {}
         for key, triples in blocks.items():
-            i, j, k = sorted(key)
+            i, j, k = key = _index_key("block", key, 3, m, self.blocks)
             sizes = (self.class_sizes[(i, j)], self.class_sizes[(i, k)],
                      self.class_sizes[(j, k)])
-            self.blocks[(i, j, k)] = TripartiteTriples(sizes, triples)
+            try:
+                self.blocks[key] = TripartiteTriples(sizes, triples)
+            except ValueError as exc:
+                raise ValueError("block %r: %s" % (key, exc)) from None
 
 
 class ThreeTriplesConfig(namedtuple("ThreeTriplesConfig", "indices vertices apex_extreme")):
@@ -470,24 +500,16 @@ def write_multipartite(g: MultipartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fields(line: str) -> list[str]:
-    """The fields of a line: the runs between spaces and tabs."""
-    return re.findall(r"[^ \t]+", line)
-
-
 def _digits(fields: Sequence[str]) -> bool:
     return all(f.isascii() and f.isdigit() for f in fields)
 
 
 def read_multipartite(text: str) -> MultipartiteGraph:
-    """Parse ``write_multipartite``'s format, with lines ended by LF, CRLF
-    or CR and fields separated by runs of spaces or tabs; every field but
-    the header's leading ``mp`` is ASCII digits."""
-    lines = re.split(r"\r\n|\r|\n", text)
-    if lines[-1] == "":
-        lines.pop()
-    head = _fields(lines[0]) if lines else []
-    if not head or head[0] != "mp":
+    """Parse ``write_multipartite``'s format under ``canonical_text``'s
+    lexical rule; every field but the header's leading ``mp`` is ASCII digits."""
+    lines = canonical_text(text).split("\n")[:-1]
+    head = lines[0].split(" ")
+    if head[0] != "mp":
         raise ParseError("line 1: expected 'mp' header")
     try:
         if len(head) < 2 or not _digits(head[1:]):
@@ -501,7 +523,7 @@ def read_multipartite(text: str) -> MultipartiteGraph:
     g = MultipartiteGraph(sizes)
     rows, offsets = g.graph.rows, g.offsets
     for ln, line in enumerate(lines[1:], start=2):
-        parts = _fields(line)
+        parts = line.split(" ")
         if len(parts) != 4:
             raise ParseError("line %d: expected '<i> <a> <j> <b>'" % ln)
         try:
@@ -520,3 +542,30 @@ def read_multipartite(text: str) -> MultipartiteGraph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return g
+
+
+# a field of the wrong JSON type (a number where a list belongs, a list where
+# an object does) raises one of the caught errors while the model is built
+def read_block(text: str) -> TripartiteTriples:
+    data = json.loads(text)
+    try:
+        return TripartiteTriples(tuple(data["sizes"]), [tuple(t) for t in data["triples"]])
+    except (TypeError, IndexError) as exc:
+        raise ValueError("malformed block: %s" % exc) from None
+
+
+def read_auxiliary(text: str) -> AuxiliaryHypergraph:
+    data = json.loads(text)
+    try:
+        m = data["m"]
+        sizes = {tuple(int(x) for x in key.split(",")): v
+                 for key, v in data["class_sizes"].items()}
+        blocks = {tuple(int(x) for x in key.split(",")): [tuple(t) for t in triples]
+                  for key, triples in data.get("blocks", {}).items()}
+        for value in (m, *sizes.values()):
+            if type(value) is not int or value < 0:
+                raise ValueError("m and the class sizes must be nonnegative integers,"
+                                 " not %r" % (value,))
+        return AuxiliaryHypergraph(m, sizes, blocks)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError("malformed auxiliary system: %s" % exc) from None

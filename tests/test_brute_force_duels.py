@@ -28,6 +28,7 @@ from hyperq.certifiers import (
     bipartite_regularity_deviation,
     pair_deviation,
     quad_vertex_deviation,
+    relative_density,
     sample_sets,
     weak_deviation,
     xyz_deviation,
@@ -970,7 +971,7 @@ def auxiliary_systems(draw):
         if draw(st.booleans()) or draw(st.booleans()):  # a quarter stay missing
             shape = (sizes[(i, j)], sizes[(i, k)], sizes[(j, k)])
             slots = list(product(*(range(s) for s in shape)))
-            blocks[(i, j, k)] = draw(st.lists(st.sampled_from(slots), max_size=24))
+            blocks[(i, j, k)] = draw(st.lists(st.sampled_from(slots), max_size=24, unique=True))
     return AuxiliaryHypergraph(m, sizes, blocks)
 
 
@@ -1014,6 +1015,29 @@ def test_triangle_count_mp_vs_brute():
     for seed in range(8):
         g = gen_random_multipartite([5, 6, 7], 1, 2, seed)
         assert count_triangles_mp(g) == brute_triangles_mp(g, (0, 1, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_relative_density_vs_brute_in_every_part_order(data):
+    """``relative_density`` against counting, over every ordered part triple
+    of a random multipartite graph, the triangles whose hypergraph vertices
+    form an edge, with random injective vertex lists and a random 3-graph."""
+    m = data.draw(st.sampled_from([3, 4]))
+    sizes = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    g = gen_random_multipartite(sizes, 1, 2, data.draw(st.integers(0, 2 ** 16)))
+    n = sum(sizes) + data.draw(st.integers(0, 3))
+    h = gen_random_3hg(n, 1, 2, data.draw(st.integers(0, 2 ** 16)))
+    for parts in permutations(range(m), 3):
+        order = iter(data.draw(st.permutations(range(n))))
+        vertices = [[next(order) for _ in range(g.sizes[p])] for p in parts]
+        (i, j, k), (vi, vj, vk) = parts, vertices
+        triangles = [(a, b, c) for a in range(g.sizes[i]) for b in range(g.sizes[j])
+                     for c in range(g.sizes[k]) if g.has_edge(i, a, j, b)
+                     and g.has_edge(i, a, k, c) and g.has_edge(j, b, k, c)]
+        matched = sum(h.has_edge(vi[a], vj[b], vk[c]) for a, b, c in triangles)
+        want = Fraction(matched, len(triangles)) if triangles else Fraction(0)
+        assert relative_density(h, g, vertices, parts) == want
 
 
 def test_f4_vs_brute():

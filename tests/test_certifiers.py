@@ -428,3 +428,12 @@ class TestRelativeDensity:
         assert relative_density(h, g, [[0], [1], [2]]) == 1
         with pytest.raises(ValueError, match=re.escape("vertex " + vertex)):
             relative_density(h, g, parts)
+
+    @pytest.mark.parametrize("parts", [(0, 1, 7), (0, 0, 1), (3, 1, 3), (0, 1)])
+    def test_bad_part_triple_refused(self, parts):
+        """Parts that are not three distinct parts of g raise ValueError, not
+        IndexError."""
+        h = Hypergraph3.complete(12)
+        g = gen_random_multipartite([3, 3, 3, 3], 1, 1, 0)
+        with pytest.raises(ValueError, match="part triple"):
+            relative_density(h, g, [range(3), range(3, 6), range(6, 9)], parts)

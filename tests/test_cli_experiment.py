@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -156,6 +157,10 @@ class TestStripes:
         assert "eta_weak" not in rows[7]
         assert "Traceback" not in captured.err
         assert captured.err.splitlines() == ["cell n=7 seed=1 failed: " + rows[7]["error"]]
+
+
+# an auxiliary system on 4 indices with every class of size 1 and no block
+AUX4 = {"m": 4, "class_sizes": {"%d,%d" % pair: 1 for pair in combinations(range(4), 2)}}
 
 
 class TestCli:
@@ -410,6 +415,20 @@ class TestCli:
         (["experiment", "--spec"], {"ns": [12], "seeds": [True]}),
         (["experiment", "--spec"], {"ns": ["12"]}),
         (["experiment", "--spec"], {"cells": [[12, 1.0]]}),
+        (["multipartite", "--op", "threetriples", "--in"],
+         dict(AUX4, blocks={"0,1,2": [[0, 0, 0]], "2,1,0": [[0, 0, 0]]})),
+        (["multipartite", "--op", "threetriples", "--in"],
+         dict(AUX4, class_sizes={**AUX4["class_sizes"], "1,0": 5})),
+        (["multipartite", "--op", "threetriples", "--in"],
+         dict(AUX4, class_sizes={**AUX4["class_sizes"], "1,1": 1})),
+        (["multipartite", "--op", "threetriples", "--in"],
+         dict(AUX4, class_sizes={**AUX4["class_sizes"], "0,1,2": 1})),
+        (["multipartite", "--op", "threetriples", "--in"], dict(AUX4, blocks={"0,1,9": []})),
+        (["multipartite", "--op", "threetriples", "--in"], dict(AUX4, blocks={"0,1": []})),
+        (["multipartite", "--op", "threetriples", "--in"],
+         dict(AUX4, blocks={"0,1,2": [[0, 0, 0], [0, 0, 0]]})),
+        (["multipartite", "--op", "project", "--in"],
+         {"sizes": [1, 1, 1], "triples": [[0, 0, 0], [0, 0, 0]]}),
     ], ids=["ns-not-a-list", "cell-not-integers", "certify-not-a-list",
             "detect-task-not-an-object", "output-not-an-object", "triples-not-a-list",
             "sizes-not-a-list", "sizes-too-short", "block-is-a-list", "auxiliary-is-a-list",
@@ -423,7 +442,10 @@ class TestCli:
             "triple-entry-an-integral-float", "triple-entry-a-boolean", "m-a-float",
             "m-negative", "class-size-a-float", "class-size-negative", "sk-free-without-k",
             "k-a-string", "k-a-float", "n-above-cap", "n-a-float", "seed-a-boolean",
-            "n-a-string", "cell-seed-a-float"])
+            "n-a-string", "cell-seed-a-float", "block-keys-sort-alike",
+            "class-keys-sort-alike", "class-key-repeats-an-index", "class-key-of-three",
+            "block-key-out-of-range", "block-key-of-two", "block-triple-twice",
+            "project-triple-twice"])
     def test_malformed_json_exit_code(self, tmp_path, capsys, argv, payload):
         if argv[0] == "experiment":
             payload = spec_dict(tmp_path, **payload)

@@ -144,9 +144,10 @@ def test_graph_has_edge_refuses_a_bad_pair(query):
 
 @pytest.mark.parametrize("width", range(1, 11))
 def test_pack_rows_matches_the_byte_join(width):
-    """Both paths of ``pack_rows`` (native slots up to 8 bytes, byte strings
-    above) against joining the rows' bytes, on empty tables, all-zero and
-    maximal fields, and random rows given as a list or a generator."""
+    """``pack_rows`` against joining the rows' bytes, and ``unpack_rows``
+    (native slots up to 8 bytes, byte strings above) back to the rows, on
+    empty tables, all-zero and maximal fields, and random rows given as a
+    list or a generator."""
     top = (1 << 8 * width) - 1
     rng = random.Random(width)
     tables = [[], [0], [top], [top] * 9, [0, top, 0, top, top],
@@ -155,6 +156,18 @@ def test_pack_rows_matches_the_byte_join(width):
         want = int.from_bytes(b"".join(r.to_bytes(width, "little") for r in rows), "little")
         assert core.pack_rows(rows, width) == want
         assert core.pack_rows(iter(rows), width) == want
+        assert core.unpack_rows(core.pack_rows(rows, width), width, len(rows)) == rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=" \t\r\n0123-mpx", max_size=40))
+def test_canonical_text_is_idempotent_and_keeps_lines(text):
+    """``canonical_text`` is canonical on its own output, and ends each line
+    of the text, the last one too, with one LF."""
+    canonical = core.canonical_text(text)
+    assert core.canonical_text(canonical) == canonical
+    breaks = len(re.findall(r"\r\n|\r|\n", text))
+    assert canonical.count("\n") == breaks + (not text.endswith(("\r", "\n")))
 
 
 class TestSerialization:

@@ -126,6 +126,14 @@ class TestTriangleCount:
     def test_empty_part(self):
         assert count_triangles_mp(MultipartiteGraph([4, 4, 0]), (0, 1, 2)) == 0
 
+    @pytest.mark.parametrize("parts", [(0, 0, 1), (0, 1, 5), (0, 1), (0, 1, 2, 3), (-1, 0, 1)])
+    def test_bad_part_triple_refused(self, parts):
+        """Parts that are not three distinct parts are refused, never counted
+        with a part twice in the mask or read past the offsets."""
+        g = gen_random_multipartite([3, 3, 3, 3], 1, 1, 0)
+        with pytest.raises(ValueError, match="part triple"):
+            count_triangles_mp(g, parts)
+
 
 class TestDiagnostics:
     def test_complete_reaches_cap(self):
@@ -221,6 +229,24 @@ class TestThreeTriples:
         cfg = find_three_triples(AuxiliaryHypergraph(5, sizes, blocks))
         assert cfg is not None and cfg.apex_extreme
         assert cfg.indices == (0, 1, 2, 4)
+
+    @pytest.mark.parametrize("sizes,blocks,message", [
+        ({(0, 1): 2, (1, 0): 5}, {}, "class key (1, 0) sorts to one given earlier"),
+        ({(1, 1): 3}, {}, "class key (1, 1) is not 2 distinct"),
+        ({(0, 1, 2): 3}, {}, "class key (0, 1, 2) is not 2 distinct"),
+        ({}, {(0, 1, 2): [], (2, 1, 0): []}, "block key (2, 1, 0) sorts to one given earlier"),
+        ({}, {(0, 1, 9): []}, "block key (0, 1, 9) is not 3 distinct"),
+        ({}, {(0, 1): []}, "block key (0, 1) is not 3 distinct"),
+        ({}, {(0, 1, 2): [(0, 0, 0), (0, 0, 0)]},
+         "block (0, 1, 2): triple (0, 0, 0) listed twice"),
+    ])
+    def test_keys_and_triples_refused(self, sizes, blocks, message):
+        """A key that is not distinct indices of range(m), one that sorts to
+        a key given earlier and a triple listed twice are each refused by
+        name, never merged or dropped."""
+        sizes = {**{(i, j): 1 for i in range(4) for j in range(i + 1, 4)}, **sizes}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AuxiliaryHypergraph(4, sizes, blocks)
 
     def test_budget_refusal(self):
         sizes = {(i, j): 3 for i in range(9) for j in range(i + 1, 9)}
@@ -326,11 +352,13 @@ class TestSerialization:
         assert fragment in str(err.value)
 
     def test_layouts(self):
-        """Runs of spaces or tabs between fields, and LF, CRLF or CR line
-        endings, read as the canonical text does."""
+        """Runs of spaces or tabs between fields or at either end of a line,
+        the first one included, LF, CRLF or CR line endings, and leading
+        zeros, read as the canonical text does."""
         text = "mp 2 1 2\n0 0 1 1\n"
         for variant in ("mp\t2  1 2\r\n 0 0 1\t1 \r\n", "mp 2 1 2\r0 0 1 1",
-                        "mp 2 01 2\n0 0 1 1\n"):
+                        "mp 2 01 2\n0 0 1 1\n", " mp 2 1 2\n0 0 1 1\n",
+                        "\tmp 2 1 2\n0 0 1 1\n", "mp 2 1 2\n00 0 1 1\n"):
             assert write_multipartite(read_multipartite(variant)) == text
 
 
