@@ -17,13 +17,15 @@ from .core import (
     Hypergraph4,
     _pair_base,
     check_construction,
+    iter_bits,
 )
 from .hashing import (
     TAG_PAIR_COLOUR,
     TAG_RANDOM_TRIPLE,
     TAG_TOURNAMENT,
     TAG_TRIPLE_ORIENT,
-    bernoulli,
+    child_hashes,
+    odd_children,
     tuple_hash,
 )
 
@@ -35,10 +37,11 @@ class PairColouring:
 
     colour(u, v) hashes (seed, min, max) and reduces modulo the number of
     colours.  ``colour_mask(x, c)`` gives the vertices y with
-    colour(x, y) == c as a bitmask; masks are built once at construction.
+    colour(x, y) == c as a bitmask; the colours and masks are built once at
+    construction, with each vertex's prefix hashed once.
     """
 
-    __slots__ = ("n", "num_colours", "seed", "_masks")
+    __slots__ = ("n", "num_colours", "seed", "_table", "_masks")
 
     def __init__(self, n: int, num_colours: int, seed: int):
         if num_colours < 1:
@@ -46,13 +49,17 @@ class PairColouring:
         self.n = n
         self.num_colours = num_colours
         self.seed = seed
+        # _table[u][v - u - 1] is the colour of {u, v}, u < v
+        table = []
         masks = [[0] * num_colours for _ in range(n)]
-        for u in range(n):
-            row = masks[u]
-            for v in range(u + 1, n):
-                c = tuple_hash(seed, TAG_PAIR_COLOUR, u, v) % num_colours
+        for u, hu in enumerate(child_hashes(tuple_hash(seed, TAG_PAIR_COLOUR), 0, n)):
+            colours = [h % num_colours for h in child_hashes(hu, u + 1, n)]
+            table.append(colours)
+            row, bit = masks[u], 1 << u
+            for v, c in enumerate(colours, u + 1):
                 row[c] |= 1 << v
-                masks[v][c] |= 1 << u
+                masks[v][c] |= bit
+        self._table = table
         self._masks = masks
 
     def colour(self, u: int, v: int) -> int:
@@ -60,7 +67,9 @@ class PairColouring:
             raise ValueError("pairs need two distinct vertices")
         if u > v:
             u, v = v, u
-        return tuple_hash(self.seed, TAG_PAIR_COLOUR, u, v) % self.num_colours
+        if u < 0 or v >= self.n:
+            raise ValueError("pair (%d, %d) out of range for n=%d" % (u, v, self.n))
+        return self._table[u][v - u - 1]
 
     def colour_mask(self, x: int, c: int) -> int:
         return self._masks[x][c]
@@ -74,12 +83,13 @@ class Tournament:
     def __init__(self, n: int, seed: int):
         self.n = n
         out = [0] * n
-        for u in range(n):
-            for v in range(u + 1, n):
-                if tuple_hash(seed, TAG_TOURNAMENT, u, v) & 1:
-                    out[u] |= 1 << v
-                else:
-                    out[v] |= 1 << u
+        full = (1 << n) - 1
+        for u, hu in enumerate(child_hashes(tuple_hash(seed, TAG_TOURNAMENT), 0, n)):
+            wins = odd_children(hu, u + 1, n)
+            out[u] |= wins
+            bit = 1 << u
+            for v in iter_bits(full >> (u + 1) << (u + 1) & ~wins):
+                out[v] |= bit
         self.out = out
 
 
@@ -90,7 +100,7 @@ class TripleOrientation:
     x->y, y->z, z->x and 1 for the reverse rotation with arcs x->z, z->y,
     y->x.  Instances either draw each class from the seed stream, derive it
     from a tournament, or take any class function ``cls_fn(x, y, z)`` of a
-    sorted triple.
+    sorted triple.  ``class_rows()`` gives the classes a pair at a time.
 
     The tournament rule picks the rotation whose arcs agree with an odd
     number (one or three) of the three tournament arcs.  By arc pattern
@@ -98,26 +108,101 @@ class TripleOrientation:
     chosen for 111, 100, 010, 001 and rotation 1 for 000, 110, 101, 011.
     """
 
-    __slots__ = ("n", "_cls")
+    __slots__ = ("n", "_cls", "_rows")
 
-    def __init__(self, n: int, cls_fn):
+    def __init__(self, n: int, cls_fn, rows_fn=None):
         self.n = n
         self._cls = cls_fn
+        self._rows = rows_fn
+
+    def class_rows(self) -> list[int]:
+        """For each pair x < y in pair-row order, the mask of the z > y
+        whose triple {x, y, z} has class 1."""
+        if self._rows is not None:
+            return self._rows()
+        n, cls_fn = self.n, self._cls
+        return [sum(1 << z for z in range(y + 1, n) if cls_fn(x, y, z))
+                for x in range(n) for y in range(x + 1, n)]
 
     @classmethod
     def seeded(cls, n: int, seed: int) -> "TripleOrientation":
         def cls_fn(x, y, z):
             return tuple_hash(seed, TAG_TRIPLE_ORIENT, x, y, z) & 1
-        return cls(n, cls_fn)
+
+        def rows_fn():
+            rows = []
+            for x, hx in enumerate(child_hashes(tuple_hash(seed, TAG_TRIPLE_ORIENT), 0, n)):
+                for y, hxy in enumerate(child_hashes(hx, x + 1, n), x + 1):
+                    rows.append(odd_children(hxy, y + 1, n))
+            return rows
+        return cls(n, cls_fn, rows_fn)
 
     @classmethod
     def from_tournament(cls, t: Tournament) -> "TripleOrientation":
-        out = t.out
+        n, out = t.n, t.out
 
         def cls_fn(x, y, z):
             agree = (out[x] >> y & 1) + (out[y] >> z & 1) + (out[z] >> x & 1)
             return 1 - (agree & 1)
-        return cls(t.n, cls_fn)
+
+        def rows_fn():
+            # class 1 iff t(x,y) + t(y,z) + t(z,x) is even; as t(z,x) is
+            # 1 - t(x,z), iff t(x,y) ^ t(y,z) ^ t(x,z) is 1, bit z of the row
+            full = (1 << n) - 1
+            rows = []
+            for x in range(n):
+                ox = out[x]
+                for y in range(x + 1, n):
+                    flip = full if ox >> y & 1 else 0
+                    rows.append((flip ^ out[y] ^ ox) & full >> (y + 1) << (y + 1))
+            return rows
+        return cls(n, cls_fn, rows_fn)
+
+
+def _pattern_terms(allowed: set, kc: int) -> list[list[list]]:
+    """``terms[slot][k]`` lists the (u-colours, v-colours) pairs of colour
+    sets that give the third vertices w of a pair u < v of colour k, with w
+    in ``slot`` of the sorted triple (0 first, 1 middle, 2 last): w
+    qualifies when colour(u, w) lies in the first set and colour(v, w) in the
+    second of some term.  A set is held as (colours, inverted), the
+    complement of the listed colours when inverted, whichever lists fewer.
+    Raises ValueError for a pattern that is not three colours of range(kc)."""
+    # at_v[slot][k][cu]: mask of the colours cv at v allowed with cu at u
+    at_v = [[[0] * kc for _ in range(kc)] for _ in range(3)]
+    first, middle, last = at_v
+    for pat in allowed:
+        a, b, c = pat if len(pat) == 3 else (-1, -1, -1)
+        if not (0 <= a < kc and 0 <= b < kc and 0 <= c < kc):
+            raise ValueError("bad pattern %r for %d colours" % (pat, kc))
+        first[a][b] |= 1 << c
+        middle[b][a] |= 1 << c
+        last[c][a] |= 1 << b
+
+    def spec(cols):
+        if 2 * cols.bit_count() <= kc:
+            return tuple(iter_bits(cols)), False
+        return tuple(iter_bits((1 << kc) - 1 & ~cols)), True
+
+    terms = []
+    for by_k in at_v:
+        terms.append([])
+        for by_cu in by_k:
+            at_u: dict[int, int] = {}
+            for cu, cvs in enumerate(by_cu):
+                if cvs:
+                    at_u[cvs] = at_u.get(cvs, 0) | 1 << cu
+            terms[-1].append([(spec(cus), spec(cvs)) for cvs, cus in at_u.items()])
+    return terms
+
+
+def _union(masks: list[int], spec: tuple, others: int) -> int:
+    """The union of ``masks[c]`` over the colours of ``spec``; ``others``
+    is the union of all of them."""
+    cols, inverted = spec
+    m = 0
+    for c in cols:
+        m |= masks[c]
+    return others & ~m if inverted else m
 
 
 def hypergraph_from_pair_pattern(colouring: PairColouring,
@@ -129,41 +214,27 @@ def hypergraph_from_pair_pattern(colouring: PairColouring,
     Built with bitmask algebra: for each pair {u, v} the admissible third
     vertices w are unions of colour-mask intersections, split by the slot the
     pair {u, v} occupies in the sorted triple (first for w > v, middle for
-    u < w < v, last for w < u).
+    u < w < v, last for w < u).  The patterns of each slot and pair colour
+    are grouped by their colour sets (``_pattern_terms``), so a pair costs
+    O(k) mask operations for k colours, not one per pattern.
     """
     n = colouring.n
-    kc = colouring.num_colours
-    allowed = set(allowed)
-    for pat in allowed:
-        if len(pat) != 3 or not all(0 <= c < kc for c in pat):
-            raise ValueError("bad pattern %r for %d colours" % (pat, kc))
-    by_first: list[list[tuple[int, int]]] = [[] for _ in range(kc)]
-    by_middle: list[list[tuple[int, int]]] = [[] for _ in range(kc)]
-    by_last: list[list[tuple[int, int]]] = [[] for _ in range(kc)]
-    for a, b, c in allowed:
-        by_first[a].append((b, c))
-        by_middle[b].append((a, c))
-        by_last[c].append((a, b))
+    first, middle, last = _pattern_terms(set(allowed), colouring.num_colours)
+    masks = colouring._masks
     full = (1 << n) - 1
     rows = []
-    cmask = colouring.colour_mask
-    for u in range(n):
+    for u, colours in enumerate(colouring._table):
+        mu, others_u = masks[u], full ^ 1 << u
         above_u = full >> (u + 1) << (u + 1)
         below_u = (1 << u) - 1
-        for v in range(u + 1, n):
-            cuv = colouring.colour(u, v)
-            above_v = full >> (v + 1) << (v + 1)
-            between = above_u & ((1 << v) - 1)
+        for v, k in enumerate(colours, u + 1):
+            mv, others_v = masks[v], full ^ 1 << v
             row = 0
-            for b, c in by_first[cuv]:
-                # triple (u, v, w): pattern (c_uv, colour(u,w), colour(v,w))
-                row |= cmask(u, b) & cmask(v, c) & above_v
-            for a, c in by_middle[cuv]:
-                # triple (u, w, v): pattern (colour(u,w), c_uv, colour(w,v))
-                row |= cmask(u, a) & cmask(v, c) & between
-            for a, b in by_last[cuv]:
-                # triple (w, u, v): pattern (colour(w,u), colour(w,v), c_uv)
-                row |= cmask(u, a) & cmask(v, b) & below_u
+            for window, terms in ((above_u >> (v + 1) << (v + 1), first[k]),
+                                  (above_u & ((1 << v) - 1), middle[k]),
+                                  (below_u, last[k])):
+                for at_u, at_v in terms:
+                    row |= _union(mu, at_u, others_u) & _union(mv, at_v, others_v) & window
             rows.append(row)
     return Hypergraph3(n, rows, colouring=colouring)
 
@@ -258,78 +329,65 @@ def gen_sk_free(n: int, k: int, seed: int) -> Hypergraph3:
     return hypergraph_from_pair_pattern(colouring, sk_free_patterns(k))
 
 
-def _orientation_tables(orient: TripleOrientation) -> tuple[list, list, list]:
-    """Bitmask views of a triple orientation, ``(base, dir_pair, trans)``,
-    read by ``quad_hypergraph_from_orientation``; ``base`` is the pair-row
-    base of n.
+def _pair_directions(orient: TripleOrientation) -> tuple[list, list]:
+    """``(base, dirs)``: ``base`` is the pair-row base of n, and ``dirs``,
+    indexed by the unordered pair {u < v}, has bit w set when the triple
+    {u, v, w} traverses the pair from u to v (low to high).
 
-    ``dir_pair`` is indexed by the unordered pair {u < v}; bit w says the
-    triple {u, v, w} traverses the pair from u to v (low to high).
-    ``trans[u][v]`` bit d says the triple {u, v, d} traverses the pair
-    {u, d} from min(u, d) to max(u, d).
+    Read from the class rows: for x < y < z, class 0 (x->y, y->z, z->x)
+    traverses {x, y} and {y, z} upward, class 1 (x->z, z->y, y->x) {x, z}.
     """
     n = orient.n
-    dir_pair = [0] * (n * (n - 1) // 2)
-    trans = [[0] * n for _ in range(n)]
     base = _pair_base(n)
-    cls_fn = orient._cls
+    ones = orient.class_rows()
+    full = (1 << n) - 1
+    dirs = [0] * len(ones)
     for x in range(n):
         bx = base[x] - x - 1
+        bit_x = 1 << x
         for y in range(x + 1, n):
             by = base[y] - y - 1
-            dxy = dir_pair[bx + y]
-            for z in range(y + 1, n):
-                if cls_fn(x, y, z) == 0:
-                    # rotation arcs x->y, y->z, z->x
-                    dxy |= 1 << z
-                    dir_pair[by + z] |= 1 << x
-                    trans[x][z] |= 1 << y
-                    trans[y][z] |= 1 << x
-                    trans[y][x] |= 1 << z
-                    trans[z][x] |= 1 << y
-                else:
-                    # rotation arcs x->z, z->y, y->x
-                    dir_pair[bx + z] |= 1 << y
-                    trans[x][y] |= 1 << z
-                    trans[z][y] |= 1 << x
-            dir_pair[bx + y] = dxy
-    return base, dir_pair, trans
+            c1 = ones[bx + y]
+            c0 = full >> (y + 1) << (y + 1) & ~c1
+            dirs[bx + y] |= c0
+            for z in iter_bits(c0):
+                dirs[by + z] |= bit_x
+            bit_y = 1 << y
+            for z in iter_bits(c1):
+                dirs[bx + z] |= bit_y
+    return base, dirs
 
 
 def quad_hypergraph_from_orientation(orient: TripleOrientation) -> Hypergraph4:
     """4-uniform hypergraph of a triple orientation: a quadruple is an edge
     iff each of its six pairs is traversed in opposite directions by the two
-    triples of the quadruple containing it."""
+    triples of the quadruple containing it.
+
+    The three pairs of one triple T of the quadruple already decide it: each
+    ties the class of one other triple to the class of T, and the rule has
+    one solution for each class of T.  So for u < v < x the mask of the
+    fourth vertices y needs only the directions of {u, v}, {u, x} and
+    {v, x}, and it is the link of all three pairs of the triple."""
     n = orient.n
     if not 4 <= n <= N4_CAP:
         raise ValueError("n=%d outside [4, %d]" % (n, N4_CAP))
-    base, dir_pair, trans = _orientation_tables(orient)
-    full = (1 << n) - 1
-    rows = [[0] * n for _ in range(n * (n - 1) // 2)]
+    base, dirs = _pair_directions(orient)
+    rows = [[0] * n for _ in range(len(dirs))]
     for u in range(n):
         bu = base[u] - u - 1
-        tu = trans[u]
         for v in range(u + 1, n):
-            duv = dir_pair[bu + v]
-            tv = trans[v]
-            tuv, tvu = tu[v], tv[u]
-            pair = rows[bu + v]
-            not_uvx = full & ~(1 << u) & ~(1 << v)
-            for x in range(n):
-                if x == u or x == v:
-                    continue
-                lo, hi = (u, x) if u < x else (x, u)
-                dux = dir_pair[base[lo] + hi - lo - 1]
-                lo, hi = (v, x) if v < x else (x, v)
-                dvx = dir_pair[base[lo] + hi - lo - 1]
-                # pair {u,v}: thirds x, y must fall in opposite classes;
-                # pairs {u,x} and {v,x}: y opposite to the known third;
-                # pairs {u,y}, {v,y}, {x,y}: exclusive-or of transposed rows
-                m = duv if not duv >> x & 1 else ~duv
-                m &= dux if not dux >> v & 1 else ~dux
-                m &= dvx if not dvx >> u & 1 else ~dvx
-                m &= (tuv ^ tu[x]) & (tvu ^ tv[x]) & (trans[x][u] ^ trans[x][v])
-                pair[x] = m & not_uvx & ~(1 << x)
+            bv = base[v] - v - 1
+            duv = dirs[bu + v]
+            row_uv = rows[bu + v]
+            for x in range(v + 1, n):
+                dux, dvx = dirs[bu + x], dirs[bv + x]
+                if duv >> x & 1:
+                    # class 0 takes {u, v} and {v, x} upward and {u, x}
+                    # downward, so the triples through y must do the opposite
+                    m = dux & ~(duv | dvx)
+                else:
+                    m = duv & dvx & ~dux
+                row_uv[x] = rows[bu + x][v] = rows[bv + x][u] = m
     return Hypergraph4(n, rows, orientation=orient)
 
 
@@ -353,10 +411,15 @@ def gen_random_3hg(n: int, density_num: int, density_den: int, seed: int) -> Hyp
     """Uniform random 3-uniform hypergraph: each triple is an edge
     independently with probability num/den.  Probe and test plumbing;
     ``from_edges`` checks n before it draws a triple."""
-    edges = ((x, y, z)
-             for x in range(n) for y in range(x + 1, n) for z in range(y + 1, n)
-             if bernoulli(density_num, density_den, seed, TAG_RANDOM_TRIPLE, x, y, z))
-    return Hypergraph3.from_edges(n, edges)
+    cut = density_num << 64
+
+    def edges():
+        for x, hx in enumerate(child_hashes(tuple_hash(seed, TAG_RANDOM_TRIPLE), 0, n)):
+            for y, hxy in enumerate(child_hashes(hx, x + 1, n), x + 1):
+                for z, h in enumerate(child_hashes(hxy, y + 1, n), y + 1):
+                    if h * density_den < cut:
+                        yield x, y, z
+    return Hypergraph3.from_edges(n, edges())
 
 
 CONSTRUCTIONS = {

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 from . import detectors
 from .core import N3_CAP, CapExceeded, Graph, ParseError, canonical_text, iter_bits
-from .hashing import TAG_AUX_TRIPLE, TAG_MP_EDGE, bernoulli, subseed
+from .hashing import TAG_AUX_TRIPLE, TAG_MP_EDGE, child_hashes, subseed, tuple_hash
 
 # a complete graph on 64 parts of 64 vertices holds 4096 row ints of 4096
 # bits, about 2.4 MB traced
@@ -118,11 +118,12 @@ def gen_random_multipartite(sizes: Sequence[int], p_num: int, p_den: int,
     """Each cross-part pair becomes an edge independently with probability
     p_num/p_den; deterministic in the seed."""
     g = MultipartiteGraph(sizes)
-    for i in range(g.m):
-        for j in range(i + 1, g.m):
-            for a in range(sizes[i]):
-                for b in range(sizes[j]):
-                    if bernoulli(p_num, p_den, seed, TAG_MP_EDGE, i, a, j, b):
+    cut = p_num << 64
+    for i, h_i in enumerate(child_hashes(tuple_hash(seed, TAG_MP_EDGE), 0, g.m)):
+        for a, h_a in enumerate(child_hashes(h_i, 0, sizes[i])):
+            for j, h_j in enumerate(child_hashes(h_a, i + 1, g.m), i + 1):
+                for b, h in enumerate(child_hashes(h_j, 0, sizes[j])):
+                    if h * p_den < cut:
                         g.add_edge(i, a, j, b)
     return g
 
@@ -281,9 +282,12 @@ class TripartiteTriples:
 
 def gen_random_aux_block(sizes: tuple[int, int, int], p_num: int, p_den: int,
                          seed: int) -> TripartiteTriples:
+    cut = p_num << 64
     triples = [(a, b, c)
-               for a in range(sizes[0]) for b in range(sizes[1]) for c in range(sizes[2])
-               if bernoulli(p_num, p_den, seed, TAG_AUX_TRIPLE, a, b, c)]
+               for a, h_a in enumerate(child_hashes(tuple_hash(seed, TAG_AUX_TRIPLE), 0, sizes[0]))
+               for b, h_b in enumerate(child_hashes(h_a, 0, sizes[1]))
+               for c, h in enumerate(child_hashes(h_b, 0, sizes[2]))
+               if h * p_den < cut]
     return TripartiteTriples(tuple(sizes), triples)
 
 
@@ -544,10 +548,34 @@ def read_multipartite(text: str) -> MultipartiteGraph:
     return g
 
 
+def _json_object(pairs: list) -> dict:
+    """``json.loads``'s object hook: refuse a key given twice, which the
+    default would let the last value overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError("JSON key %r given twice" % key)
+        obj[key] = value
+    return obj
+
+
+def _key_indices(what: str, key: str) -> tuple[int, ...]:
+    """The indices of a class or block key, refused unless the key is
+    exactly its indices joined by ',': "0,01,2" and " 0,1,2" would
+    otherwise read as the key "0,1,2"."""
+    try:
+        index = tuple(int(x) for x in key.split(","))
+    except ValueError:
+        index = None
+    if index is None or ",".join(map(str, index)) != key:
+        raise ValueError("%s key %r is not integer indices joined by ','" % (what, key))
+    return index
+
+
 # a field of the wrong JSON type (a number where a list belongs, a list where
 # an object does) raises one of the caught errors while the model is built
 def read_block(text: str) -> TripartiteTriples:
-    data = json.loads(text)
+    data = json.loads(text, object_pairs_hook=_json_object)
     try:
         return TripartiteTriples(tuple(data["sizes"]), [tuple(t) for t in data["triples"]])
     except (TypeError, IndexError) as exc:
@@ -555,12 +583,11 @@ def read_block(text: str) -> TripartiteTriples:
 
 
 def read_auxiliary(text: str) -> AuxiliaryHypergraph:
-    data = json.loads(text)
+    data = json.loads(text, object_pairs_hook=_json_object)
     try:
         m = data["m"]
-        sizes = {tuple(int(x) for x in key.split(",")): v
-                 for key, v in data["class_sizes"].items()}
-        blocks = {tuple(int(x) for x in key.split(",")): [tuple(t) for t in triples]
+        sizes = {_key_indices("class", key): v for key, v in data["class_sizes"].items()}
+        blocks = {_key_indices("block", key): [tuple(t) for t in triples]
                   for key, triples in data.get("blocks", {}).items()}
         for value in (m, *sizes.values()):
             if type(value) is not int or value < 0:

@@ -26,6 +26,50 @@ def tournament_seed(n: int, accept) -> int:
     return seed
 
 
+def pair_pattern_reference(colouring, allowed) -> list[int]:
+    """The pair rows of the pattern construction with every allowed pattern
+    of a pair's colour scanned for that pair, about K^2 of them for K
+    colours: the reference for ``hypergraph_from_pair_pattern``."""
+    n = colouring.n
+    kc = colouring.num_colours
+    by_first = [[] for _ in range(kc)]
+    by_middle = [[] for _ in range(kc)]
+    by_last = [[] for _ in range(kc)]
+    for a, b, c in set(allowed):
+        by_first[a].append((b, c))
+        by_middle[b].append((a, c))
+        by_last[c].append((a, b))
+    full = (1 << n) - 1
+    rows = []
+    cmask = colouring.colour_mask
+    for u in range(n):
+        above_u = full >> (u + 1) << (u + 1)
+        below_u = (1 << u) - 1
+        for v in range(u + 1, n):
+            cuv = colouring.colour(u, v)
+            above_v = full >> (v + 1) << (v + 1)
+            between = above_u & ((1 << v) - 1)
+            row = 0
+            for b, c in by_first[cuv]:
+                row |= cmask(u, b) & cmask(v, c) & above_v
+            for a, c in by_middle[cuv]:
+                row |= cmask(u, a) & cmask(v, c) & between
+            for a, b in by_last[cuv]:
+                row |= cmask(u, a) & cmask(v, b) & below_u
+            rows.append(row)
+    return rows
+
+
+def quad_rule_reference(orient) -> list:
+    """The 4-uniform edges of a triple orientation by the definition: every
+    quadruple whose six pairs are each traversed in opposite directions by
+    the two triples of the quadruple containing it."""
+    return [quad for quad in combinations(range(orient.n), 4)
+            if all(pair_direction(orient, u, v, t0) != pair_direction(orient, u, v, t1)
+                   for u, v in combinations(quad, 2)
+                   for t0, t1 in [[w for w in quad if w not in (u, v)]])]
+
+
 def arcs(orient, x: int, y: int, z: int) -> set[tuple[int, int]]:
     """The three directed arcs of the chosen rotation of a sorted triple."""
     if orient._cls(x, y, z) == 0:

@@ -1,11 +1,14 @@
+import hashlib
 from itertools import combinations, product
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperq import constructions
-from hyperq.core import CapExceeded, Hypergraph3
+from hyperq.core import CapExceeded, Hypergraph3, write_hypergraph
 from hyperq.constructions import (
+    CONSTRUCTIONS,
     PATTERN_K_CAP,
     PairColouring,
     Tournament,
@@ -19,11 +22,40 @@ from hyperq.constructions import (
     gen_random_3hg,
     gen_sk_free,
     gen_tournament_3hg,
+    hypergraph_from_pair_pattern,
     party_of_six_patterns,
     quad_hypergraph_from_orientation,
     sk_free_patterns,
 )
-from helpers import arcs, pair_direction, tournament_seed
+from helpers import (
+    arcs,
+    pair_direction,
+    pair_pattern_reference,
+    quad_rule_reference,
+    tournament_seed,
+)
+
+# sha256 of write_hypergraph for each construction at one (n, k, seed)
+GOLDENS = {
+    ("tournament3", 30, None, 3): "cffe60db74081effacd7183a26c61cd7beb2579d29ea035def4133f4303af271",
+    ("colouring-kk", 25, 6, 4): "ddf57b86e0b4902c5cbde88bc7cae4a1dc919f79ec2af8e96bab8eb759fa3a74",
+    ("party6", 25, None, 5): "cb1c877b8751e109f8f48692b5ff9c719b8c6dfb15eab15d99edeeef184ce504",
+    ("rainbow27", 30, None, 6): "1b08450c4f25dd20f162d35980dbc6042fb72e9c954df034aa7b60e916bb9daa",
+    ("sk-free", 25, 6, 7): "f1386aba78765a4fd4b2d0186c993da0f39a67f79ceb10736ae4dd42e991d35b",
+    ("oriented4", 18, None, 8): "bd0dcca4446ae769dcacc95eab4b10011534c2c7184eef78d1bd5de6c67911f9",
+    ("leader-tan", 18, None, 9): "b678f569f6a7d271b9331bca0ea08bbf9da435d108a921d622489bd838cac5a9",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDENS), ids=lambda case: case[0])
+def test_construction_golden(case):
+    name, n, k, seed = case
+    text = write_hypergraph(CONSTRUCTIONS[name](n, k, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDENS[case]
+
+
+def test_goldens_cover_every_construction():
+    assert {case[0] for case in GOLDENS} == set(CONSTRUCTIONS)
 
 
 def test_determinism():
@@ -137,6 +169,69 @@ def test_sk_rule_matches_table():
     for x, y, z in combinations(range(15), 3):
         pattern = (psi.colour(x, y), psi.colour(x, z), psi.colour(y, z))
         assert h.has_edge(x, y, z) == (pattern in table)
+
+
+@st.composite
+def pattern_cases(draw):
+    kc = draw(st.integers(1, 6))
+    colour = st.integers(0, kc - 1)
+    allowed = draw(st.sets(st.tuples(colour, colour, colour), max_size=kc ** 3))
+    return draw(st.integers(0, 16)), kc, allowed, draw(st.integers(0, 10 ** 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern_cases())
+def test_pattern_builder_matches_per_pattern_scan(case):
+    n, kc, allowed, seed = case
+    colouring = PairColouring(n, kc, seed)
+    h = hypergraph_from_pair_pattern(colouring, allowed)
+    assert h._rows == pair_pattern_reference(colouring, allowed)
+
+
+@pytest.mark.parametrize("make,k", [(gen_colouring_kk_free, 9), (gen_sk_free, 9),
+                                    (gen_colouring_kk_free, PATTERN_K_CAP)])
+def test_pattern_builder_matches_per_pattern_scan_at_many_colours(make, k):
+    h = make(14, k, 2)
+    allowed = colouring_kk_patterns(k) if make is gen_colouring_kk_free else sk_free_patterns(k)
+    assert h._rows == pair_pattern_reference(h.colouring, allowed)
+
+
+@pytest.mark.parametrize("pattern", [(0, 1), (0, 1, 2, 0), (0, 0, 3), (-1, 0, 0)])
+def test_pattern_builder_refuses_bad_pattern(pattern):
+    with pytest.raises(ValueError, match="bad pattern"):
+        hypergraph_from_pair_pattern(PairColouring(5, 3, 0), {(0, 1, 2), pattern})
+
+
+def test_pair_colour_reads_its_table():
+    psi = PairColouring(9, 4, 3)
+    for u, v in combinations(range(9), 2):
+        assert psi.colour(u, v) == psi.colour(v, u)
+        assert psi.colour_mask(u, psi.colour(u, v)) >> v & 1
+    for u, v in [(2, 2), (-1, 3), (3, 9)]:
+        with pytest.raises(ValueError):
+            psi.colour(u, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 14), st.integers(0, 10 ** 6))
+def test_class_rows_match_class_function(n, seed):
+    for orient in (TripleOrientation.seeded(n, seed),
+                   TripleOrientation.from_tournament(Tournament(n, seed))):
+        assert orient.class_rows() == TripleOrientation(n, orient._cls).class_rows()
+        rows = iter(orient.class_rows())
+        for x, y in combinations(range(n), 2):
+            row = next(rows)
+            assert [row >> z & 1 for z in range(y + 1, n)] == \
+                [orient._cls(x, y, z) for z in range(y + 1, n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, 1), min_size=n ** 3, max_size=n ** 3))))
+def test_quad_builder_matches_six_pair_rule(case):
+    n, bits = case
+    orient = TripleOrientation(n, lambda x, y, z: bits[(x * n + y) * n + z])
+    assert quad_hypergraph_from_orientation(orient).edges() == quad_rule_reference(orient)
 
 
 class TestPatternTables:

@@ -23,6 +23,8 @@ from hyperq.multipartite import (
     mean_square_profile,
     project_auxiliary,
     proof_diagnostics,
+    read_auxiliary,
+    read_block,
     read_multipartite,
     write_multipartite,
 )
@@ -196,6 +198,51 @@ class TestProjection:
             rep = project_auxiliary(blk, eps)
             if rep.premise_holds:
                 assert rep.left_holds or rep.right_holds
+
+
+AUX3 = '{"m": 3, "class_sizes": {%s}, "blocks": {%s}}'
+SIZES3 = '"0,1": 1, "0,2": 1, "1,2": 1'
+
+
+class TestAuxiliaryKeys:
+    """A class or block key must be its indices joined by ',', and no JSON
+    object may give a key twice: either would let two keys read alike."""
+
+    @pytest.mark.parametrize("text,message", [
+        (AUX3 % (SIZES3, '"0,1,2": [], "0,01,2": [[0, 0, 0]]'),
+         "block key '0,01,2' is not integer indices joined by ','"),
+        (AUX3 % (SIZES3, '" 0,1,2": [[0, 0, 0]]'),
+         "block key ' 0,1,2' is not integer indices joined by ','"),
+        (AUX3 % (SIZES3, '"0,1,+2": []'), "block key '0,1,+2' is not integer indices"),
+        (AUX3 % ('"0,1": 1, "0,2": 1, "01,2": 1', ""), "class key '01,2' is not integer"),
+        (AUX3 % ('"0,1": 1, "0,2": 1, "1, 2": 1', ""), "class key '1, 2' is not integer"),
+        (AUX3 % ('"0,1": 1, "0,2": 1, "a,b": 1', ""), "class key 'a,b' is not integer"),
+        (AUX3 % (SIZES3, '"0,1,2": [], "0,1,2": [[0, 0, 0]]'), "JSON key '0,1,2' given twice"),
+        (AUX3 % ('"0,1": 1, "0,2": 1, "1,2": 1, "0,1": 2', ""), "JSON key '0,1' given twice"),
+        ('{"m": 3, "m": 4, "class_sizes": {%s}}' % SIZES3, "JSON key 'm' given twice"),
+    ], ids=["block-leading-zero", "block-leading-space", "block-plus-sign",
+            "class-leading-zero", "class-inner-space", "class-not-digits",
+            "block-key-twice", "class-key-twice", "m-twice"])
+    def test_refused_naming_the_key(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_auxiliary(text)
+
+    def test_key_in_any_order_still_read(self):
+        aux = read_auxiliary(AUX3 % ('"1,0": 1, "2,0": 1, "1,2": 1', '"2,0,1": [[0, 0, 0]]'))
+        assert set(aux.blocks) == {(0, 1, 2)} and aux.class_sizes[(0, 1)] == 1
+
+    def test_block_key_twice_refused(self):
+        with pytest.raises(ValueError, match="JSON key 'triples' given twice"):
+            read_block('{"sizes": [1, 1, 1], "triples": [[0, 0, 0]], "triples": []}')
+
+    @pytest.mark.parametrize("blocks,key", [('"0,1,2": [], "0,01,2": [[0, 0, 0]]', "'0,01,2'"),
+                                            ('"0,1,2": [], "0,1,2": [[0, 0, 0]]', "'0,1,2'")])
+    def test_cli_exit_code(self, tmp_path, capsys, blocks, key):
+        path = tmp_path / "aux.json"
+        path.write_text(AUX3 % (SIZES3, blocks))
+        assert main(["multipartite", "--op", "threetriples", "--in", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
 
 
 class TestThreeTriples:
