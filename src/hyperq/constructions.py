@@ -24,6 +24,7 @@ from .hashing import (
     TAG_RANDOM_TRIPLE,
     TAG_TOURNAMENT,
     TAG_TRIPLE_ORIENT,
+    bernoulli_cut,
     child_hashes,
     odd_children,
     tuple_hash,
@@ -41,14 +42,13 @@ class PairColouring:
     construction, with each vertex's prefix hashed once.
     """
 
-    __slots__ = ("n", "num_colours", "seed", "_table", "_masks")
+    __slots__ = ("n", "num_colours", "_table", "_masks")
 
     def __init__(self, n: int, num_colours: int, seed: int):
         if num_colours < 1:
             raise ValueError("need at least one colour")
         self.n = n
         self.num_colours = num_colours
-        self.seed = seed
         # _table[u][v - u - 1] is the colour of {u, v}, u < v
         table = []
         masks = [[0] * num_colours for _ in range(n)]
@@ -94,69 +94,62 @@ class Tournament:
 
 
 class TripleOrientation:
-    """One cyclic class per vertex triple.
+    """One cyclic orientation per vertex triple, held as its pair directions.
 
-    For a sorted triple x < y < z the class is 0 for the rotation with arcs
-    x->y, y->z, z->x and 1 for the reverse rotation with arcs x->z, z->y,
-    y->x.  Instances either draw each class from the seed stream, derive it
-    from a tournament, or take any class function ``cls_fn(x, y, z)`` of a
-    sorted triple.  ``class_rows()`` gives the classes a pair at a time.
+    ``dirs`` has one mask per pair {u < v}, in pair-row order, with bit w
+    set when the triple {u, v, w} traverses the pair from u to v.  A sorted
+    triple x < y < z has class 0, the rotation x->y, y->z, z->x, or class 1,
+    the reverse rotation x->z, z->y, y->x.  Class 0 traverses {x, y} and
+    {y, z} upward, class 1 only {x, z}.
 
-    The tournament rule picks the rotation whose arcs agree with an odd
-    number (one or three) of the three tournament arcs.  By arc pattern
-    (t(x,y), t(y,z), t(z,x)), writing t(a,b)=1 when a beats b, rotation 0 is
-    chosen for 111, 100, 010, 001 and rotation 1 for 000, 110, 101, 011.
+    ``seeded`` draws each class from the seed stream.  ``from_tournament``
+    picks the rotation whose arcs agree with an odd number (one or three) of
+    the three tournament arcs: by arc pattern (t(x,y), t(y,z), t(z,x)),
+    writing t(a,b)=1 when a beats b, rotation 0 is chosen for 111, 100,
+    010, 001 and rotation 1 for 000, 110, 101, 011.
     """
 
-    __slots__ = ("n", "_cls", "_rows")
+    __slots__ = ("n", "dirs")
 
-    def __init__(self, n: int, cls_fn, rows_fn=None):
+    def __init__(self, n: int, dirs: list[int]):
         self.n = n
-        self._cls = cls_fn
-        self._rows = rows_fn
-
-    def class_rows(self) -> list[int]:
-        """For each pair x < y in pair-row order, the mask of the z > y
-        whose triple {x, y, z} has class 1."""
-        if self._rows is not None:
-            return self._rows()
-        n, cls_fn = self.n, self._cls
-        return [sum(1 << z for z in range(y + 1, n) if cls_fn(x, y, z))
-                for x in range(n) for y in range(x + 1, n)]
+        self.dirs = dirs
 
     @classmethod
     def seeded(cls, n: int, seed: int) -> "TripleOrientation":
-        def cls_fn(x, y, z):
-            return tuple_hash(seed, TAG_TRIPLE_ORIENT, x, y, z) & 1
-
-        def rows_fn():
-            rows = []
-            for x, hx in enumerate(child_hashes(tuple_hash(seed, TAG_TRIPLE_ORIENT), 0, n)):
-                for y, hxy in enumerate(child_hashes(hx, x + 1, n), x + 1):
-                    rows.append(odd_children(hxy, y + 1, n))
-            return rows
-        return cls(n, cls_fn, rows_fn)
+        base = _pair_base(n)
+        full = (1 << n) - 1
+        dirs = [0] * (n * (n - 1) // 2)
+        for x, hx in enumerate(child_hashes(tuple_hash(seed, TAG_TRIPLE_ORIENT), 0, n)):
+            bx = base[x] - x - 1
+            bit_x = 1 << x
+            for y, hxy in enumerate(child_hashes(hx, x + 1, n), x + 1):
+                by = base[y] - y - 1
+                # the z > y whose triple {x, y, z} has class 1, then class 0
+                c1 = odd_children(hxy, y + 1, n)
+                c0 = full >> (y + 1) << (y + 1) & ~c1
+                dirs[bx + y] |= c0
+                for z in iter_bits(c0):
+                    dirs[by + z] |= bit_x
+                bit_y = 1 << y
+                for z in iter_bits(c1):
+                    dirs[bx + z] |= bit_y
+        return cls(n, dirs)
 
     @classmethod
     def from_tournament(cls, t: Tournament) -> "TripleOrientation":
+        # the rotation through u->v, v->w, w->u agrees with t(u,v) + t(v,w)
+        # + 1 - t(u,w) arcs, an odd number exactly when t(u,v) ^ t(u,w) ^
+        # t(v,w) is 0: bit w of out[u] ^ out[v], flipped unless u beats v
         n, out = t.n, t.out
-
-        def cls_fn(x, y, z):
-            agree = (out[x] >> y & 1) + (out[y] >> z & 1) + (out[z] >> x & 1)
-            return 1 - (agree & 1)
-
-        def rows_fn():
-            # class 1 iff t(x,y) + t(y,z) + t(z,x) is even; as t(z,x) is
-            # 1 - t(x,z), iff t(x,y) ^ t(y,z) ^ t(x,z) is 1, bit z of the row
-            full = (1 << n) - 1
-            rows = []
-            for x in range(n):
-                ox = out[x]
-                for y in range(x + 1, n):
-                    flip = full if ox >> y & 1 else 0
-                    rows.append((flip ^ out[y] ^ ox) & full >> (y + 1) << (y + 1))
-            return rows
-        return cls(n, cls_fn, rows_fn)
+        full = (1 << n) - 1
+        dirs = []
+        for u in range(n):
+            ou = out[u]
+            for v in range(u + 1, n):
+                keep = 0 if ou >> v & 1 else full
+                dirs.append((ou ^ out[v] ^ keep) & ~(1 << u | 1 << v))
+        return cls(n, dirs)
 
 
 def _pattern_terms(allowed: set, kc: int) -> list[list[list]]:
@@ -254,7 +247,7 @@ def gen_tournament_3hg(n: int, seed: int) -> Hypergraph3:
                 rows.append(out[v] & into_u)
             else:
                 rows.append(out[u] & full & ~out[v] & ~(1 << v))
-    return Hypergraph3(n, rows, orientation=t)
+    return Hypergraph3(n, rows)
 
 
 def colouring_kk_patterns(k: int) -> set[tuple[int, int, int]]:
@@ -329,35 +322,6 @@ def gen_sk_free(n: int, k: int, seed: int) -> Hypergraph3:
     return hypergraph_from_pair_pattern(colouring, sk_free_patterns(k))
 
 
-def _pair_directions(orient: TripleOrientation) -> tuple[list, list]:
-    """``(base, dirs)``: ``base`` is the pair-row base of n, and ``dirs``,
-    indexed by the unordered pair {u < v}, has bit w set when the triple
-    {u, v, w} traverses the pair from u to v (low to high).
-
-    Read from the class rows: for x < y < z, class 0 (x->y, y->z, z->x)
-    traverses {x, y} and {y, z} upward, class 1 (x->z, z->y, y->x) {x, z}.
-    """
-    n = orient.n
-    base = _pair_base(n)
-    ones = orient.class_rows()
-    full = (1 << n) - 1
-    dirs = [0] * len(ones)
-    for x in range(n):
-        bx = base[x] - x - 1
-        bit_x = 1 << x
-        for y in range(x + 1, n):
-            by = base[y] - y - 1
-            c1 = ones[bx + y]
-            c0 = full >> (y + 1) << (y + 1) & ~c1
-            dirs[bx + y] |= c0
-            for z in iter_bits(c0):
-                dirs[by + z] |= bit_x
-            bit_y = 1 << y
-            for z in iter_bits(c1):
-                dirs[bx + z] |= bit_y
-    return base, dirs
-
-
 def quad_hypergraph_from_orientation(orient: TripleOrientation) -> Hypergraph4:
     """4-uniform hypergraph of a triple orientation: a quadruple is an edge
     iff each of its six pairs is traversed in opposite directions by the two
@@ -371,7 +335,7 @@ def quad_hypergraph_from_orientation(orient: TripleOrientation) -> Hypergraph4:
     n = orient.n
     if not 4 <= n <= N4_CAP:
         raise ValueError("n=%d outside [4, %d]" % (n, N4_CAP))
-    base, dirs = _pair_directions(orient)
+    base, dirs = _pair_base(n), orient.dirs
     rows = [[0] * n for _ in range(len(dirs))]
     for u in range(n):
         bu = base[u] - u - 1
@@ -388,7 +352,7 @@ def quad_hypergraph_from_orientation(orient: TripleOrientation) -> Hypergraph4:
                 else:
                     m = duv & dvx & ~dux
                 row_uv[x] = rows[bu + x][v] = rows[bv + x][u] = m
-    return Hypergraph4(n, rows, orientation=orient)
+    return Hypergraph4(n, rows)
 
 
 def gen_oriented_4hg(n: int, seed: int) -> Hypergraph4:
@@ -402,16 +366,14 @@ def gen_leader_tan(n: int, seed: int) -> Hypergraph4:
     """Opposite-traversal hypergraph of the triple orientation derived from a
     seeded tournament by the odd-agreement rule; density concentrates near 1/4."""
     check_construction("leader-tan", n, None)
-    t = Tournament(n, seed)
-    h = quad_hypergraph_from_orientation(TripleOrientation.from_tournament(t))
-    return h
+    return quad_hypergraph_from_orientation(TripleOrientation.from_tournament(Tournament(n, seed)))
 
 
 def gen_random_3hg(n: int, density_num: int, density_den: int, seed: int) -> Hypergraph3:
     """Uniform random 3-uniform hypergraph: each triple is an edge
     independently with probability num/den.  Probe and test plumbing;
     ``from_edges`` checks n before it draws a triple."""
-    cut = density_num << 64
+    cut = bernoulli_cut(density_num, density_den)
 
     def edges():
         for x, hx in enumerate(child_hashes(tuple_hash(seed, TAG_RANDOM_TRIPLE), 0, n)):

@@ -53,8 +53,9 @@ def _as_fraction(value, default: Fraction) -> Fraction:
 
 # largest k of the colouring-kk and sk-free pattern tables of constructions,
 # which grow as k^3: at k = 64 they hold about 235,000 patterns, traced at
-# 23 MB and built in 0.3 s (colouring-kk) and 1.2 s (sk-free) of CPU on a
-# 2-vCPU Xeon VM; at k = 100, 0.94M patterns take 93 MB
+# 23 MB (25-27 MB with their grouped terms), and table plus terms take 0.03 +
+# 0.11 s (colouring-kk) and 0.07 + 0.13 s (sk-free) of CPU on a 2-vCPU Xeon
+# VM, best of 5; at k = 100, 0.94M patterns take 93 MB
 PATTERN_K_CAP = 64
 # construction -> (arity, least n, least k, or None where k is not read); the
 # greatest n is the cap of its arity
@@ -260,12 +261,11 @@ class _PairRows:
     """Both arities: one row per pair {u < v}, at ``_rows[_base[u] + v - u - 1]``,
     holding the link of the pair.  Each subclass sets its ``arity``, the
     ``cap`` on n, and ``_BITS``, the bits an edge sets over the rows.  A
-    construction keeps the ``colouring`` or ``orientation`` it was built from."""
+    pair-colour construction keeps the ``colouring`` it was built from."""
 
-    __slots__ = ("n", "_rows", "_base", "edge_count", "colouring", "orientation",
-                 "_packed")
+    __slots__ = ("n", "_rows", "_base", "edge_count", "colouring", "_packed")
 
-    def __init__(self, n: int, rows: list, colouring=None, orientation=None):
+    def __init__(self, n: int, rows: list, colouring=None):
         self._check_n(n)
         if len(rows) != n * (n - 1) // 2:
             raise ValueError("expected %d pair rows, got %d" % (n * (n - 1) // 2, len(rows)))
@@ -277,7 +277,6 @@ class _PairRows:
             raise ValueError("pair rows hold %d bits, not a multiple of %d" % (bits, self._BITS))
         self.edge_count = bits // self._BITS
         self.colouring = colouring
-        self.orientation = orientation
         self._packed: list[int] | None = None
 
     @classmethod

@@ -89,9 +89,18 @@ def odd_children(h: int, lo: int, hi: int) -> int:
     return int(raw[15::16].translate(_ODD_DIGIT), 2) << lo
 
 
+def bernoulli_cut(num: int, den: int) -> int:
+    """The cut of a Bernoulli(num/den) trial: a 64-bit hash h passes it when
+    ``h * den < num << 64``.  Raises ValueError unless den >= 1 and
+    0 <= num <= den."""
+    if not (den >= 1 and 0 <= num <= den):
+        raise ValueError("probability %d/%d is not in [0, 1]" % (num, den))
+    return num << 64
+
+
 def bernoulli(num: int, den: int, seed: int, tag: int, *parts: int) -> bool:
     """Deterministic Bernoulli(num/den) trial; pure integer comparison."""
-    return tuple_hash(seed, tag, *parts) * den < num << 64
+    return tuple_hash(seed, tag, *parts) * den < bernoulli_cut(num, den)
 
 
 def subseed(seed: int, *parts: int) -> int:

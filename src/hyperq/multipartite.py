@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 from . import detectors
 from .core import N3_CAP, CapExceeded, Graph, ParseError, canonical_text, iter_bits
-from .hashing import TAG_AUX_TRIPLE, TAG_MP_EDGE, child_hashes, subseed, tuple_hash
+from .hashing import TAG_AUX_TRIPLE, TAG_MP_EDGE, bernoulli_cut, child_hashes, subseed, tuple_hash
 
 # a complete graph on 64 parts of 64 vertices holds 4096 row ints of 4096
 # bits, about 2.4 MB traced
@@ -118,7 +118,7 @@ def gen_random_multipartite(sizes: Sequence[int], p_num: int, p_den: int,
     """Each cross-part pair becomes an edge independently with probability
     p_num/p_den; deterministic in the seed."""
     g = MultipartiteGraph(sizes)
-    cut = p_num << 64
+    cut = bernoulli_cut(p_num, p_den)
     for i, h_i in enumerate(child_hashes(tuple_hash(seed, TAG_MP_EDGE), 0, g.m)):
         for a, h_a in enumerate(child_hashes(h_i, 0, sizes[i])):
             for j, h_j in enumerate(child_hashes(h_a, i + 1, g.m), i + 1):
@@ -282,7 +282,7 @@ class TripartiteTriples:
 
 def gen_random_aux_block(sizes: tuple[int, int, int], p_num: int, p_den: int,
                          seed: int) -> TripartiteTriples:
-    cut = p_num << 64
+    cut = bernoulli_cut(p_num, p_den)
     triples = [(a, b, c)
                for a, h_a in enumerate(child_hashes(tuple_hash(seed, TAG_AUX_TRIPLE), 0, sizes[0]))
                for b, h_b in enumerate(child_hashes(h_a, 0, sizes[1]))

@@ -7,9 +7,9 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from hyperq.certifiers import SIGN_SPLIT_SEARCH_STEPS, WEAK_SEARCH_STEPS
-from hyperq.constructions import Tournament
-from hyperq.core import Graph, Hypergraph3, Hypergraph4, ParseError, iter_bits
-from hyperq.hashing import TAG_AUX_TRIPLE, bernoulli, subseed
+from hyperq.constructions import Tournament, TripleOrientation
+from hyperq.core import Graph, Hypergraph3, Hypergraph4, ParseError, _pair_base, iter_bits
+from hyperq.hashing import TAG_AUX_TRIPLE, TAG_TRIPLE_ORIENT, bernoulli, subseed, tuple_hash
 from hyperq.multipartite import (
     AuxiliaryHypergraph,
     MultipartiteGraph,
@@ -70,9 +70,40 @@ def quad_rule_reference(orient) -> list:
                    for t0, t1 in [[w for w in quad if w not in (u, v)]])]
 
 
+def seeded_class(seed: int):
+    """The class function of ``TripleOrientation.seeded``: the parity of
+    the triple's seeded hash."""
+    return lambda x, y, z: tuple_hash(seed, TAG_TRIPLE_ORIENT, x, y, z) & 1
+
+
+def tournament_class(out: list[int]):
+    """The class function of ``TripleOrientation.from_tournament``: rotation
+    0 (x->y, y->z, z->x) when it agrees with an odd number of arcs."""
+    return lambda x, y, z: 1 - ((out[x] >> y & 1) + (out[y] >> z & 1) + (out[z] >> x & 1)) % 2
+
+
+def orientation_from_classes(n: int, cls_fn) -> TripleOrientation:
+    """The triple orientation whose sorted triple x < y < z takes class
+    ``cls_fn(x, y, z)``, its pair directions filled one pair and one third
+    vertex at a time."""
+    dirs = []
+    for u, v in combinations(range(n), 2):
+        mask = 0
+        for w in range(n):
+            if w not in (u, v):
+                x, y, z = sorted((u, v, w))
+                rotation = ({(x, y), (y, z), (z, x)} if cls_fn(x, y, z) == 0
+                            else {(x, z), (z, y), (y, x)})
+                if (u, v) in rotation:
+                    mask |= 1 << w
+        dirs.append(mask)
+    return TripleOrientation(n, dirs)
+
+
 def arcs(orient, x: int, y: int, z: int) -> set[tuple[int, int]]:
-    """The three directed arcs of the chosen rotation of a sorted triple."""
-    if orient._cls(x, y, z) == 0:
+    """The three directed arcs of the chosen rotation of a sorted triple,
+    read from the direction of its pair {x, y}."""
+    if orient.dirs[_pair_base(orient.n)[x] + y - x - 1] >> z & 1:
         return {(x, y), (y, z), (z, x)}
     return {(x, z), (z, y), (y, x)}
 

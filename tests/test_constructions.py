@@ -29,9 +29,12 @@ from hyperq.constructions import (
 )
 from helpers import (
     arcs,
+    orientation_from_classes,
     pair_direction,
     pair_pattern_reference,
     quad_rule_reference,
+    seeded_class,
+    tournament_class,
     tournament_seed,
 )
 
@@ -44,10 +47,17 @@ GOLDENS = {
     ("sk-free", 25, 6, 7): "f1386aba78765a4fd4b2d0186c993da0f39a67f79ceb10736ae4dd42e991d35b",
     ("oriented4", 18, None, 8): "bd0dcca4446ae769dcacc95eab4b10011534c2c7184eef78d1bd5de6c67911f9",
     ("leader-tan", 18, None, 9): "b678f569f6a7d271b9331bca0ea08bbf9da435d108a921d622489bd838cac5a9",
+    ("leader-tan", 44, None, 0): "d630900199a448ed12e1936ec5cb960d1b1aac56ee050183fa883b053e4078f4",
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDENS), ids=lambda case: case[0])
+def golden_id(case):
+    """A construction's first golden is named after it, a further one also by its n."""
+    first = min(c for c in GOLDENS if c[0] == case[0])
+    return case[0] if case == first else "%s-n%d" % case[:2]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDENS), ids=golden_id)
 def test_construction_golden(case):
     name, n, k, seed = case
     text = write_hypergraph(CONSTRUCTIONS[name](n, k, seed))
@@ -94,7 +104,7 @@ def test_regular_tournament_gives_five_edges():
 
 def test_tournament_edges_are_cyclic_triples():
     h = gen_tournament_3hg(12, 2)
-    out = h.orientation.out
+    out = Tournament(12, 2).out
     for x, y, z in combinations(range(12), 3):
         arcs = (out[x] >> y & 1) + (out[y] >> z & 1) + (out[z] >> x & 1)
         cyclic = arcs in (0, 3)  # out-degrees 1,1,1 within the triple
@@ -214,15 +224,12 @@ def test_pair_colour_reads_its_table():
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 14), st.integers(0, 10 ** 6))
-def test_class_rows_match_class_function(n, seed):
-    for orient in (TripleOrientation.seeded(n, seed),
-                   TripleOrientation.from_tournament(Tournament(n, seed))):
-        assert orient.class_rows() == TripleOrientation(n, orient._cls).class_rows()
-        rows = iter(orient.class_rows())
-        for x, y in combinations(range(n), 2):
-            row = next(rows)
-            assert [row >> z & 1 for z in range(y + 1, n)] == \
-                [orient._cls(x, y, z) for z in range(y + 1, n)]
+def test_pair_directions_match_class_rules(n, seed):
+    assert TripleOrientation.seeded(n, seed).dirs == \
+        orientation_from_classes(n, seeded_class(seed)).dirs
+    t = Tournament(n, seed)
+    assert TripleOrientation.from_tournament(t).dirs == \
+        orientation_from_classes(n, tournament_class(t.out)).dirs
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,7 +237,7 @@ def test_class_rows_match_class_function(n, seed):
     st.just(n), st.lists(st.integers(0, 1), min_size=n ** 3, max_size=n ** 3))))
 def test_quad_builder_matches_six_pair_rule(case):
     n, bits = case
-    orient = TripleOrientation(n, lambda x, y, z: bits[(x * n + y) * n + z])
+    orient = orientation_from_classes(n, lambda x, y, z: bits[(x * n + y) * n + z])
     assert quad_hypergraph_from_orientation(orient).edges() == quad_rule_reference(orient)
 
 
@@ -260,7 +267,7 @@ class TestQuadRule:
         admissible = 0
         for bits in product((0, 1), repeat=4):
             table = dict(zip(triples, bits))
-            orient = TripleOrientation(4, lambda x, y, z: table[(x, y, z)])
+            orient = orientation_from_classes(4, lambda x, y, z: table[(x, y, z)])
             h = quad_hypergraph_from_orientation(orient)
             admissible += h.edge_count
         assert admissible == 2
@@ -328,5 +335,3 @@ def test_random_hypergraph_density_near_target():
 
 def test_metadata_attached():
     assert gen_sk_free(10, 4, 0).colouring is not None
-    assert gen_tournament_3hg(10, 0).orientation is not None
-    assert gen_leader_tan(10, 0).orientation is not None

@@ -15,7 +15,7 @@ from hyperq.core import (
     read_hypergraph,
     write_hypergraph,
 )
-from hyperq.constructions import gen_oriented_4hg, gen_random_3hg, gen_tournament_3hg
+from hyperq.constructions import Tournament, gen_oriented_4hg, gen_random_3hg, gen_tournament_3hg
 from helpers import naive_pair_rows, naive_text, tournament_seed
 
 
@@ -38,7 +38,7 @@ class TestCountWithin:
         h = gen_tournament_3hg(5, seed)
         assert edges_within(h, range(5)) == 5
         # cyclic triangles = C(n,3) - sum over v of C(outdeg(v), 2)
-        out = h.orientation.out
+        out = Tournament(5, seed).out
         assert math.comb(5, 3) - sum(math.comb(out[v].bit_count(), 2) for v in range(5)) == 5
 
     def test_out_of_range_vertex(self):

@@ -4,6 +4,7 @@ time."""
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperq.constructions import gen_random_3hg
@@ -69,3 +70,12 @@ def test_random_aux_block_draws_each_triple(sizes, density, seed):
             for a in range(sizes[0]) for b in range(sizes[1]) for c in range(sizes[2])
             if bernoulli(num, den, seed, TAG_AUX_TRIPLE, a, b, c)]
     assert sorted(gen_random_aux_block(sizes, num, den, seed).triples) == want
+
+
+def test_random_generators_refuse_impossible_probabilities():
+    for num, den in [(1, 0), (3, 2), (-1, 2)]:
+        for make in (lambda: gen_random_3hg(6, num, den, 0),
+                     lambda: gen_random_multipartite([2, 2], num, den, 0),
+                     lambda: gen_random_aux_block((2, 2, 2), num, den, 0)):
+            with pytest.raises(ValueError, match="probability %d/%d" % (num, den)):
+                make()

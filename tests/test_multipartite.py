@@ -88,6 +88,24 @@ class TestProfile:
         prof = mean_square_profile(half_split(4, 10))
         assert all(r == Fraction(1, 4) for r in prof.ratios.values())
 
+    def test_three_parts_of_four_beat_the_half_split(self):
+        # vertices 0, 1 of part 0 see vertex 0 of part 1 and all of part 2,
+        # vertices 2, 3 all of part 1 and vertex 3 of part 2; parts 1 and 2
+        # are joined wherever no part-0 vertex sees both ends
+        g = MultipartiteGraph([4, 4, 4])
+        for a in range(4):
+            seen_1, seen_2 = ([0], range(4)) if a < 2 else (range(4), [3])
+            for b in seen_1:
+                g.add_edge(0, a, 1, b)
+            for c in seen_2:
+                g.add_edge(0, a, 2, c)
+        for b in range(1, 4):
+            for c in range(3):
+                g.add_edge(1, b, 2, c)
+        assert count_triangles_mp(g) == 0
+        assert mean_square_profile(g).min_ratio() == Fraction(27, 64)
+        assert mean_square_profile(half_split(3, 4)).min_ratio() == Fraction(1, 4)
+
     def test_empty_part_rejected(self):
         with pytest.raises(ValueError):
             mean_square_profile(MultipartiteGraph([3, 0]))
